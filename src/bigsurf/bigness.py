@@ -189,8 +189,12 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
     configurations with counts up to max_ai and every intersection flag
     pattern.  Records any disagreement between the two criteria, and any
     configuration whose verdict is not invariant under the intersection
-    flags (which never carry mathematical weight).
+    flags (which never carry mathematical weight).  A negative bound raises
+    DomainError.
     """
+    for name, value in (("max_a", max_a), ("max_b", max_b), ("max_ai", max_ai)):
+        if value < 0:
+            raise DomainError(f"sweep bound {name} must be nonnegative, got {value}")
     disagreements: list[str] = []
     flag_violations: list[str] = []
     lc_count = tl_count = 0

@@ -106,6 +106,10 @@ def _load_json(text: str) -> Any:
         raise DomainError(
             f"malformed JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except RecursionError as exc:
+        # RecursionError is a RuntimeError, which main() reserves for
+        # failed internal cross-checks; deep nesting is bad input.
+        raise DomainError("malformed JSON: nested too deeply") from exc
 
 
 def _witness_args(data: Any) -> dict[str, Any]:

@@ -13,6 +13,7 @@ be hashed and compared.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -276,20 +277,23 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
     return [row[n:] for row in aug]
 
 
-def _floor_sqrt(t: Fraction) -> int:
-    """floor(sqrt(t)) for a nonnegative rational t, exactly."""
-    if t < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(t.numerator * t.denominator) // t.denominator
-
-
 def short_vectors(g: IntRows, bound: int, include_negatives: bool = False) -> list[Vec]:
     """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
 
     Fincke-Pohst enumeration: the positive form -G is decomposed as
     L D L^T with exact rational entries, the quadratic form becomes a sum
     of weighted completed squares, and coordinates are enumerated from the
-    last one down inside exactly computed integer intervals.
+    last one down.  The denominators are cleared once: with den the lcm of
+    the denominators of L and scale = den^2 * lcm(denominators of D),
+
+        scale * (-v^T G v) = sum_i w_i (den * v_i + S_i)^2,
+        w_i = scale * d_i / den^2,   S_i = sum_{j>i} den * L_ji * v_j,
+
+    so the weights, the partial sums and the remaining budget are all
+    integers, the inner loop never touches a Fraction, and each coordinate
+    interval comes from one math.isqrt.  Only one vector of each {v, -v}
+    pair is visited: while every higher coordinate is zero, v_i >= 0 is
+    required.
 
     Returns one representative per {v, -v} pair (first nonzero coefficient
     positive), or both signs when include_negatives is set, sorted
@@ -311,35 +315,49 @@ def short_vectors(g: IntRows, bound: int, include_negatives: bool = False) -> li
             lower[i][k] = (aq[i][k] - sum(d[t] * lower[i][t] * lower[k][t]
                                           for t in range(k))) / d[k]
 
+    den = math.lcm(*(lower[j][i].denominator for i in range(n) for j in range(i + 1, n)))
+    d_den = math.lcm(*(x.denominator for x in d))
+    scale = den * den * d_den
+    weight = [int(x * d_den) for x in d]
+    # row i of m holds den * L_ji at position j > i and zeros elsewhere
+    m = [[int(lower[j][i] * den) if j > i else 0 for j in range(n)] for i in range(n)]
+
     found: list[Vec] = []
     x = [0] * n
 
-    def descend(i: int, rem: Fraction) -> None:
-        if i < 0:
-            if any(x):
-                found.append(tuple(x))
-            return
-        s = sum(lower[j][i] * x[j] for j in range(i + 1, n))
-        r = _floor_sqrt(rem / d[i])
-        lo = math.ceil(-s) - r - 1
-        hi = math.floor(-s) + r + 1
-        for xi in range(lo, hi + 1):
-            q = d[i] * (xi + s) ** 2
-            if q <= rem:
+    def descend(i: int, rem: int, fixed_sign: bool) -> None:
+        s = sum(map(operator.mul, m[i], x))
+        wi = weight[i]
+        # w_i (den * v_i + s)^2 <= rem  iff  |den * v_i + s| <= isqrt(rem // w_i)
+        t = math.isqrt(rem // wi)
+        lo = 0 if fixed_sign else -((s + t) // den)
+        hi = (t - s) // den
+        if i == 0:
+            for xi in range(lo, hi + 1):
+                if xi or not fixed_sign:
+                    x[0] = xi
+                    found.append(tuple(x))
+        else:
+            for xi in range(lo, hi + 1):
                 x[i] = xi
-                descend(i - 1, rem - q)
+                u = den * xi + s
+                descend(i - 1, rem - wi * u * u, fixed_sign and not xi)
         x[i] = 0
 
-    descend(n - 1, Fraction(bound))
-    reps = sorted(v for v in found if _sign_normalized(v) == v)
+    descend(n - 1, bound * scale, True)
+    reps = sorted(_sign_normalized(v) for v in found)
     if include_negatives:
         return sorted(reps + [tuple(-c for c in v) for v in reps])
     return reps
 
 
-def dot(g: IntRows, u: Iterable[int], v: Iterable[int]) -> int:
-    """Integer pairing u^T G v."""
-    uu = list(u)
-    vv = list(v)
-    return sum(uu[i] * sum(g[i][j] * vv[j] for j in range(len(vv)))
-               for i in range(len(uu)))
+def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
+        v: Iterable[int]) -> int | Fraction:
+    """Pairing u^T G v, exact for integer or Fraction entries of G.
+
+    Zero coordinates are skipped, so sparse vectors such as roots pair in
+    time proportional to their supports.
+    """
+    vv = [(j, vj) for j, vj in enumerate(v) if vj]
+    return sum(ui * sum(g[i][j] * vj for j, vj in vv)
+               for i, ui in enumerate(u) if ui)

@@ -12,13 +12,14 @@ rather than a wrong answer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .bigness import orthogonal_complement
 from .errors import DomainError, NotNegativeDefiniteError
-from .linalg import is_negative_definite, short_vectors
+from .linalg import dot, is_negative_definite, short_vectors
 from .picard import (
     Generic,
     LineConic,
@@ -55,15 +56,6 @@ class RootSystemReport:
     @property
     def root_count(self) -> int:
         return len(self.roots)
-
-
-def _pair(gram: Gram, u: Sequence[int], v: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui:
-            row = gram[i]
-            total += ui * sum(Fraction(row[j]) * vj for j, vj in enumerate(v) if vj)
-    return total
 
 
 def extract_roots(gram: Gram) -> list[Vec]:
@@ -156,6 +148,18 @@ def _normalize(components: list[Component]) -> tuple[Component, ...]:
 def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     """Classify a complete, negation-closed root list into Cartan types.
 
+    Positive roots are the lexicographically positive ones.  They are
+    walked in ascending lex order, and a root alpha is simple iff
+    alpha - beta is not a root for every simple beta already found.  Lex
+    order on Z^n is a total order compatible with addition, so a
+    decomposition alpha = beta + gamma into positive roots puts beta before
+    alpha.  Every non-simple positive root has a simple beta with
+    alpha - beta a positive root, while the difference of two simple roots
+    is never a root (Humphreys, Lie Algebras, sections 10.1-10.2).  This
+    costs O(|positive roots| * rank) set lookups.  Cartan entries
+    2 (s_i, s_j) / (s_j, s_j) are computed exactly with linalg.dot and must
+    be integers.
+
     The sum of the catalog root counts of the recognized components must
     reproduce the input size exactly; any mismatch raises RuntimeError,
     since finite-type recognition on a negative definite lattice cannot
@@ -177,14 +181,14 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
                 return x > 0
         return False
 
-    positives = [v for v in vecs if lex_positive(v)]
-    sums = set()
-    for i, p in enumerate(positives):
-        for q in positives[i:]:
-            sums.add(tuple(a + b for a, b in zip(p, q)))
-    simple = tuple(p for p in positives if p not in sums)
+    simple: list[Vec] = []
+    for alpha in vecs:
+        if lex_positive(alpha) and all(
+                tuple(map(operator.sub, alpha, beta)) not in root_set
+                for beta in simple):
+            simple.append(alpha)
 
-    norms = [_pair(gram, s, s) for s in simple]
+    norms = [dot(gram, s, s) for s in simple]
     k = len(simple)
     cartan: list[list[int]] = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -192,7 +196,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
         for j in range(k):
             if i == j:
                 continue
-            val = 2 * _pair(gram, simple[i], simple[j]) / norms[j]
+            val = Fraction(2 * dot(gram, simple[i], simple[j]), norms[j])
             if val.denominator != 1:
                 raise RuntimeError("non-integral Cartan entry; input is not a root system")
             cartan[i][j] = val.numerator
@@ -223,7 +227,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
 
     graph = tuple((i, j, cartan[i][j] * cartan[j][i])
                   for i in range(k) for j in range(i + 1, k) if cartan[i][j])
-    return RootSystemReport(tuple(vecs), simple,
+    return RootSystemReport(tuple(vecs), tuple(simple),
                             tuple(tuple(row) for row in cartan),
                             _normalize(components), graph)
 

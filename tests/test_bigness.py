@@ -196,6 +196,12 @@ def test_cross_check_random_three_lines(a1, a2, a3, p12, p13, p23):
     assert cross_check(ThreeLines(a1, a2, a3, p12, p13, p23)).ok
 
 
+@pytest.mark.parametrize("bounds", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_sweep_rejects_negative_bounds(bounds):
+    with pytest.raises(DomainError):
+        agreement_sweep(*bounds)
+
+
 def test_small_sweep_is_clean():
     report = agreement_sweep(max_a=4, max_b=4, max_ai=3)
     assert report.clean

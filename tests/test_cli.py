@@ -220,6 +220,23 @@ def test_sweep_disagreement_exits_two(monkeypatch, capsys):
     assert "disagreements" in err
 
 
+def test_sweep_rejects_negative_bounds(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--max-a", "-3", "--max-b", "1",
+                             "--max-ai", "0")
+    assert code == 1
+    assert out == ""
+    assert "max_a" in err
+
+
+def test_deeply_nested_json_is_domain_error(capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for command in ("classify", "witness"):
+        code, out, err = run_cli(capsys, command, "--json", deep)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed JSON")
+
+
 def test_malformed_json(capsys):
     code, _, err = run_cli(capsys, "classify", "--json", '{"model":')
     assert code == 1

@@ -297,6 +297,31 @@ def test_short_vectors_against_box_search(g, bound, include_negatives):
     assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
 
 
+FIXED_NEGATIVE_DEFINITE = [
+    [[-2, 1, 0], [1, -2, 1], [0, 1, -2]],
+    [[-2, 0, 1, 0], [0, -2, 1, 0], [1, 1, -2, 1], [0, 0, 1, -2]],
+    [[-2, 0, 1], [0, -2, 1], [1, 1, -4]],
+    [[-3, 1, 1], [1, -5, 2], [1, 2, -7]],
+    [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    [[-6, 2, 1, 0], [2, -3, 1, 1], [1, 1, -4, 1], [0, 1, 1, -5]],
+]
+
+
+@pytest.mark.parametrize("include_negatives", [False, True])
+@pytest.mark.parametrize("bound", [1, 2, 4])
+@pytest.mark.parametrize("g", FIXED_NEGATIVE_DEFINITE)
+def test_short_vectors_against_box_search_fixed(g, bound, include_negatives):
+    # grams whose L D L^T factors carry nontrivial denominators
+    assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
+
+
+def test_dot_exact_on_fraction_gram():
+    g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
+    assert dot(g, (1, 1), (1, 1)) == -1
+    assert dot(g, (1, 0), (0, 1)) == Fraction(1, 2)
+    assert dot(g, (0, 0), (1, 1)) == 0
+
+
 @settings(max_examples=40)
 @given(negative_definite_matrix(), st.integers(1, 6))
 def test_short_vectors_closed_under_negation_when_requested(g, bound):

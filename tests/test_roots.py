@@ -5,9 +5,10 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError, NotNegativeDefiniteError
 from bigsurf.linalg import dot, invert_rational, solve_rational
-from bigsurf.picard import Generic, LineConic, ThreeLines, config_lattice
+from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
 from bigsurf.roots import (
     RootSystemReport,
     classify,
@@ -156,6 +157,62 @@ def test_classify_f4():
     assert len(roots) == 48
     report = classify(roots, gram)
     assert report.components == (("F", 4),)
+
+
+def pairwise_sum_simple_roots(roots):
+    """Reference simple-root rule: the lex-positive roots that are not a sum
+    of two lex-positive roots (quadratic in the number of roots)."""
+    positives = sorted(r for r in map(tuple, roots) if r > (0,) * len(r))
+    sums = {tuple(a + b for a, b in zip(p, q))
+            for i, p in enumerate(positives) for q in positives[i:]}
+    return tuple(p for p in positives if p not in sums)
+
+
+NONSIMPLY_LACED = {
+    "B3": ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], None),
+    "G2": ([[-2, 3], [3, -6]], [(1, 0), (0, 1)]),
+    "C3": ([[-1, Fraction(1, 2), 0], [Fraction(1, 2), -1, 1], [0, 1, -2]],
+           [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "F4": ([[-2, 1, 0, 0], [1, -2, 1, 0],
+            [0, 1, -1, Fraction(1, 2)], [0, 0, Fraction(1, 2), -1]],
+           [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("config", [
+    LineConic(6, 0), LineConic(0, 7, 2), LineConic(3, 2), LineConic(4, 3, 1),
+    LineConic(2, 4), LineConic(1, 6), LineConic(2, 5), LineConic(3, 5),
+    LineConic(4, 5), LineConic(2, 7, 2), ThreeLines(4, 2, 2),
+    ThreeLines(4, 0, 3), ThreeLines(3, 3, 2, p12=True, p13=True, p23=True),
+    ThreeLines(5, 3, 2), Generic(8),
+])
+def test_simple_roots_match_pairwise_sum_oracle_on_config_lattices(config):
+    if isinstance(config, Generic):
+        lattice = blowup_p2(config.r)
+        _, gram = orthogonal_complement(lattice, [lattice.anticanonical])
+    else:
+        _, gram = root_lattice_of_config(config)
+    roots = extract_roots(gram)
+    assert classify(roots, gram).simple_roots == pairwise_sum_simple_roots(roots)
+
+
+@pytest.mark.parametrize("name", sorted(NONSIMPLY_LACED))
+def test_simple_roots_match_pairwise_sum_oracle_non_simply_laced(name):
+    gram, simples = NONSIMPLY_LACED[name]
+    roots = extract_roots(gram) if simples is None else weyl_closure(gram, simples)
+    report = classify(roots, gram)
+    assert report.components == ((name[0], int(name[1:])),)
+    assert report.simple_roots == pairwise_sum_simple_roots(roots)
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_d_ladder_from_line_conic(n):
+    _, gram = root_lattice_of_config(LineConic(1, n))
+    roots = extract_roots(gram)
+    assert len(roots) == 2 * n * (n - 1)
+    report = classify(roots, gram)
+    assert report.components == (("D", n),)
+    assert report.rank == n
 
 
 def test_classify_rejects_incomplete_list():
