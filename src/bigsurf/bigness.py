@@ -31,6 +31,7 @@ from .picard import (
     ThreeLines,
     anticanonical_components,
     config_lattice,
+    sparse_terms,
 )
 
 Vec = tuple[int, ...]
@@ -39,7 +40,11 @@ Vec = tuple[int, ...]
 def orthogonal_complement(lattice: PicardLattice,
                           classes: list[DivisorClass]) -> tuple[list[Vec], list[list[int]]]:
     """Saturated integer basis of the common orthogonal of the given integral
-    classes, together with the restricted Gram matrix."""
+    classes, together with the restricted Gram matrix.
+
+    The kernel rows G.c come from the lattice's head-plus-tail structure in
+    O(rank) per class; only the Gram restriction reads the dense view.
+    """
     n = lattice.rank
     if not classes:
         basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -49,8 +54,8 @@ def orthogonal_complement(lattice: PicardLattice,
         coeffs = c.integral_coeffs()
         if len(coeffs) != n:
             raise ValueError("class dimension does not match the lattice")
-        rows.append([sum(coeffs[i] * lattice.gram[i][j] for i in range(n))
-                     for j in range(n)])
+        row = lattice.row(sparse_terms(coeffs))
+        rows.append([row.get(j, 0) for j in range(n)])
     basis = integer_kernel(rows)
     return basis, gram_restrict(lattice.gram, basis)
 

@@ -52,8 +52,10 @@ def _copy_rows(m: IntRows) -> list[list[int]]:
     return rows
 
 
-def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
-    """Validate symmetry and clear denominators.
+def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]
+                        ) -> tuple[list[list[int]], int]:
+    """Validate symmetry and clear denominators: the integer matrix den * g
+    and the positive integer den, the lcm of the entries' denominators.
 
     Scaling a symmetric form by a positive integer does not change its
     inertia, so rational input is lifted to an integer matrix.
@@ -67,7 +69,7 @@ def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]) -> list[list[int]
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
     den = math.lcm(*(x.denominator for r in rows for x in r)) if n else 1
-    return [[int(x * den) for x in r] for r in rows]
+    return [[int(x * den) for x in r] for r in rows], den
 
 
 def _sign_normalized(v: Vec) -> Vec:
@@ -137,7 +139,7 @@ def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
     is fraction-free (Bareiss), so every intermediate value is an integer
     minor and the pivot signs read off the signature.
     """
-    a = _symmetric_int_rows(g)
+    a, _ = _symmetric_int_rows(g)
     n = len(a)
     pos = neg = zero = 0
     prev = 1
@@ -187,7 +189,7 @@ def is_negative_definite(g: Sequence[Sequence[int | Fraction]]) -> bool:
     one.  Equivalent to ``inertia(g).is_negative_definite`` but stops at
     the first failing pivot.
     """
-    a = _symmetric_int_rows(g)
+    a, _ = _symmetric_int_rows(g)
     n = len(a)
     prev = 1
     for k in range(n):
@@ -277,7 +279,8 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
     return [row[n:] for row in aug]
 
 
-def short_vectors(g: IntRows, bound: int, include_negatives: bool = False) -> list[Vec]:
+def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
+                  include_negatives: bool = False) -> list[Vec]:
     """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
 
     Fincke-Pohst enumeration: the positive form -G is decomposed as
@@ -291,15 +294,16 @@ def short_vectors(g: IntRows, bound: int, include_negatives: bool = False) -> li
 
     so the weights, the partial sums and the remaining budget are all
     integers, the inner loop never touches a Fraction, and each coordinate
-    interval comes from one math.isqrt.  Only one vector of each {v, -v}
-    pair is visited: while every higher coordinate is zero, v_i >= 0 is
-    required.
+    interval comes from one math.isqrt.  A rational G is first scaled to
+    g_den * G by the lcm g_den of its denominators, and the bound with it.
+    Only one vector of each {v, -v} pair is visited: while every higher
+    coordinate is zero, v_i >= 0 is required.
 
     Returns one representative per {v, -v} pair (first nonzero coefficient
     positive), or both signs when include_negatives is set, sorted
     lexicographically either way.
     """
-    a = _symmetric_int_rows(g)
+    a, g_den = _symmetric_int_rows(g)
     n = len(a)
     if n == 0 or bound <= 0:
         return []
@@ -344,7 +348,7 @@ def short_vectors(g: IntRows, bound: int, include_negatives: bool = False) -> li
                 descend(i - 1, rem - wi * u * u, fixed_sign and not xi)
         x[i] = 0
 
-    descend(n - 1, bound * scale, True)
+    descend(n - 1, bound * g_den * scale, True)
     reps = sorted(_sign_normalized(v) for v in found)
     if include_negatives:
         return sorted(reps + [tuple(-c for c in v) for v in reps])

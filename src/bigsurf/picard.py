@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -81,11 +82,40 @@ class HirzebruchBlowup:
     extra_on_sigma: int
 
 
+# a sparse class: (basis index, coefficient) pairs, zero coefficients left out
+Terms = Sequence[tuple[int, Rational]]
+
+
+def sparse_terms(coeffs: Sequence[Rational]) -> list[tuple[int, Rational]]:
+    """The nonzero coordinates of a coefficient vector, in index order."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
+    """vec += times * (the sparse class terms), in place."""
+    for i, c in terms:
+        vec[i] += times * c
+
+
+def pair_with_row(terms: Terms, row: dict[int, Rational]) -> Fraction:
+    """u.v for the sparse class u, given the row {j: v.b_j} of v."""
+    return Fraction(sum(c * row[i] for i, c in terms if i in row))
+
+
 @dataclass(frozen=True)
 class PicardLattice:
-    """Intersection lattice of a surface model, with labeled basis."""
+    """Intersection lattice of a surface model, with labeled basis.
 
-    gram: tuple[tuple[int, ...], ...]
+    The form is stored by its structure, not as a dense matrix: a small
+    symmetric head block on the first basis classes, and -1 on the diagonal
+    of every later (exceptional) class, with no other nonzero entry.  The
+    head is ((1,),) for plane blow-ups (the line class) and ((-n, 1), (1, 0))
+    for blow-ups of a degree-n Hirzebruch surface (sigma and F).  Pairing
+    therefore costs O(rank), and a sparse class pairs in time proportional
+    to its support.  `gram` is a dense read-only view, built on first read.
+    """
+
+    head: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     canonical: DivisorClass
     model: PlaneBlowup | HirzebruchBlowup
@@ -94,18 +124,59 @@ class PicardLattice:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Dense Gram matrix of the form; O(rank^2), so only the dense
+        consumers (Gram restriction, root extraction) read it."""
+        h, rank = len(self.head), self.rank
+        return tuple(tuple(self.head[i][j] if i < h and j < h else -int(i == j)
+                           for j in range(rank))
+                     for i in range(rank))
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Basis position of each label."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    def row(self, terms: Terms) -> dict[int, Rational]:
+        """G.v for the sparse class v: {j: v.b_j} over the basis classes b_j
+        that v meets.  A head term meets the head classes through the head
+        block, a tail term only its own class (with sign -1), so the cost is
+        O(len(terms))."""
+        head = self.head
+        h = len(head)
+        out: dict[int, Rational] = {}
+        for i, c in terms:
+            if i < h:
+                for j, g in enumerate(head[i]):
+                    if g:
+                        out[j] = out.get(j, 0) + g * c
+            else:
+                out[i] = out.get(i, 0) - c
+        return out
+
     def pair(self, a: DivisorClass, b: DivisorClass) -> Fraction:
-        """Intersection pairing of two classes."""
-        total = Fraction(0)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                row = self.gram[i]
-                total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj)
-        return total
+        """Intersection pairing of two classes, in O(rank) through the
+        head-plus-tail structure; zero coordinates are skipped.  A class
+        shorter than the lattice reads as padded with zeros; a nonzero
+        coordinate beyond the rank raises IndexError."""
+        u, v = sparse_terms(a.coeffs), sparse_terms(b.coeffs)
+        if u and max(u[-1][0], v[-1][0] if v else 0) >= self.rank:
+            raise IndexError("class has a coordinate beyond the lattice rank")
+        return pair_with_row(u, self.row(v))
 
     def basis_class(self, label: str) -> DivisorClass:
-        i = self.labels.index(label)
+        try:
+            i = self.index[label]
+        except KeyError:
+            raise ValueError(f"{label!r} is not a basis label") from None
         return DivisorClass.of(tuple(int(j == i) for j in range(self.rank)))
+
+    def class_of(self, terms: Terms) -> DivisorClass:
+        """The dense class of a sparse one."""
+        coeffs: list[Rational] = [0] * self.rank
+        add_terms(coeffs, terms)
+        return DivisorClass.of(coeffs)
 
     def zero(self) -> DivisorClass:
         return DivisorClass.of((0,) * self.rank)
@@ -138,10 +209,8 @@ class PicardLattice:
 
 def _plane_lattice(labels: Sequence[str]) -> PicardLattice:
     rank = len(labels)
-    gram = tuple(tuple((1 if i == 0 else -1) * int(i == j) for j in range(rank))
-                 for i in range(rank))
     canonical = DivisorClass.of([-3] + [1] * (rank - 1))
-    return PicardLattice(gram, tuple(labels), canonical, PlaneBlowup(rank - 1))
+    return PicardLattice(((1,),), tuple(labels), canonical, PlaneBlowup(rank - 1))
 
 
 def blowup_p2(r: int) -> PicardLattice:
@@ -174,14 +243,8 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
         if on:
             labels.append(f"e{i}_s")
     labels.extend(f"s{j}" for j in range(1, extra_on_sigma + 1))
-    rank = len(labels)
-    rows = [[0] * rank for _ in range(rank)]
-    rows[0][0] = -n
-    rows[0][1] = rows[1][0] = 1
-    for i in range(2, rank):
-        rows[i][i] = -1
-    canonical = DivisorClass.of([-2, -(n + 2)] + [1] * (rank - 2))
-    return PicardLattice(tuple(tuple(r) for r in rows), tuple(labels), canonical,
+    canonical = DivisorClass.of([-2, -(n + 2)] + [1] * (len(labels) - 2))
+    return PicardLattice(((-n, 1), (1, 0)), tuple(labels), canonical,
                          HirzebruchBlowup(n, specs, extra_on_sigma))
 
 
@@ -191,30 +254,47 @@ def _hirzebruch_model(lattice: PicardLattice) -> HirzebruchBlowup:
     return lattice.model
 
 
-def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
-    """Strict transform of the i-th named fiber (1-based)."""
+def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
+                    points: Iterable[str]) -> list[tuple[int, int]]:
+    """Sparse strict transform of a curve of class sum(m * label) passing
+    once through each of the named blown-up points: the curve's terms, and
+    -1 on the exceptional class of every point.  O(number of terms)."""
+    index = lattice.index
+    return ([(index[label], m) for label, m in curve]
+            + [(index[p], -1) for p in points])
+
+
+def fiber_terms(lattice: PicardLattice, i: int) -> list[tuple[int, int]]:
+    """Sparse strict transform of the i-th named fiber (1-based)."""
     model = _hirzebruch_model(lattice)
     if not 1 <= i <= len(model.fiber_specs):
         raise DomainError(f"fiber index {i} out of range")
-    cls = lattice.basis_class("F")
     off, on = model.fiber_specs[i - 1]
-    for j in range(1, off + 1):
-        cls = cls - lattice.basis_class(f"e{i}_{j}")
+    points = [f"e{i}_{j}" for j in range(1, off + 1)]
     if on:
-        cls = cls - lattice.basis_class(f"e{i}_s")
-    return cls
+        points.append(f"e{i}_s")
+    return incidence_terms(lattice, [("F", 1)], points)
+
+
+def sigma_terms(lattice: PicardLattice) -> list[tuple[int, int]]:
+    """Sparse strict transform of the negative section."""
+    model = _hirzebruch_model(lattice)
+    points = [f"e{i}_s" for i, (_, on) in enumerate(model.fiber_specs, start=1) if on]
+    points.extend(f"s{j}" for j in range(1, model.extra_on_sigma + 1))
+    return incidence_terms(lattice, [("sigma", 1)], points)
+
+
+def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
+    """Strict transform of the i-th named fiber (1-based): F minus the
+    exceptional classes of the points on it, built from its sparse
+    incidence terms in O(rank)."""
+    return lattice.class_of(fiber_terms(lattice, i))
 
 
 def sigma_strict(lattice: PicardLattice) -> DivisorClass:
-    """Strict transform of the negative section."""
-    model = _hirzebruch_model(lattice)
-    cls = lattice.basis_class("sigma")
-    for i, (_, on) in enumerate(model.fiber_specs, start=1):
-        if on:
-            cls = cls - lattice.basis_class(f"e{i}_s")
-    for j in range(1, model.extra_on_sigma + 1):
-        cls = cls - lattice.basis_class(f"s{j}")
-    return cls
+    """Strict transform of the negative section, built from its sparse
+    incidence terms in O(rank)."""
+    return lattice.class_of(sigma_terms(lattice))
 
 
 # point configurations --------------------------------------------------------
@@ -360,6 +440,14 @@ class WitnessReport:
     n: int | None = None
 
 
+def _report(example: str, lhs: list[int], big: list[int], eff: list[int],
+            n: int | None = None) -> WitnessReport:
+    residual = [x - y - z for x, y, z in zip(lhs, big, eff, strict=True)]
+    return WitnessReport(example, not any(residual), DivisorClass.of(lhs),
+                         DivisorClass.of(big), DivisorClass.of(eff),
+                         DivisorClass.of(residual), n)
+
+
 def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
                         extra_on_sigma: int) -> WitnessReport:
     if n < 1:
@@ -370,15 +458,17 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
     if len(fibers) != n + 1:
         raise DomainError("exactly n + 1 named fibers are required")
     lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)
-    sigma = lattice.basis_class("sigma")
-    fiber = lattice.basis_class("F")
-    lhs = n * lattice.anticanonical
-    big = sigma + n * fiber
-    eff = (n - 1) * sigma + n * sigma_strict(lattice)
+    rank = lattice.rank
+    sigma, fiber = lattice.index["sigma"], lattice.index["F"]
+    lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
+    big = [0] * rank
+    big[sigma], big[fiber] = 1, n
+    eff = [0] * rank
+    eff[sigma] = n - 1
+    add_terms(eff, sigma_terms(lattice), n)
     for i in range(1, n + 2):
-        eff = eff + n * fiber_strict(lattice, i)
-    residual = lhs - big - eff
-    return WitnessReport("hirzebruch_b", residual.is_zero, lhs, big, eff, residual, n)
+        add_terms(eff, fiber_terms(lattice, i), n)
+    return _report("hirzebruch_b", lhs, big, eff, n)
 
 
 def _witness_conic(n: int) -> WitnessReport:
@@ -386,35 +476,29 @@ def _witness_conic(n: int) -> WitnessReport:
         raise DomainError("n must satisfy n >= 1")
     # e0 is the point off the conic, e1..en lie on it
     lattice = _plane_lattice(["l"] + [f"e{i}" for i in range(n + 1)])
-    line = lattice.basis_class("l")
-    e0 = lattice.basis_class("e0")
-    conic = 2 * line
-    for i in range(1, n + 1):
-        conic = conic - lattice.basis_class(f"e{i}")
-    lhs = n * lattice.anticanonical
-    big = 2 * line
-    eff = (n - 1) * conic
-    for i in range(1, n + 1):
-        eff = eff + (line - e0 - lattice.basis_class(f"e{i}"))
-    residual = lhs - big - eff
-    return WitnessReport("conic_c", residual.is_zero, lhs, big, eff, residual, n)
+    rank = lattice.rank
+    lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
+    big = [2] + [0] * (rank - 1)
+    eff = [0] * rank
+    on_conic = [f"e{i}" for i in range(1, n + 1)]
+    add_terms(eff, incidence_terms(lattice, [("l", 2)], on_conic), n - 1)
+    for point in on_conic:
+        add_terms(eff, incidence_terms(lattice, [("l", 1)], ["e0", point]))
+    return _report("conic_c", lhs, big, eff, n)
 
 
 def _witness_castravet() -> WitnessReport:
     # ten points, one for each pairwise intersection of five general lines
     pairs = list(combinations(range(1, 6), 2))
     lattice = _plane_lattice(["l"] + [f"e{i}{j}" for i, j in pairs])
-    line = lattice.basis_class("l")
-    lhs = 2 * lattice.anticanonical
-    eff = lattice.zero()
+    rank = lattice.rank
+    lhs = [-2 * c for c in lattice.canonical.integral_coeffs()]
+    big = [1] + [0] * (rank - 1)
+    eff = [0] * rank
     for k in range(1, 6):
-        strict = line
-        for i, j in pairs:
-            if k in (i, j):
-                strict = strict - lattice.basis_class(f"e{i}{j}")
-        eff = eff + strict
-    residual = lhs - line - eff
-    return WitnessReport("castravet_d", residual.is_zero, lhs, line, eff, residual)
+        add_terms(eff, incidence_terms(
+            lattice, [("l", 1)], [f"e{i}{j}" for i, j in pairs if k in (i, j)]))
+    return _report("castravet_d", lhs, big, eff)
 
 
 def verify_witness(example: str, n: int | None = None,
@@ -422,6 +506,10 @@ def verify_witness(example: str, n: int | None = None,
                    extra_on_sigma: int = 0) -> WitnessReport:
     """Check one of the known decompositions of a multiple of -K into a big
     part and an effective part, as an exact class identity.
+
+    The effective part is summed from the sparse incidence terms of the
+    strict transforms, in integers, so a check costs time linear in the
+    rank; only the four reported classes are built as DivisorClass.
 
     Placements that break the identity (for instance a point at the meeting
     of the negative section and a named fiber) are reported with the

@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .errors import DomainError
 from .linalg import is_negative_definite
-from .picard import DivisorClass, blowup_hirzebruch, fiber_strict
+from .picard import (DivisorClass, Rational, add_terms, blowup_hirzebruch,
+                     fiber_terms, pair_with_row, sparse_terms)
 
 __all__ = [
     "FamilyParams",
@@ -98,20 +99,30 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     transform.  Every reported check is evaluated against the actual
     intersection form; the negative-definiteness check runs on the Gram
     matrix of the components with strictly positive coefficient in N.
+
+    The strict transforms stay sparse (their incidence terms): P and N are
+    summed from them, and P pairs with sigma, the F_i and N through its row
+    G.P, computed once, so the work is linear in the rank and in k apart
+    from the (k+1)^2 support Gram entries.
     """
     n, k, a = params.n, params.k, params.a
     lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
-    sigma = lattice.basis_class("sigma")
-    fiber = lattice.basis_class("F")
-    strict = [fiber_strict(lattice, i) for i in range(1, k + 1)]
+    rank = lattice.rank
+    fiber = lattice.index["F"]
+    sigma = [(lattice.index["sigma"], 1)]
+    strict = [fiber_terms(lattice, i) for i in range(1, k + 1)]
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)
-    p = c * sigma + (n + 2 - k) * fiber
-    neg = (2 - c) * sigma
+    p_vec: list[Rational] = [0] * rank
+    neg_vec: list[Rational] = [0] * rank
+    add_terms(p_vec, sigma, c)
+    p_vec[fiber] += n + 2 - k
+    add_terms(neg_vec, sigma, 2 - c)
     for ai, fi in zip(a, strict):
-        p = p + (c / ai) * fi
-        neg = neg + (1 - c / ai) * fi
+        add_terms(p_vec, fi, c / ai)
+        add_terms(neg_vec, fi, 1 - c / ai)
+    p, neg = DivisorClass.of(p_vec), DivisorClass.of(neg_vec)
 
     p_squared = lattice.pair(p, p)
     assert p_squared == Fraction((n + 2 - k) ** 2) / (n - s)
@@ -120,11 +131,13 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     if 2 - c > 0:
         support.append(sigma)
     support.extend(fi for ai, fi in zip(a, strict) if 1 - c / ai > 0)
-    support_gram = [[lattice.pair(u, v) for v in support] for u in support]
+    support_rows = [lattice.row(v) for v in support]
+    support_gram = [[pair_with_row(u, row) for row in support_rows] for u in support]
+    p_row = lattice.row(sparse_terms(p.coeffs))
 
     checks = ZariskiChecks(
-        p_dot_sigma_zero=lattice.pair(p, sigma) == 0,
-        p_dot_fibers_zero=all(lattice.pair(p, fi) == 0 for fi in strict),
+        p_dot_sigma_zero=pair_with_row(sigma, p_row) == 0,
+        p_dot_fibers_zero=all(pair_with_row(fi, p_row) == 0 for fi in strict),
         p_dot_n_zero=lattice.pair(p, neg) == 0,
         n_effective=2 - c >= 0 and all(1 - c / ai >= 0 for ai in a),
         n_support_negative_definite=is_negative_definite(support_gram),

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigsurf import bigness
 from bigsurf.errors import DomainError
 from bigsurf.bigness import (
     agreement_sweep,
@@ -18,6 +20,7 @@ from bigsurf.picard import (
     LineConic,
     ThreeLines,
     anticanonical_components,
+    blowup_hirzebruch,
     blowup_p2,
     config_lattice,
 )
@@ -35,6 +38,33 @@ def test_complement_of_line():
     basis, gram = orthogonal_complement(lat, [lat.basis_class("l")])
     assert basis == [(0, 0, 1), (0, 1, 0)] or basis == [(0, 1, 0), (0, 0, 1)]
     assert gram == [[-1, 0], [0, -1]]
+
+
+@st.composite
+def lattice_and_integral_classes(draw):
+    """A plane or Hirzebruch lattice of rank 1..40 and up to three integral
+    classes on it."""
+    rank = draw(st.integers(1, 40))
+    if rank >= 2 and draw(st.booleans()):
+        lat = blowup_hirzebruch(draw(st.integers(1, 6)), [(rank - 2, False)])
+    else:
+        lat = blowup_p2(rank - 1)
+    coeff = st.one_of(st.just(0), st.integers(-9, 9))
+    classes = draw(st.lists(st.lists(coeff, min_size=rank, max_size=rank),
+                            min_size=1, max_size=3))
+    return lat, [DivisorClass.of(c) for c in classes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_and_integral_classes())
+def test_complement_kernel_rows_are_gram_times_class(case):
+    lat, classes = case
+    with mock.patch.object(bigness, "integer_kernel", wraps=bigness.integer_kernel) as kernel:
+        orthogonal_complement(lat, classes)
+    (rows,), _ = kernel.call_args
+    n = lat.rank
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    assert rows == [[dot(lat.gram, unit, c.coeffs) for unit in units] for c in classes]
 
 
 def test_complement_of_canonical_r8_is_even_rank_8():

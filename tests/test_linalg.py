@@ -304,6 +304,11 @@ FIXED_NEGATIVE_DEFINITE = [
     [[-3, 1, 1], [1, -5, 2], [1, 2, -7]],
     [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
     [[-6, 2, 1, 0], [2, -3, 1, 1], [1, 1, -4, 1], [0, 1, 1, -5]],
+    # Fraction grams: the bound scales with their denominators
+    [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]],
+    [[Fraction(-2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(-2, 3)]],
+    [[Fraction(-3, 2), 0, Fraction(1, 2)], [0, -1, Fraction(1, 3)],
+     [Fraction(1, 2), Fraction(1, 3), -2]],
 ]
 
 
@@ -312,6 +317,20 @@ FIXED_NEGATIVE_DEFINITE = [
 @pytest.mark.parametrize("g", FIXED_NEGATIVE_DEFINITE)
 def test_short_vectors_against_box_search_fixed(g, bound, include_negatives):
     # grams whose L D L^T factors carry nontrivial denominators
+    assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
+
+
+def test_short_vectors_scales_bound_with_fraction_gram():
+    # the A2 form scaled to norm 1: three vectors of square -1 up to sign
+    g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
+    assert short_vectors(g, 1) == [(0, 1), (1, 0), (1, 1)]
+
+
+@settings(max_examples=40)
+@given(negative_definite_matrix(max_dim=3), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_short_vectors_against_box_search_fraction(g, den, bound, include_negatives):
+    g = [[Fraction(x, den) for x in row] for row in g]
     assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
 
 

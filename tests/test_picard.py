@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bigsurf.errors import DomainError
+from bigsurf.linalg import dot
 from bigsurf.picard import (
     DivisorClass,
     Generic,
@@ -152,6 +153,64 @@ def test_parity_of_square_and_canonical_degree(r, data):
     assert (lat.pair(cls, cls) - lat.pair(cls, lat.canonical)) % 2 == 0
 
 
+@st.composite
+def lattice_and_classes(draw):
+    """A plane or Hirzebruch lattice of rank 1..40 and two classes on it:
+    integral or rational coefficients, possibly shorter than the rank."""
+    rank = draw(st.integers(1, 40))
+    if rank >= 2 and draw(st.booleans()):
+        on_fiber = draw(st.integers(0, rank - 2))
+        meets_sigma = on_fiber > 0 and draw(st.booleans())
+        lat = blowup_hirzebruch(draw(st.integers(1, 6)),
+                                [(on_fiber - meets_sigma, meets_sigma)],
+                                extra_on_sigma=rank - 2 - on_fiber)
+    else:
+        lat = blowup_p2(rank - 1)
+    assert lat.rank == rank
+    coeff = st.integers(-9, 9)
+    if draw(st.booleans()):
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    classes = []
+    for _ in range(2):
+        size = rank if draw(st.booleans()) else draw(st.integers(0, rank))
+        values = draw(st.lists(st.one_of(st.just(0), coeff), min_size=size, max_size=size))
+        classes.append(DivisorClass.of(values))
+    return lat, classes[0], classes[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_classes())
+def test_structured_pair_matches_dense_gram(case):
+    lat, a, b = case
+    value = lat.pair(a, b)
+    assert type(value) is Fraction
+    assert value == dot(lat.gram, a.coeffs, b.coeffs)
+    assert value == lat.pair(b, a)
+
+
+def test_structured_lattice_head_blocks():
+    assert blowup_p2(4).head == ((1,),)
+    assert blowup_hirzebruch(3, [(2, True)]).head == ((-3, 1), (1, 0))
+    lat = blowup_hirzebruch(3, [(1, False)])
+    assert lat.gram == ((-3, 1, 0), (1, 0, 0), (0, 0, -1))
+    assert lat.gram is lat.gram  # built once
+
+
+def test_pair_rejects_coordinates_beyond_the_rank():
+    lat = blowup_p2(1)
+    with pytest.raises(IndexError):
+        lat.pair(DivisorClass.of([0, 0, 1]), DivisorClass.of([1, 0]))
+    with pytest.raises(IndexError):
+        lat.pair(DivisorClass.of([1, 0]), DivisorClass.of([0, 0, 1]))
+    # a zero class pairs to zero whatever the other one holds
+    assert lat.pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([0, 0, 1])) == 0
+
+
+def test_basis_class_unknown_label():
+    with pytest.raises(ValueError):
+        blowup_p2(2).basis_class("e3")
+
+
 # point configurations ---------------------------------------------------
 
 
@@ -245,6 +304,36 @@ def test_hirzebruch_witness_breaks_on_section_point():
     lat = blowup_hirzebruch(2, ((1, False), (1, False), (0, True)))
     expected = 2 * lat.basis_class("e3_s")
     assert report.residual == expected
+
+
+@pytest.mark.parametrize("n, fibers, extra", [
+    (2, [(0, True), (1, False), (2, True)], 0),
+    (3, [(2, True), (1, False), (0, True), (3, True)], 2),
+    (4, [(1, False)] * 4 + [(1, True)], 1),
+])
+def test_hirzebruch_witness_residual_on_section_points(n, fibers, extra):
+    # each blown-up meeting point of sigma and a named fiber enters the
+    # effective part once through sigma and once through the fiber, so the
+    # residual is n times the sum of those exceptional classes; extra points
+    # on sigma alone cancel
+    report = verify_witness("hirzebruch_b", n=n, fibers=fibers, extra_on_sigma=extra)
+    assert not report.holds
+    lat = blowup_hirzebruch(n, fibers, extra)
+    expected = lat.zero()
+    for i, (_, on) in enumerate(fibers, start=1):
+        if on:
+            expected = expected + n * lat.basis_class(f"e{i}_s")
+    assert report.residual == expected
+    assert report.lhs == report.big_part + report.effective_part + report.residual
+
+
+@pytest.mark.parametrize("example, rank", [("hirzebruch_b", 5003), ("conic_c", 5002)])
+def test_witness_holds_at_n_5000(example, rank):
+    # linear in the rank; a dense rank x rank form would not fit here
+    report = verify_witness(example, n=5000)
+    assert report.holds
+    assert len(report.lhs.coeffs) == rank
+    assert report.residual.is_zero
 
 
 def test_hirzebruch_witness_fiber_count_enforced():
