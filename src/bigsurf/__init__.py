@@ -24,10 +24,8 @@ from .linalg import (
     gram_restrict,
     inertia,
     integer_kernel,
-    invert_rational,
     is_negative_definite,
     short_vectors,
-    solve_rational,
 )
 from .picard import (
     DivisorClass,
@@ -70,10 +68,8 @@ __all__ = [
     "gram_restrict",
     "inertia",
     "integer_kernel",
-    "invert_rational",
     "is_negative_definite",
     "short_vectors",
-    "solve_rational",
     "DivisorClass",
     "PicardLattice",
     "Generic",

@@ -16,7 +16,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from .errors import NotNegativeDefiniteError
 
 Vec = tuple[int, ...]
 IntRows = Sequence[Sequence[int]]
@@ -130,28 +132,29 @@ def integer_kernel(m: IntRows) -> list[Vec]:
     return basis
 
 
-def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
-    """Exact inertia of a symmetric matrix by congruence elimination.
+def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
+    """Fraction-free symmetric elimination (Bareiss) of the integer matrix a,
+    in place; the one symmetric elimination core of the module.
 
-    Symmetric Gaussian elimination with symmetric pivoting; an all-zero
-    diagonal block is handled by the standard row+column addition that
-    turns an off-diagonal entry into a usable pivot.  The arithmetic core
-    is fraction-free (Bareiss), so every intermediate value is an integer
-    minor and the pivot signs read off the signature.
+    Step k picks a nonzero diagonal pivot by symmetric pivoting; when the
+    remaining diagonal is all zero, the row+column addition a_i += a_j turns
+    an off-diagonal entry into a usable pivot.  It then yields (previous
+    pivot, pivot, pivot row), the previous pivot being 1 at the first step,
+    and eliminates below the pivot by exact division by the previous pivot.
+    Every intermediate value is an integer minor: without pivoting the k-th
+    pivot is the k-th leading principal minor of a.  The generator stops
+    early, after fewer than len(a) steps, when the remaining block is zero.
+    Row k is never written after step k, so a consumer may keep it.
     """
-    a, _ = _symmetric_int_rows(g)
     n = len(a)
-    pos = neg = zero = 0
     prev = 1
-    k = 0
-    while k < n:
+    for k in range(n):
         piv = next((i for i in range(k, n) if a[i][i] != 0), None)
         if piv is None:
             off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
                         if a[i][j] != 0), None)
             if off is None:
-                zero += n - k
-                break
+                return
             i, j = off
             for t in range(k, n):
                 a[i][t] += a[j][t]
@@ -163,49 +166,54 @@ def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
             for t in range(k, n):
                 a[t][k], a[t][piv] = a[t][piv], a[t][k]
         p = a[k][k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+        yield prev, p, a[k]
+        rowk = a[k]
         for i in range(k + 1, n):
             aik = a[i][k]
-            rowk = a[k]
             rowi = a[i]
             for j in range(i, n):
                 rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
             for j in range(i + 1, n):
                 a[j][i] = rowi[j]
         prev = p
-        k += 1
-    return Inertia(pos, neg, zero)
+
+
+def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
+    """Exact inertia of a symmetric matrix by congruence elimination.
+
+    Runs the fraction-free (Bareiss) elimination of `_bareiss_pivots`.  With
+    Delta_k the k-th pivot (Delta_0 = 1), the form is congruent to
+    diag(Delta_1/Delta_0, ..., Delta_r/Delta_{r-1}, 0, ..., 0), so a pivot
+    whose sign agrees with the previous one counts as positive, one whose
+    sign differs as negative, and the steps not taken as zero.
+    """
+    a, _ = _symmetric_int_rows(g)
+    pos = neg = 0
+    for prev, p, _ in _bareiss_pivots(a):
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+    return Inertia(pos, neg, len(a) - pos - neg)
 
 
 def is_negative_definite(g: Sequence[Sequence[int | Fraction]]) -> bool:
     """Early-exit negative definiteness test.
 
     A symmetric form is negative definite iff its leading principal minors
-    are nonzero and alternate in sign starting negative, which is exactly
-    the condition that every Bareiss pivot has sign opposite the previous
-    one.  Equivalent to ``inertia(g).is_negative_definite`` but stops at
-    the first failing pivot.
+    Delta_1, ..., Delta_n are nonzero and alternate in sign starting
+    negative, i.e. iff every Bareiss pivot of `_bareiss_pivots` has sign
+    opposite the previous one (Delta_0 = 1) for all len(g) steps.
+    Equivalent to ``inertia(g).is_negative_definite`` but stops at the first
+    pivot that fails to alternate.
     """
     a, _ = _symmetric_int_rows(g)
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        p = a[k][k]
-        if p == 0 or (p > 0) == (prev > 0):
+    steps = 0
+    for prev, p, _ in _bareiss_pivots(a):
+        if (p > 0) == (prev > 0):
             return False
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowk = a[k]
-            rowi = a[i]
-            for j in range(i, n):
-                rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
-            for j in range(i + 1, n):
-                a[j][i] = rowi[j]
-        prev = p
-    return True
+        steps += 1
+    return steps == len(a)
 
 
 def gram_restrict(g: IntRows, basis: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -219,85 +227,29 @@ def gram_restrict(g: IntRows, basis: Sequence[Sequence[int]]) -> list[list[int]]
     return [[sum(bi[t] * gbj[t] for t in range(n)) for gbj in gb] for bi in bs]
 
 
-def solve_rational(a: Sequence[Sequence[int | Fraction]],
-                   b: Sequence[int | Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly; None if inconsistent.
-
-    Requires the solution to be unique (A of full column rank), which is
-    the only case the package needs: expressing a vector in a basis.
-    """
-    rows = [[Fraction(x) for x in r] for r in a]
-    rhs = [Fraction(x) for x in b]
-    if len(rows) != len(rhs):
-        raise ValueError("dimension mismatch")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rhs[rank], rhs[piv] = rhs[piv], rhs[rank]
-        p = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-                rhs[i] -= f * rhs[rank]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rhs[i] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = rhs[row] / rows[row][col]
-    return x
-
-
-def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix by Gauss-Jordan elimination."""
-    rows = [[Fraction(x) for x in r] for r in a]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    aug = [rows[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
                   include_negatives: bool = False) -> list[Vec]:
     """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
 
-    Fincke-Pohst enumeration: the positive form -G is decomposed as
-    L D L^T with exact rational entries, the quadratic form becomes a sum
-    of weighted completed squares, and coordinates are enumerated from the
-    last one down.  The denominators are cleared once: with den the lcm of
-    the denominators of L and scale = den^2 * lcm(denominators of D),
+    Fincke-Pohst enumeration on completed squares read straight off the
+    fraction-free elimination of -G.  With Delta_k the k-th leading minor
+    of -G (Delta_0 = 1) and r_k the k-th pivot row of `_bareiss_pivots`,
 
-        scale * (-v^T G v) = sum_i w_i (den * v_i + S_i)^2,
-        w_i = scale * d_i / den^2,   S_i = sum_{j>i} den * L_ji * v_j,
+        -x^T G x = sum_k (Delta_{k+1} x_k + sum_{j>k} r_k[j] x_j)^2
+                         / (Delta_k Delta_{k+1}),
 
-    so the weights, the partial sums and the remaining budget are all
-    integers, the inner loop never touches a Fraction, and each coordinate
-    interval comes from one math.isqrt.  A rational G is first scaled to
-    g_den * G by the lcm g_den of its denominators, and the bound with it.
-    Only one vector of each {v, -v} pair is visited: while every higher
-    coordinate is zero, v_i >= 0 is required.
+    so with L = lcm_k(Delta_k Delta_{k+1}) the search runs on
+    L * (-x^T G x) = sum_k w_k (Delta_{k+1} x_k + S_k)^2 with the integer
+    weights w_k = L / (Delta_k Delta_{k+1}): the weights, the partial sums
+    S_k and the remaining budget are all integers, and each coordinate
+    interval comes from one math.isqrt.  Coordinates are enumerated from
+    the last one down.  A pivot <= 0, or an elimination that stops early,
+    means the form is not negative definite and raises
+    NotNegativeDefiniteError; no separate definiteness pass runs.  A
+    rational G is first scaled to g_den * G by the lcm g_den of its
+    denominators, and the bound with it.  Only one vector of each {v, -v}
+    pair is visited: while every higher coordinate is zero, v_i >= 0 is
+    required.
 
     Returns one representative per {v, -v} pair (first nonzero coefficient
     positive), or both signs when include_negatives is set, sorted
@@ -307,24 +259,19 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
     n = len(a)
     if n == 0 or bound <= 0:
         return []
-    if not is_negative_definite(a):
-        raise ValueError("form must be negative definite")
-    aq = [[Fraction(-x) for x in row] for row in a]
-    d = [Fraction(0)] * n
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d[k] = aq[k][k] - sum(d[t] * lower[k][t] ** 2 for t in range(k))
-        assert d[k] > 0
-        for i in range(k + 1, n):
-            lower[i][k] = (aq[i][k] - sum(d[t] * lower[i][t] * lower[k][t]
-                                          for t in range(k))) / d[k]
-
-    den = math.lcm(*(lower[j][i].denominator for i in range(n) for j in range(i + 1, n)))
-    d_den = math.lcm(*(x.denominator for x in d))
-    scale = den * den * d_den
-    weight = [int(x * d_den) for x in d]
-    # row i of m holds den * L_ji at position j > i and zeros elsewhere
-    m = [[int(lower[j][i] * den) if j > i else 0 for j in range(n)] for i in range(n)]
+    minor = [1]
+    # row k of m holds r_k[j] at position j > k and zeros elsewhere
+    m: list[list[int]] = []
+    for _, p, row in _bareiss_pivots([[-x for x in r] for r in a]):
+        if p <= 0:
+            break
+        minor.append(p)
+        k = len(m)
+        m.append([0] * (k + 1) + row[k + 1:])
+    if len(m) < n:
+        raise NotNegativeDefiniteError("the Gram matrix is not negative definite")
+    scale = math.lcm(*(minor[k] * minor[k + 1] for k in range(n)))
+    weight = [scale // (minor[k] * minor[k + 1]) for k in range(n)]
 
     found: list[Vec] = []
     x = [0] * n
@@ -332,10 +279,11 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
     def descend(i: int, rem: int, fixed_sign: bool) -> None:
         s = sum(map(operator.mul, m[i], x))
         wi = weight[i]
-        # w_i (den * v_i + s)^2 <= rem  iff  |den * v_i + s| <= isqrt(rem // w_i)
+        di = minor[i + 1]
+        # w_i (d_i * v_i + s)^2 <= rem  iff  |d_i * v_i + s| <= isqrt(rem // w_i)
         t = math.isqrt(rem // wi)
-        lo = 0 if fixed_sign else -((s + t) // den)
-        hi = (t - s) // den
+        lo = 0 if fixed_sign else -((s + t) // di)
+        hi = (t - s) // di
         if i == 0:
             for xi in range(lo, hi + 1):
                 if xi or not fixed_sign:
@@ -344,7 +292,7 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
         else:
             for xi in range(lo, hi + 1):
                 x[i] = xi
-                u = den * xi + s
+                u = di * xi + s
                 descend(i - 1, rem - wi * u * u, fixed_sign and not xi)
         x[i] = 0
 

@@ -382,45 +382,31 @@ def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, 
     For LineConic: strict transforms of the line and the conic plus the
     exceptional curves over blown-up intersection points.  For ThreeLines:
     strict transforms of the three lines plus blown-up intersections.
-    The classes always sum to the anticanonical class.
+    Each strict transform comes from its sparse incidence terms, so a
+    configuration costs O(rank) per component.  The classes always sum to
+    the anticanonical class.
     """
     lattice = config_lattice(config)
     if isinstance(config, Generic):
         raise DomainError("generic configurations carry no distinguished anticanonical member")
-    parts: list[DivisorClass] = []
     if isinstance(config, LineConic):
-        line = lattice.basis_class("l")
-        conic = 2 * lattice.basis_class("l")
-        for i in range(1, config.a + 1):
-            line = line - lattice.basis_class(f"e{i}")
-        for j in range(1, config.b + 1):
-            conic = conic - lattice.basis_class(f"f{j}")
-        for k in range(1, config.both + 1):
-            g = lattice.basis_class(f"g{k}")
-            line = line - g
-            conic = conic - g
-            parts.append(g)
-        parts = [line, conic] + parts
+        points = [f"g{k}" for k in range(1, config.both + 1)]
+        curves = [
+            incidence_terms(lattice, [("l", 1)],
+                            [f"e{i}" for i in range(1, config.a + 1)] + points),
+            incidence_terms(lattice, [("l", 2)],
+                            [f"f{j}" for j in range(1, config.b + 1)] + points)]
     else:
         incident = {"g12": (1, 2), "g13": (1, 3), "g23": (2, 3)}
-        lines = []
-        for idx, count in enumerate(config.counts, start=1):
-            cls = lattice.basis_class("l")
-            for j in range(1, count + 1):
-                cls = cls - lattice.basis_class(f"e{idx}_{j}")
-            lines.append(cls)
-        extra = []
-        for name, flag in zip(("g12", "g13", "g23"), config.flags):
-            if flag:
-                g = lattice.basis_class(name)
-                for idx in incident[name]:
-                    lines[idx - 1] = lines[idx - 1] - g
-                extra.append(g)
-        parts = lines + extra
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    assert total == lattice.anticanonical, "components fail to sum to -K"
+        points = [name for name, flag in zip(incident, config.flags) if flag]
+        curves = [incidence_terms(lattice, [("l", 1)],
+                                  [f"e{idx}_{j}" for j in range(1, count + 1)]
+                                  + [g for g in points if idx in incident[g]])
+                  for idx, count in enumerate(config.counts, start=1)]
+    parts = ([lattice.class_of(terms) for terms in curves]
+             + [lattice.basis_class(g) for g in points])
+    assert sum(parts[1:], parts[0]) == lattice.anticanonical, \
+        "components fail to sum to -K"
     return tuple(parts)
 
 

@@ -59,9 +59,10 @@ class RootSystemReport:
 
 
 def extract_roots(gram: Gram) -> list[Vec]:
-    """All vectors of square -1 or -2, both signs, in lexicographic order."""
-    if not is_negative_definite(gram):
-        raise NotNegativeDefiniteError("root extraction needs a negative definite Gram matrix")
+    """All vectors of square -1 or -2, both signs, in lexicographic order.
+
+    Raises NotNegativeDefiniteError, from the elimination inside
+    short_vectors, when the form is not negative definite."""
     return short_vectors(gram, 2, include_negatives=True)
 
 

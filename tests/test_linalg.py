@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bigsurf.errors import NotNegativeDefiniteError
 from bigsurf.linalg import (
     Inertia,
     dot,
     gram_restrict,
     inertia,
     integer_kernel,
-    invert_rational,
     is_negative_definite,
     short_vectors,
-    solve_rational,
 )
+from oracles import invert_rational, solve_rational
 
 
 def first_nonzero_positive(v):
@@ -106,6 +106,21 @@ def symmetric_matrix(draw, max_dim=4):
     for i in range(n):
         for j in range(i, n):
             m[i][j] = m[j][i] = draw(small_ints)
+    return m
+
+
+@st.composite
+def sparse_symmetric_matrix(draw, max_dim=6):
+    """Symmetric matrices with many zeros; a zero diagonal makes the
+    elimination take its pivoting and off-diagonal branches."""
+    n = draw(st.integers(1, max_dim))
+    zero_diagonal = draw(st.booleans())
+    entries = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = draw(entries)
     return m
 
 
@@ -245,6 +260,29 @@ def test_is_negative_definite_matches_inertia(g):
     assert is_negative_definite(g) == inertia(g).is_negative_definite
 
 
+def charpoly_inertia(sympy, g):
+    """Signature from the characteristic polynomial, exactly: its roots are
+    real, so Descartes' rule of signs counts the positive eigenvalues, and
+    the trailing zero coefficients count the zero ones."""
+    coeffs = sympy.Matrix(g).charpoly().all_coeffs()
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    signs = [c > 0 for c in coeffs if c != 0]
+    pos = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    return Inertia(pos, len(g) - pos - zero, zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_symmetric_matrix())
+def test_inertia_and_definiteness_against_sympy_charpoly(g):
+    sympy = pytest.importorskip("sympy")
+    expect = charpoly_inertia(sympy, g)
+    assert inertia(g) == expect
+    assert is_negative_definite(g) == expect.is_negative_definite
+
+
 # gram_restrict ---------------------------------------------------------------
 
 
@@ -284,6 +322,18 @@ def test_short_vectors_norm_filter():
 def test_short_vectors_rejects_indefinite():
     with pytest.raises(ValueError):
         short_vectors([[1, 0], [0, -1]], 2)
+
+
+@pytest.mark.parametrize("g", [
+    [[-1, 1], [1, -1]],
+    [[0]],
+    [[-2, 0], [0, 0]],
+    [[-1, 0, 0], [0, 0, 0], [0, 0, -1]],
+])
+def test_short_vectors_rejects_semidefinite(g):
+    # a singular form ends the elimination in fewer than len(g) steps
+    with pytest.raises(NotNegativeDefiniteError):
+        short_vectors(g, 2)
 
 
 def test_short_vectors_degenerate_input():
@@ -348,22 +398,3 @@ def test_short_vectors_closed_under_negation_when_requested(g, bound):
     s = set(both)
     assert all(tuple(-c for c in v) in s for v in both)
     assert len(both) == 2 * len(short_vectors(g, bound))
-
-
-# rational solve / invert ------------------------------------------------------
-
-
-def test_solve_rational_unique():
-    x = solve_rational([[2, 0], [0, 3], [1, 1]], [4, 6, 4])
-    assert x == [Fraction(2), Fraction(2)]
-
-
-def test_solve_rational_inconsistent():
-    assert solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
-
-
-def test_invert_rational_roundtrip():
-    a = [[2, 1], [1, 1]]
-    inv = invert_rational(a)
-    prod = [[sum(a[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-    assert prod == [[1, 0], [0, 1]]

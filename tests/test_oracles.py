@@ -1,0 +1,19 @@
+from fractions import Fraction
+
+from oracles import invert_rational, solve_rational
+
+
+def test_solve_rational_unique():
+    x = solve_rational([[2, 0], [0, 3], [1, 1]], [4, 6, 4])
+    assert x == [Fraction(2), Fraction(2)]
+
+
+def test_solve_rational_inconsistent():
+    assert solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
+
+
+def test_invert_rational_roundtrip():
+    a = [[2, 1], [1, 1]]
+    inv = invert_rational(a)
+    prod = [[sum(a[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    assert prod == [[1, 0], [0, 1]]

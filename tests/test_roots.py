@@ -7,7 +7,7 @@ import pytest
 
 from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError, NotNegativeDefiniteError
-from bigsurf.linalg import dot, invert_rational, solve_rational
+from bigsurf.linalg import dot
 from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
 from bigsurf.roots import (
     RootSystemReport,
@@ -19,6 +19,7 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
+from oracles import invert_rational, solve_rational
 
 A2 = [[-2, 1], [1, -2]]
 
