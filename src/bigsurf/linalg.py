@@ -13,10 +13,9 @@ be hashed and compared.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotNegativeDefiniteError
 
@@ -40,10 +39,6 @@ class Inertia:
     def is_negative_definite(self) -> bool:
         return self.positive == 0 and self.zero == 0
 
-    @property
-    def is_negative_semidefinite(self) -> bool:
-        return self.positive == 0
-
 
 def _copy_rows(m: IntRows) -> list[list[int]]:
     rows = [list(r) for r in m]
@@ -60,9 +55,18 @@ def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]
     and the positive integer den, the lcm of the entries' denominators.
 
     Scaling a symmetric form by a positive integer does not change its
-    inertia, so rational input is lifted to an integer matrix.
+    inertia, so rational input is lifted to an integer matrix.  When every
+    entry is exactly an int the rows are taken as they are, with den = 1;
+    any other entry (Fraction, bool, numpy scalar) sends the whole matrix
+    through Fraction.
     """
-    rows = [[Fraction(x) for x in r] for r in g]
+    rows = [list(r) for r in g]
+    if all(type(x) is int for r in rows for x in r):
+        den = 1
+    else:
+        exact = [[Fraction(x) for x in r] for r in rows]
+        den = math.lcm(*(x.denominator for r in exact for x in r))
+        rows = [[int(x * den) for x in r] for r in exact]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("gram matrix must be square")
@@ -70,8 +74,7 @@ def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
-    den = math.lcm(*(x.denominator for r in rows for x in r)) if n else 1
-    return [[int(x * den) for x in r] for r in rows], den
+    return rows, den
 
 
 def _sign_normalized(v: Vec) -> Vec:
@@ -242,14 +245,23 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
     L * (-x^T G x) = sum_k w_k (Delta_{k+1} x_k + S_k)^2 with the integer
     weights w_k = L / (Delta_k Delta_{k+1}): the weights, the partial sums
     S_k and the remaining budget are all integers, and each coordinate
-    interval comes from one math.isqrt.  Coordinates are enumerated from
-    the last one down.  A pivot <= 0, or an elimination that stops early,
-    means the form is not negative definite and raises
-    NotNegativeDefiniteError; no separate definiteness pass runs.  A
-    rational G is first scaled to g_den * G by the lcm g_den of its
-    denominators, and the bound with it.  Only one vector of each {v, -v}
-    pair is visited: while every higher coordinate is zero, v_i >= 0 is
-    required.
+    interval comes from one math.isqrt.  A pivot <= 0, or an elimination
+    that stops early, means the form is not negative definite and raises
+    NotNegativeDefiniteError; no separate definiteness pass runs, and the
+    elimination runs before a bound <= 0 returns [].  A rational G is
+    first scaled to g_den * G by the lcm g_den of its denominators, and the
+    bound with it.
+
+    The search is iterative, so its depth is not limited by Python's
+    recursion limit.  Coordinates are fixed from the last one down; level
+    k keeps x_k, its upper end, the budget and the centre in arrays.
+    S_k = r_k[k+1] x_{k+1} + B_k, where the part B_k over j > k + 1 stays
+    fixed while x_{k+1} runs through its interval, so B_k is summed once
+    per interval of x_{k+1}, over the nonzero x_j only, and each centre S_k
+    costs one product.  Only
+    one vector of each {v, -v} pair is visited (while every higher
+    coordinate is zero, v_k >= 0 is required); its negation is built next
+    to it.
 
     Returns one representative per {v, -v} pair (first nonzero coefficient
     positive), or both signs when include_negatives is set, sorted
@@ -257,8 +269,6 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
     """
     a, g_den = _symmetric_int_rows(g)
     n = len(a)
-    if n == 0 or bound <= 0:
-        return []
     minor = [1]
     # row k of m holds r_k[j] at position j > k and zeros elsewhere
     m: list[list[int]] = []
@@ -270,46 +280,62 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
         m.append([0] * (k + 1) + row[k + 1:])
     if len(m) < n:
         raise NotNegativeDefiniteError("the Gram matrix is not negative definite")
+    if n == 0 or bound <= 0:
+        return []
     scale = math.lcm(*(minor[k] * minor[k + 1] for k in range(n)))
     weight = [scale // (minor[k] * minor[k + 1]) for k in range(n)]
 
     found: list[Vec] = []
+    negated: list[Vec] = []
     x = [0] * n
-
-    def descend(i: int, rem: int, fixed_sign: bool) -> None:
-        s = sum(map(operator.mul, m[i], x))
-        wi = weight[i]
-        di = minor[i + 1]
-        # w_i (d_i * v_i + s)^2 <= rem  iff  |d_i * v_i + s| <= isqrt(rem // w_i)
-        t = math.isqrt(rem // wi)
-        lo = 0 if fixed_sign else -((s + t) // di)
-        hi = (t - s) // di
-        if i == 0:
-            for xi in range(lo, hi + 1):
-                if xi or not fixed_sign:
-                    x[0] = xi
-                    found.append(tuple(x))
+    hi = [0] * n
+    rem = [0] * n
+    centre = [0] * n
+    base = [0] * n
+    # nonzero[i]: the pairs (j, x_j) with j > i and x_j != 0; while it is
+    # empty only x_i >= 0 is visited
+    nonzero: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # entering level i with budget r and centre s = S_i; every x_j with
+    # j <= i is 0 here
+    i, r, s = n - 1, bound * g_den * scale, 0
+    while True:
+        d = minor[i + 1]
+        # w_i (d * x_i + s)^2 <= r  iff  |d * x_i + s| <= isqrt(r // w_i)
+        t = math.isqrt(r // weight[i])
+        if i:
+            row, b = m[i - 1], 0
+            for j, xj in nonzero[i]:
+                b += row[j] * xj
+            base[i - 1] = b
+            x[i] = (-((s + t) // d) if nonzero[i] else 0) - 1
+            hi[i], rem[i], centre[i] = (t - s) // d, r, s
         else:
-            for xi in range(lo, hi + 1):
+            tail = tuple(x[1:])
+            neg_tail = tuple([-c for c in tail])
+            for x0 in range(-((s + t) // d) if nonzero[0] else 1, (t - s) // d + 1):
+                found.append((x0,) + tail)
+                negated.append((-x0,) + neg_tail)
+            i = 1
+        # step the lowest level that has a value left, then descend from it
+        while i < n:
+            xi = x[i] + 1
+            if xi <= hi[i]:
                 x[i] = xi
-                u = di * xi + s
-                descend(i - 1, rem - wi * u * u, fixed_sign and not xi)
-        x[i] = 0
-
-    descend(n - 1, bound * g_den * scale, True)
-    reps = sorted(_sign_normalized(v) for v in found)
+                u = minor[i + 1] * xi + centre[i]
+                r = rem[i] - weight[i] * u * u
+                nonzero[i - 1] = nonzero[i] + [(i, xi)] if xi else nonzero[i]
+                i -= 1
+                s = base[i] + m[i][i + 1] * xi
+                break
+            x[i] = 0
+            i += 1
+        else:
+            break
     if include_negatives:
-        return sorted(reps + [tuple(-c for c in v) for v in reps])
-    return reps
+        found += negated
+        found.sort()
+        return found
+    # of v and -v the lexicographically larger has its first nonzero
+    # coefficient positive
+    return sorted(map(max, found, negated))
 
-
-def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
-        v: Iterable[int]) -> int | Fraction:
-    """Pairing u^T G v, exact for integer or Fraction entries of G.
-
-    Zero coordinates are skipped, so sparse vectors such as roots pair in
-    time proportional to their supports.
-    """
-    vv = [(j, vj) for j, vj in enumerate(v) if vj]
-    return sum(ui * sum(g[i][j] * vj for j, vj in vv)
-               for i, ui in enumerate(u) if ui)

@@ -12,14 +12,16 @@ rather than a wrong answer.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .bigness import orthogonal_complement
 from .errors import DomainError, NotNegativeDefiniteError
-from .linalg import dot, is_negative_definite, short_vectors
+from .linalg import is_negative_definite, short_vectors
 from .picard import (
     Generic,
     LineConic,
@@ -157,39 +159,54 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     alpha.  Every non-simple positive root has a simple beta with
     alpha - beta a positive root, while the difference of two simple roots
     is never a root (Humphreys, Lie Algebras, sections 10.1-10.2).  This
-    costs O(|positive roots| * rank) set lookups.  Cartan entries
-    2 (s_i, s_j) / (s_j, s_j) are computed exactly with linalg.dot and must
-    be integers.
+    costs O(|positive roots| * rank) set lookups.
+
+    Each root v is packed into one integer c(v) = sum_i v_i B^(n-1-i) with
+    B = 4M + 1, M the largest |coordinate|.  c is linear, so
+    c(alpha) - c(beta) = c(alpha - beta).  If |d_i| < B for every i, then
+    c(d) = 0 forces d = 0 (d_{n-1} is divisible by B, hence 0; divide by B
+    and repeat); a root difference alpha - beta - gamma has |d_i| <= 3M < B,
+    so c is injective on roots and c(alpha) - c(beta) is the code of a root
+    iff alpha - beta is that root.  If |d_i| <= 2M < B - 1, the first
+    nonzero d_i outweighs the rest, |sum_{j>i} d_j B^(n-1-j)| < B^(n-1-i),
+    so c(d) has the sign of the first nonzero d_i: c orders the roots as
+    lex order does and c(v) > 0 iff v is lex-positive.  Duplicates,
+    closure under negation, positivity and the simple-root test are
+    therefore each one integer operation and one set lookup.
+
+    Cartan entries 2 (s_i, s_j) / (s_j, s_j) are exact: G s_j is formed
+    once per simple root, each pairing is one dot product with it, and
+    divmod, exact on int and Fraction alike, checks the quotient is an
+    integer.
 
     The sum of the catalog root counts of the recognized components must
     reproduce the input size exactly; any mismatch raises RuntimeError,
     since finite-type recognition on a negative definite lattice cannot
     legitimately disagree with the enumeration.
     """
-    vecs = sorted(tuple(int(x) for x in v) for v in roots)
+    vecs = [tuple(map(int, v)) for v in roots]
     if not vecs:
         return RootSystemReport((), (), (), (), ())
-    root_set = set(vecs)
-    if len(root_set) != len(vecs):
+    coords = set(chain.from_iterable(vecs))
+    big = max(max(coords), -min(coords)) if coords else 0
+    n = len(vecs[0])
+    powers = [(4 * big + 1) ** (n - 1 - i) for i in range(n)]
+    by_code = {sum(map(operator.mul, v, powers)): v for v in vecs}
+    if len(by_code) != len(vecs):
         raise ValueError("duplicate roots in input")
-    for v in vecs:
-        if tuple(-x for x in v) not in root_set:
-            raise ValueError("root list is not closed under negation")
+    codes = sorted(by_code)
+    is_root = by_code.__contains__
+    if not all(map(is_root, map(operator.neg, codes))):
+        raise ValueError("root list is not closed under negation")
 
-    def lex_positive(v: Vec) -> bool:
-        for x in v:
-            if x:
-                return x > 0
-        return False
+    simple_codes: list[int] = []
+    for alpha in codes[bisect.bisect_right(codes, 0):]:
+        if not any(map(is_root, map(alpha.__sub__, simple_codes))):
+            simple_codes.append(alpha)
+    simple = [by_code[c] for c in simple_codes]
 
-    simple: list[Vec] = []
-    for alpha in vecs:
-        if lex_positive(alpha) and all(
-                tuple(map(operator.sub, alpha, beta)) not in root_set
-                for beta in simple):
-            simple.append(alpha)
-
-    norms = [dot(gram, s, s) for s in simple]
+    g_simple = [[sum(map(operator.mul, row, s)) for row in gram] for s in simple]
+    norms = [sum(map(operator.mul, s, gs)) for s, gs in zip(simple, g_simple)]
     k = len(simple)
     cartan: list[list[int]] = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -197,11 +214,11 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
         for j in range(k):
             if i == j:
                 continue
-            val = Fraction(2 * dot(gram, simple[i], simple[j]), norms[j])
-            if val.denominator != 1:
+            entry, rest = divmod(2 * sum(map(operator.mul, simple[i], g_simple[j])), norms[j])
+            if rest:
                 raise RuntimeError("non-integral Cartan entry; input is not a root system")
-            cartan[i][j] = val.numerator
-            if cartan[i][j] > 0:
+            cartan[i][j] = entry
+            if entry > 0:
                 raise RuntimeError("positive off-diagonal Cartan entry among simple roots")
 
     degree = {i: sum(1 for j in range(k) if j != i and cartan[i][j]) for i in range(k)}
@@ -221,14 +238,14 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
         components.append(_recognize(sorted(nodes), cartan, degree))
 
     expected = sum(expected_root_count(f, r) for f, r in components)
-    if expected != len(vecs):
+    if expected != len(codes):
         raise RuntimeError(
-            f"root count {len(vecs)} does not match classified type "
+            f"root count {len(codes)} does not match classified type "
             f"(expected {expected}); enumeration and recognition disagree")
 
     graph = tuple((i, j, cartan[i][j] * cartan[j][i])
                   for i in range(k) for j in range(i + 1, k) if cartan[i][j])
-    return RootSystemReport(tuple(vecs), tuple(simple),
+    return RootSystemReport(tuple(map(by_code.__getitem__, codes)), tuple(simple),
                             tuple(tuple(row) for row in cartan),
                             _normalize(components), graph)
 

@@ -1,16 +1,30 @@
-"""Exact rational solvers used only by the test oracles.
+"""Exact pairing and rational solvers used only by the test oracles.
 
 The package itself never solves or inverts a rational system: the box
 searches here bound coordinates through the inverse form, and the
 cross-path checks express lattice vectors in a sublattice basis.  Plain
 Gauss-Jordan elimination over `fractions.Fraction`, kept independent of
 the package's fraction-free core so the oracles share no code with it.
+`dot` is the dense pairing u^T G v that the tests check the package's
+structured pairings and root norms against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
+
+
+def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
+        v: Iterable[int]) -> int | Fraction:
+    """Pairing u^T G v, exact for integer or Fraction entries of G.
+
+    Zero coordinates are skipped, so sparse vectors such as roots pair in
+    time proportional to their supports.
+    """
+    vv = [(j, vj) for j, vj in enumerate(v) if vj]
+    return sum(ui * sum(g[i][j] * vj for j, vj in vv)
+               for i, ui in enumerate(u) if ui)
 
 
 def solve_rational(a: Sequence[Sequence[int | Fraction]],

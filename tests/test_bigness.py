@@ -13,7 +13,7 @@ from bigsurf.bigness import (
     is_big_supported,
     orthogonal_complement,
 )
-from bigsurf.linalg import dot, inertia, is_negative_definite
+from bigsurf.linalg import inertia, is_negative_definite
 from bigsurf.picard import (
     DivisorClass,
     Generic,
@@ -24,6 +24,7 @@ from bigsurf.picard import (
     blowup_p2,
     config_lattice,
 )
+from oracles import dot
 
 
 def test_complement_of_nothing_is_everything():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 from bigsurf.errors import NotNegativeDefiniteError
 from bigsurf.linalg import (
     Inertia,
-    dot,
     gram_restrict,
     inertia,
     integer_kernel,
     is_negative_definite,
     short_vectors,
 )
-from oracles import invert_rational, solve_rational
+from oracles import dot, invert_rational, solve_rational
 
 
 def first_nonzero_positive(v):
@@ -236,6 +236,37 @@ def test_inertia_rejects_asymmetric():
         inertia([[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("g, message", [
+    ([[1, 2]], "gram matrix must be square"),
+    ([[1, 2], [3]], "gram matrix must be square"),
+    ([[1, 2], [3, 4]], "gram matrix is not symmetric at (0, 1)"),
+    ([[1, 0, 0], [0, 1, 2], [0, 5, 1]], "gram matrix is not symmetric at (1, 2)"),
+    ([[1, 0, 7], [0, 1, 2], [0, 5, 1]], "gram matrix is not symmetric at (0, 2)"),
+])
+@pytest.mark.parametrize("entry", [int, Fraction])
+def test_malformed_gram_messages(g, message, entry):
+    g = [[entry(x) for x in row] for row in g]
+    for routine in (inertia, is_negative_definite, lambda m: short_vectors(m, 2)):
+        with pytest.raises(ValueError) as err:
+            routine(g)
+        assert str(err.value) == message
+
+
+def outcome(routine, g):
+    try:
+        return routine(g)
+    except ValueError as err:
+        return (type(err), str(err))
+
+
+@given(st.one_of(symmetric_matrix(max_dim=5), int_matrix(max_rows=4, max_cols=4)))
+def test_int_entries_match_fraction_entries(g):
+    # exact ints skip the Fraction round trip; the results must not move
+    as_fractions = [[Fraction(x) for x in row] for row in g]
+    for routine in (inertia, is_negative_definite):
+        assert outcome(routine, g) == outcome(routine, as_fractions)
+
+
 @given(st.data())
 def test_inertia_constructed_signature(data):
     n = data.draw(st.integers(1, 4))
@@ -341,6 +372,34 @@ def test_short_vectors_degenerate_input():
     assert short_vectors([[-2]], 0) == []
 
 
+@pytest.mark.parametrize("g", [[[1]], [[0, 1], [1, 0]]])
+@pytest.mark.parametrize("bound", [0, -1])
+def test_short_vectors_checks_definiteness_before_empty_bound(g, bound):
+    # the elimination runs before a bound <= 0 returns []
+    with pytest.raises(NotNegativeDefiniteError):
+        short_vectors(g, bound)
+
+
+def frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_short_vectors_deeper_than_the_recursion_limit():
+    # one stack frame per coordinate would need 200 frames; 50 are allowed
+    n = 200
+    g = [[-int(i == j) for j in range(n)] for i in range(n)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        vecs = short_vectors(g, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert vecs == sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 @settings(max_examples=60)
 @given(negative_definite_matrix(), st.integers(1, 6), st.booleans())
 def test_short_vectors_against_box_search(g, bound, include_negatives):
@@ -382,13 +441,6 @@ def test_short_vectors_scales_bound_with_fraction_gram():
 def test_short_vectors_against_box_search_fraction(g, den, bound, include_negatives):
     g = [[Fraction(x, den) for x in row] for row in g]
     assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
-
-
-def test_dot_exact_on_fraction_gram():
-    g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
-    assert dot(g, (1, 1), (1, 1)) == -1
-    assert dot(g, (1, 0), (0, 1)) == Fraction(1, 2)
-    assert dot(g, (0, 0), (1, 1)) == 0
 
 
 @settings(max_examples=40)

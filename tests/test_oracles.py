@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from oracles import invert_rational, solve_rational
+from oracles import dot, invert_rational, solve_rational
 
 
 def test_solve_rational_unique():
@@ -17,3 +17,10 @@ def test_invert_rational_roundtrip():
     inv = invert_rational(a)
     prod = [[sum(a[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
+
+
+def test_dot_exact_on_fraction_gram():
+    g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
+    assert dot(g, (1, 1), (1, 1)) == -1
+    assert dot(g, (1, 0), (0, 1)) == Fraction(1, 2)
+    assert dot(g, (0, 0), (1, 1)) == 0

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigsurf.errors import DomainError
-from bigsurf.linalg import dot
 from bigsurf.picard import (
     DivisorClass,
     Generic,
@@ -20,6 +19,7 @@ from bigsurf.picard import (
     sigma_strict,
     verify_witness,
 )
+from oracles import dot
 
 
 def test_divisor_class_arithmetic():

@@ -4,10 +4,11 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError, NotNegativeDefiniteError
-from bigsurf.linalg import dot
 from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
 from bigsurf.roots import (
     RootSystemReport,
@@ -19,7 +20,7 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
-from oracles import invert_rational, solve_rational
+from oracles import dot, invert_rational, solve_rational
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -204,6 +205,63 @@ def test_simple_roots_match_pairwise_sum_oracle_non_simply_laced(name):
     report = classify(roots, gram)
     assert report.components == ((name[0], int(name[1:])),)
     assert report.simple_roots == pairwise_sum_simple_roots(roots)
+
+
+def complement_gram(config):
+    if isinstance(config, Generic):
+        lattice = blowup_p2(config.r)
+        return orthogonal_complement(lattice, [lattice.anticanonical])[1]
+    return root_lattice_of_config(config)[1]
+
+
+ENUMERATED_GRAMS = {
+    **{f"D{n}": complement_gram(LineConic(1, n)) for n in (4, 5, 6, 8, 12)},
+    **{f"E{r}": complement_gram(Generic(r)) for r in (6, 7, 8)},
+    **{name: gram for name, (gram, simples) in NONSIMPLY_LACED.items() if simples is None},
+}
+# gram, its complete root list, and whether extract_roots found that list
+BASIS_CHANGE_CASES = {
+    **{name: (gram, extract_roots(gram), True) for name, gram in ENUMERATED_GRAMS.items()},
+    **{name: (gram, weyl_closure(gram, simples), False)
+       for name, (gram, simples) in NONSIMPLY_LACED.items() if simples is not None},
+}
+
+
+@st.composite
+def basis_change(draw, n):
+    """A unimodular U, as a product of elementary matrices I + f e_ij with
+    |f| <= 3, and its inverse."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(draw(st.integers(1, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        f = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        if i == j:
+            continue
+        for row in u:  # U E: column j += f * column i
+            row[j] += f * row[i]
+        u_inv[i] = [a - f * b for a, b in zip(u_inv[i], u_inv[j])]  # E^-1 U^-1
+    return u, u_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(BASIS_CHANGE_CASES)), st.data())
+def test_classify_is_invariant_under_basis_change(name, data):
+    gram, roots, enumerated = BASIS_CHANGE_CASES[name]
+    n = len(gram)
+    u, u_inv = data.draw(basis_change(n))
+    # the same lattice in the basis given by the columns of U, where the
+    # old coordinates r of a vector become U^-1 r
+    moved = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(n) for b in range(n))
+              for j in range(n)] for i in range(n)]
+    moved_roots = [tuple(sum(row[k] * r[k] for k in range(n)) for row in u_inv)
+                   for r in roots]
+    if enumerated and n <= 8:
+        # enumeration on the skewed form finds exactly the moved roots
+        assert extract_roots(moved) == sorted(moved_roots)
+    report = classify(moved_roots, moved)
+    assert report.components == classify(roots, gram).components
+    assert report.simple_roots == pairwise_sum_simple_roots(moved_roots)
 
 
 @pytest.mark.parametrize("n", [32, 40])
