@@ -2,10 +2,10 @@
 
 Two independent routes to the same answer:
 
-* a closed-form criterion per configuration case (point counts on a line
-  and a conic, or on three lines), carried by an auxiliary class v that is
-  orthogonal to every component of the distinguished anticanonical member
-  and whose sign of self-intersection decides the question;
+* a closed-form criterion read off the degree d_i of each component curve
+  of the cubic and the number a_i of points on it alone, carried by an
+  auxiliary class v that is orthogonal to every component of the
+  distinguished anticanonical member and whose sign of v^2 decides it;
 
 * a lattice criterion: a big divisor with support in a curve collection
   exists precisely when the orthogonal complement of the collection is
@@ -16,6 +16,7 @@ Two independent routes to the same answer:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -29,8 +30,9 @@ from .picard import (
     PicardLattice,
     PointConfiguration,
     ThreeLines,
-    anticanonical_components,
+    _components,
     config_lattice,
+    incidence_class,
     sparse_terms,
 )
 
@@ -88,32 +90,18 @@ class BignessVerdict:
     lattice_confirmed: bool = False
 
 
-def _line_conic_verdict(config: LineConic) -> BignessVerdict:
-    a, b = config.a, config.b
-    if a * b == 0:
-        return BignessVerdict(True, "ii", None, None, None, True)
-    lattice = config_lattice(config)
-    lhs = Fraction(1, a) + Fraction(4, b)
-    coeffs = ([a * b] + [-b] * a + [-2 * a] * b + [0] * config.both)
-    v = DivisorClass.of(coeffs)
+def _closed_form(config: LineConic | ThreeLines, lattice: PicardLattice) -> BignessVerdict:
+    """The verdict from the curve degrees d_i and own point counts a_i: with
+    P = prod a_i, v = P*l - sum_i d_i (P/a_i) (the points on curve i alone)
+    has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config)."""
+    prod = math.prod(count for _, _, count in config.curves)
+    if prod == 0:
+        return BignessVerdict(True, config.case, None, None, None, True)
+    lhs = sum(Fraction(d * d, count) for d, _, count in config.curves)
+    v = incidence_class(config, prod, [-d * (prod // count) for d, _, count in config.curves])
     v_sq = lattice.pair(v, v)
-    assert v_sq == (a * b) ** 2 * (1 - Fraction(1, a) - Fraction(4, b))
-    return BignessVerdict(lhs > 1, "ii", lhs, v, v_sq, True)
-
-
-def _three_lines_verdict(config: ThreeLines) -> BignessVerdict:
-    a1, a2, a3 = config.counts
-    if a1 * a2 * a3 == 0:
-        return BignessVerdict(True, "iii", None, None, None, True)
-    lattice = config_lattice(config)
-    lhs = Fraction(1, a1) + Fraction(1, a2) + Fraction(1, a3)
-    coeffs = ([a1 * a2 * a3]
-              + [-a2 * a3] * a1 + [-a1 * a3] * a2 + [-a1 * a2] * a3
-              + [0] * sum(config.flags))
-    v = DivisorClass.of(coeffs)
-    v_sq = lattice.pair(v, v)
-    assert v_sq == (a1 * a2 * a3) ** 2 * (1 - lhs)
-    return BignessVerdict(lhs > 1, "iii", lhs, v, v_sq, True)
+    assert v_sq == prod ** 2 * (1 - lhs)
+    return BignessVerdict(lhs > 1, config.case, lhs, v, v_sq, True)
 
 
 def classify_anticanonical(config: PointConfiguration) -> BignessVerdict:
@@ -128,11 +116,7 @@ def classify_anticanonical(config: PointConfiguration) -> BignessVerdict:
     if isinstance(config, Generic):
         big = config.r <= 8
         return BignessVerdict(big, "i", None, None, None, True if big else None)
-    if isinstance(config, LineConic):
-        return _line_conic_verdict(config)
-    if isinstance(config, ThreeLines):
-        return _three_lines_verdict(config)
-    raise TypeError(f"not a point configuration: {config!r}")
+    return _closed_form(config, config_lattice(config))
 
 
 @dataclass(frozen=True)
@@ -157,9 +141,9 @@ def cross_check(config: PointConfiguration) -> CrossCheckReport:
     """
     if isinstance(config, Generic):
         raise DomainError("cross-checking needs a line/conic or three-lines configuration")
-    verdict = classify_anticanonical(config)
     lattice = config_lattice(config)
-    components = list(anticanonical_components(config))
+    verdict = _closed_form(config, lattice)
+    components = list(_components(lattice, config))
     lattice_big = is_big_supported(lattice, components)
     agrees = verdict.big == lattice_big
     if verdict.v is None:

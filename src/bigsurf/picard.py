@@ -14,7 +14,13 @@ on a fixed basis together with the canonical class:
 
 Points carry no coordinates; a configuration records only the combinatorial
 incidence data (which curves each point lies on), which is all the lattice
-computations see.
+computations see.  A configuration on a cubic (`LineConic`, `ThreeLines`)
+states that data once: `curves` lists each component curve as (degree,
+label prefix, number of points on it alone), and `shared` lists each
+blown-up point on two components with the indices of those curves.  The
+configuration lattice, its basis order (l, then each curve's own points in
+curve order, then the shared points) and the anticanonical components are
+all derived from that description here, and nowhere else.
 """
 
 from __future__ import annotations
@@ -178,9 +184,6 @@ class PicardLattice:
         add_terms(coeffs, terms)
         return DivisorClass.of(coeffs)
 
-    def zero(self) -> DivisorClass:
-        return DivisorClass.of((0,) * self.rank)
-
     @property
     def anticanonical(self) -> DivisorClass:
         return -self.canonical
@@ -319,12 +322,21 @@ class LineConic:
     a: int
     b: int
     both: int = 0
+    case = "ii"
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
             raise DomainError("point counts must be non-negative")
         if not 0 <= self.both <= 2:
             raise DomainError("both must satisfy 0 <= both <= 2")
+
+    @property
+    def curves(self) -> tuple[tuple[int, str, int], ...]:
+        return ((1, "e", self.a), (2, "f", self.b))
+
+    @property
+    def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
+        return tuple((f"g{k}", (0, 1)) for k in range(1, self.both + 1))
 
 
 @dataclass(frozen=True)
@@ -338,6 +350,7 @@ class ThreeLines:
     p12: bool = False
     p13: bool = False
     p23: bool = False
+    case = "iii"
 
     def __post_init__(self):
         if min(self.a1, self.a2, self.a3) < 0:
@@ -351,60 +364,63 @@ class ThreeLines:
     def flags(self) -> tuple[bool, bool, bool]:
         return (self.p12, self.p13, self.p23)
 
+    @property
+    def curves(self) -> tuple[tuple[int, str, int], ...]:
+        return tuple((1, f"e{i}_", count) for i, count in enumerate(self.counts, start=1))
+
+    @property
+    def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
+        points = (("g12", (0, 1)), ("g13", (0, 2)), ("g23", (1, 2)))
+        return tuple(point for point, flag in zip(points, self.flags) if flag)
+
 
 PointConfiguration = Generic | LineConic | ThreeLines
 
 
 def config_lattice(config: PointConfiguration) -> PicardLattice:
     """Picard lattice of the plane blown up along the configuration, with
-    basis labels reflecting the incidence roles of the points."""
+    basis labels reflecting the incidence roles of the points: l, then each
+    curve's own points in curve order, then the shared points."""
     if isinstance(config, Generic):
         return blowup_p2(config.r)
-    if isinstance(config, LineConic):
-        labels = (["l"]
-                  + [f"e{i}" for i in range(1, config.a + 1)]
-                  + [f"f{j}" for j in range(1, config.b + 1)]
-                  + [f"g{k}" for k in range(1, config.both + 1)])
-        return _plane_lattice(labels)
-    if isinstance(config, ThreeLines):
-        labels = ["l"]
-        for line, count in enumerate(config.counts, start=1):
-            labels.extend(f"e{line}_{j}" for j in range(1, count + 1))
-        labels.extend(name for name, flag in
-                      zip(("g12", "g13", "g23"), config.flags) if flag)
-        return _plane_lattice(labels)
-    raise TypeError(f"not a point configuration: {config!r}")
+    labels = ["l"]
+    for _, prefix, count in config.curves:
+        labels.extend(f"{prefix}{j}" for j in range(1, count + 1))
+    labels.extend(label for label, _ in config.shared)
+    return _plane_lattice(labels)
+
+
+def incidence_class(config: LineConic | ThreeLines, line: int,
+                    own: Sequence[int]) -> DivisorClass:
+    """The class line*l + sum_i own[i] * (the points on curve i alone) in the
+    basis of config_lattice(config), zero on the shared points.  Reads only
+    the point counts, so it builds no labels."""
+    coeffs = [line]
+    for (_, _, count), c in zip(config.curves, own, strict=True):
+        coeffs += [c] * count
+    return DivisorClass.of(coeffs + [0] * len(config.shared))
 
 
 def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, ...]:
-    """Classes of the components of the distinguished anticanonical member.
-
-    For LineConic: strict transforms of the line and the conic plus the
-    exceptional curves over blown-up intersection points.  For ThreeLines:
-    strict transforms of the three lines plus blown-up intersections.
-    Each strict transform comes from its sparse incidence terms, so a
-    configuration costs O(rank) per component.  The classes always sum to
-    the anticanonical class.
+    """Classes of the components of the distinguished anticanonical member:
+    the strict transform of each curve, then the exceptional curve over
+    each shared point.  Each strict transform comes from its sparse
+    incidence terms, so a configuration costs O(rank) per component.  The
+    classes always sum to the anticanonical class.
     """
-    lattice = config_lattice(config)
+    return _components(config_lattice(config), config)
+
+
+def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[DivisorClass, ...]:
+    """anticanonical_components on the already built config_lattice(config)."""
     if isinstance(config, Generic):
         raise DomainError("generic configurations carry no distinguished anticanonical member")
-    if isinstance(config, LineConic):
-        points = [f"g{k}" for k in range(1, config.both + 1)]
-        curves = [
-            incidence_terms(lattice, [("l", 1)],
-                            [f"e{i}" for i in range(1, config.a + 1)] + points),
-            incidence_terms(lattice, [("l", 2)],
-                            [f"f{j}" for j in range(1, config.b + 1)] + points)]
-    else:
-        incident = {"g12": (1, 2), "g13": (1, 3), "g23": (2, 3)}
-        points = [name for name, flag in zip(incident, config.flags) if flag]
-        curves = [incidence_terms(lattice, [("l", 1)],
-                                  [f"e{idx}_{j}" for j in range(1, count + 1)]
-                                  + [g for g in points if idx in incident[g]])
-                  for idx, count in enumerate(config.counts, start=1)]
-    parts = ([lattice.class_of(terms) for terms in curves]
-             + [lattice.basis_class(g) for g in points])
+    parts = [lattice.class_of(incidence_terms(
+                 lattice, [("l", degree)],
+                 [f"{prefix}{j}" for j in range(1, count + 1)]
+                 + [label for label, on in config.shared if i in on]))
+             for i, (degree, prefix, count) in enumerate(config.curves)]
+    parts += [lattice.basis_class(label) for label, _ in config.shared]
     assert sum(parts[1:], parts[0]) == lattice.anticanonical, \
         "components fail to sum to -K"
     return tuple(parts)

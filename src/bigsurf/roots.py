@@ -27,7 +27,7 @@ from .picard import (
     LineConic,
     PointConfiguration,
     ThreeLines,
-    anticanonical_components,
+    _components,
     config_lattice,
 )
 
@@ -185,11 +185,13 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     legitimately disagree with the enumeration.
     """
     vecs = [tuple(map(int, v)) for v in roots]
+    n = len(gram)
+    if any(len(v) != n for v in vecs):
+        raise ValueError(f"every root must have the Gram's dimension {n}")
     if not vecs:
         return RootSystemReport((), (), (), (), ())
     coords = set(chain.from_iterable(vecs))
     big = max(max(coords), -min(coords)) if coords else 0
-    n = len(vecs[0])
     powers = [(4 * big + 1) ** (n - 1 - i) for i in range(n)]
     by_code = {sum(map(operator.mul, v, powers)): v for v in vecs}
     if len(by_code) != len(vecs):
@@ -299,10 +301,8 @@ def type_string(components: Sequence[Component]) -> str:
 def root_lattice_of_config(config: PointConfiguration) -> tuple[list[Vec], list[list[int]]]:
     """Orthogonal complement of the anticanonical components, as
     (basis, gram); defined exactly when the configuration is big."""
-    if isinstance(config, Generic):
-        raise DomainError("generic configurations carry no distinguished anticanonical member")
     lattice = config_lattice(config)
-    basis, gram = orthogonal_complement(lattice, list(anticanonical_components(config)))
+    basis, gram = orthogonal_complement(lattice, list(_components(lattice, config)))
     if not is_negative_definite(gram):
         raise NotNegativeDefiniteError(
             "the anticanonical class is not big here: the component complement "

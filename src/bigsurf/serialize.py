@@ -1,9 +1,10 @@
 """Exact JSON-compatible views of every report type.
 
 Rational numbers travel as strings in lowest terms ("42" or "-44/43"),
-never as floats; divisor classes become lists of such strings.  Each
-``*_to_dict`` has a ``*_from_dict`` inverse and round-trips exactly, and
-key order is fixed so serialized output is byte-stable across runs.
+never as floats; divisor classes become lists of such strings.  Key order
+is fixed so serialized output is byte-stable across runs.  The package
+only writes reports; the ``*_from_dict`` inverses that the round-trip
+tests read them back with live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,12 @@ from .bigness import BignessVerdict, CrossCheckReport, SweepReport
 from .enumeration import NegativeClassTable
 from .picard import DivisorClass, WitnessReport
 from .roots import RootSystemReport
-from .zariski import FamilyParams, ZariskiChecks, ZariskiReport
+from .zariski import ZariskiReport
 
 __all__ = [
-    "frac_str", "parse_frac", "divisor_to_list", "divisor_from_list",
-    "verdict_to_dict", "verdict_from_dict",
-    "cross_check_to_dict", "cross_check_from_dict",
-    "root_report_to_dict", "root_report_from_dict",
-    "zariski_report_to_dict", "zariski_report_from_dict",
-    "class_table_to_dict", "class_table_from_dict",
-    "witness_to_dict", "witness_from_dict",
-    "sweep_to_dict", "sweep_from_dict",
+    "frac_str", "divisor_to_list", "verdict_to_dict", "cross_check_to_dict",
+    "root_report_to_dict", "zariski_report_to_dict", "class_table_to_dict",
+    "witness_to_dict", "sweep_to_dict",
 ]
 
 
@@ -33,26 +29,12 @@ def frac_str(value: int | Fraction) -> str:
     return str(Fraction(value))
 
 
-def parse_frac(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
-    return Fraction(text)
-
-
 def _opt_frac_str(value: int | Fraction | None) -> str | None:
     return None if value is None else frac_str(value)
 
 
-def _opt_parse_frac(text: str | None) -> Fraction | None:
-    return None if text is None else parse_frac(text)
-
-
 def divisor_to_list(divisor: DivisorClass) -> list[str]:
     return [frac_str(c) for c in divisor.coeffs]
-
-
-def divisor_from_list(values: list[str]) -> DivisorClass:
-    return DivisorClass.of(parse_frac(v) for v in values)
 
 
 def verdict_to_dict(verdict: BignessVerdict) -> dict[str, Any]:
@@ -67,18 +49,6 @@ def verdict_to_dict(verdict: BignessVerdict) -> dict[str, Any]:
     }
 
 
-def verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:
-    return BignessVerdict(
-        big=data["big"],
-        case=data["case"],
-        inequality_lhs=_opt_parse_frac(data["inequality"]),
-        v=None if data["v"] is None else divisor_from_list(data["v"]),
-        v_squared=_opt_parse_frac(data["v_squared"]),
-        effective=data["effective"],
-        lattice_confirmed=data["lattice"],
-    )
-
-
 def cross_check_to_dict(report: CrossCheckReport) -> dict[str, Any]:
     out = verdict_to_dict(report.verdict)
     out["lattice"] = report.lattice_big
@@ -86,17 +56,6 @@ def cross_check_to_dict(report: CrossCheckReport) -> dict[str, Any]:
     out["v_orthogonal"] = report.v_orthogonal
     out["sign_consistent"] = report.sign_consistent
     return out
-
-
-def cross_check_from_dict(data: dict[str, Any]) -> CrossCheckReport:
-    verdict = verdict_from_dict({**data, "lattice": data["agrees"]})
-    return CrossCheckReport(
-        verdict=verdict,
-        lattice_big=data["lattice"],
-        agrees=data["agrees"],
-        v_orthogonal=data["v_orthogonal"],
-        sign_consistent=data["sign_consistent"],
-    )
 
 
 def root_report_to_dict(report: RootSystemReport) -> dict[str, Any]:
@@ -107,16 +66,6 @@ def root_report_to_dict(report: RootSystemReport) -> dict[str, Any]:
         "graph": [list(edge) for edge in report.graph],
         "roots": [list(v) for v in report.roots],
     }
-
-
-def root_report_from_dict(data: dict[str, Any]) -> RootSystemReport:
-    return RootSystemReport(
-        roots=tuple(tuple(v) for v in data["roots"]),
-        simple_roots=tuple(tuple(v) for v in data["simple_roots"]),
-        cartan=tuple(tuple(row) for row in data["cartan"]),
-        components=tuple((family, rank) for family, rank in data["components"]),
-        graph=tuple(tuple(edge) for edge in data["graph"]),
-    )
 
 
 def zariski_report_to_dict(report: ZariskiReport) -> dict[str, Any]:
@@ -143,29 +92,6 @@ def zariski_report_to_dict(report: ZariskiReport) -> dict[str, Any]:
     }
 
 
-def zariski_report_from_dict(data: dict[str, Any]) -> ZariskiReport:
-    params = FamilyParams(data["params"]["n"], data["params"]["k"],
-                          tuple(data["params"]["a"]))
-    c = data["checks"]
-    checks = ZariskiChecks(
-        p_dot_sigma_zero=c["p_dot_sigma_zero"],
-        p_dot_fibers_zero=c["p_dot_fibers_zero"],
-        p_dot_n_zero=c["p_dot_n_zero"],
-        n_effective=c["n_effective"],
-        n_support_negative_definite=c["n_support_negative_definite"],
-        sum_is_minus_canonical=c["sum_is_minus_canonical"],
-    )
-    return ZariskiReport(
-        params=params,
-        positive_part=divisor_from_list(data["positive_part"]),
-        negative_part=divisor_from_list(data["negative_part"]),
-        p_squared=parse_frac(data["p_squared"]),
-        checks=checks,
-        lc_coefficient=parse_frac(data["lc_coefficient"]),
-        log_canonical=data["log_canonical"],
-    )
-
-
 def class_table_to_dict(table: NegativeClassTable) -> dict[str, Any]:
     return {
         "r": table.r,
@@ -174,20 +100,6 @@ def class_table_to_dict(table: NegativeClassTable) -> dict[str, Any]:
         "minus_one_classes": [divisor_to_list(c) for c in table.minus_one_classes],
         "minus_two_roots": [divisor_to_list(c) for c in table.minus_two_roots],
     }
-
-
-def class_table_from_dict(data: dict[str, Any]) -> NegativeClassTable:
-    table = NegativeClassTable(
-        r=data["r"],
-        minus_one_classes=tuple(divisor_from_list(c)
-                                for c in data["minus_one_classes"]),
-        minus_two_roots=tuple(divisor_from_list(c)
-                              for c in data["minus_two_roots"]),
-    )
-    if (len(table.minus_one_classes) != data["minus_one_count"]
-            or len(table.minus_two_roots) != data["root_count"]):
-        raise ValueError("class counts disagree with the listed classes")
-    return table
 
 
 def witness_to_dict(report: WitnessReport) -> dict[str, Any]:
@@ -202,18 +114,6 @@ def witness_to_dict(report: WitnessReport) -> dict[str, Any]:
     }
 
 
-def witness_from_dict(data: dict[str, Any]) -> WitnessReport:
-    return WitnessReport(
-        example=data["example"],
-        holds=data["holds"],
-        lhs=divisor_from_list(data["lhs"]),
-        big_part=divisor_from_list(data["big_part"]),
-        effective_part=divisor_from_list(data["effective_part"]),
-        residual=divisor_from_list(data["residual"]),
-        n=data["n"],
-    )
-
-
 def sweep_to_dict(report: SweepReport) -> dict[str, Any]:
     return {
         "line_conic_count": report.line_conic_count,
@@ -224,15 +124,3 @@ def sweep_to_dict(report: SweepReport) -> dict[str, Any]:
         "flag_violation_cases": list(report.flag_violations),
     }
 
-
-def sweep_from_dict(data: dict[str, Any]) -> SweepReport:
-    report = SweepReport(
-        line_conic_count=data["line_conic_count"],
-        three_lines_count=data["three_lines_count"],
-        disagreements=tuple(data["disagreement_cases"]),
-        flag_violations=tuple(data["flag_violation_cases"]),
-    )
-    if (len(report.disagreements) != data["disagreements"]
-            or len(report.flag_violations) != data["flag_violations"]):
-        raise ValueError("sweep counts disagree with the listed cases")
-    return report

@@ -7,12 +7,23 @@ Gauss-Jordan elimination over `fractions.Fraction`, kept independent of
 the package's fraction-free core so the oracles share no code with it.
 `dot` is the dense pairing u^T G v that the tests check the package's
 structured pairings and root norms against.
+
+Also here: the reference closed forms of the bigness verdict, written out
+per family in the basis order of `config_lattice`, which the generic
+verdict is checked against; and the ``*_from_dict`` readers that invert
+`bigsurf.serialize` for the round-trip tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
+
+from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
+from bigsurf.enumeration import NegativeClassTable
+from bigsurf.picard import DivisorClass, LineConic, ThreeLines, WitnessReport
+from bigsurf.roots import RootSystemReport
+from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
 
 
 def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
@@ -85,3 +96,173 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+# reference closed forms ---------------------------------------------------
+
+
+def line_conic_closed_form(config: LineConic) -> tuple | None:
+    """(inequality, v coefficients, v^2) for a line and a conic with a, b > 0,
+    v = ab l - b (points on the line) - 2a (points on the conic); None when
+    a or b is 0 (big unconditionally)."""
+    a, b = config.a, config.b
+    if a * b == 0:
+        return None
+    lhs = Fraction(1, a) + Fraction(4, b)
+    v = [a * b] + [-b] * a + [-2 * a] * b + [0] * config.both
+    return lhs, v, (a * b) ** 2 * (1 - lhs)
+
+
+def three_lines_closed_form(config: ThreeLines) -> tuple | None:
+    """(inequality, v coefficients, v^2) for three lines with every a_i > 0,
+    v = a1 a2 a3 l - (a1 a2 a3 / a_i)(points on line i); None when some a_i
+    is 0 (big unconditionally)."""
+    a1, a2, a3 = config.counts
+    if a1 * a2 * a3 == 0:
+        return None
+    lhs = Fraction(1, a1) + Fraction(1, a2) + Fraction(1, a3)
+    v = ([a1 * a2 * a3] + [-a2 * a3] * a1 + [-a1 * a3] * a2 + [-a1 * a2] * a3
+         + [0] * sum(config.flags))
+    return lhs, v, (a1 * a2 * a3) ** 2 * (1 - lhs)
+
+
+def line_conic_layout(config: LineConic) -> tuple[list[str], list[list[int]]]:
+    """Basis labels of a line-conic lattice and the coefficient vectors of
+    its anticanonical components: line, conic, then each shared point."""
+    labels = (["l"] + [f"e{i}" for i in range(1, config.a + 1)]
+              + [f"f{j}" for j in range(1, config.b + 1)]
+              + [f"g{k}" for k in range(1, config.both + 1)])
+
+    def curve(degree: int, on: str) -> list[int]:
+        return [degree if x == "l" else -int(x[0] in on) for x in labels]
+
+    shared = [[int(x == g) for x in labels] for g in labels if g[0] == "g"]
+    return labels, [curve(1, "eg"), curve(2, "fg")] + shared
+
+
+def three_lines_layout(config: ThreeLines) -> tuple[list[str], list[list[int]]]:
+    """Basis labels of a three-lines lattice and the coefficient vectors of
+    its anticanonical components: the three lines, then each shared point."""
+    shared = [g for g, on in zip(("g12", "g13", "g23"), config.flags) if on]
+    labels = (["l"] + [f"e{i}_{j}" for i, n in enumerate(config.counts, start=1)
+                       for j in range(1, n + 1)] + shared)
+
+    def line(i: int) -> list[int]:
+        return [1 if x == "l" else
+                -int(x.startswith(f"e{i}_") or (x[0] == "g" and str(i) in x[1:]))
+                for x in labels]
+
+    return labels, [line(i) for i in (1, 2, 3)] + [[int(x == g) for x in labels]
+                                                    for g in shared]
+
+
+# report readers -----------------------------------------------------------
+
+
+def parse_frac(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    return Fraction(text)
+
+
+def _opt_parse_frac(text: str | None) -> Fraction | None:
+    return None if text is None else parse_frac(text)
+
+
+def divisor_from_list(values: list[str]) -> DivisorClass:
+    return DivisorClass.of(parse_frac(v) for v in values)
+
+
+def verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:
+    return BignessVerdict(
+        big=data["big"],
+        case=data["case"],
+        inequality_lhs=_opt_parse_frac(data["inequality"]),
+        v=None if data["v"] is None else divisor_from_list(data["v"]),
+        v_squared=_opt_parse_frac(data["v_squared"]),
+        effective=data["effective"],
+        lattice_confirmed=data["lattice"],
+    )
+
+
+def cross_check_from_dict(data: dict[str, Any]) -> CrossCheckReport:
+    verdict = verdict_from_dict({**data, "lattice": data["agrees"]})
+    return CrossCheckReport(
+        verdict=verdict,
+        lattice_big=data["lattice"],
+        agrees=data["agrees"],
+        v_orthogonal=data["v_orthogonal"],
+        sign_consistent=data["sign_consistent"],
+    )
+
+
+def root_report_from_dict(data: dict[str, Any]) -> RootSystemReport:
+    return RootSystemReport(
+        roots=tuple(tuple(v) for v in data["roots"]),
+        simple_roots=tuple(tuple(v) for v in data["simple_roots"]),
+        cartan=tuple(tuple(row) for row in data["cartan"]),
+        components=tuple((family, rank) for family, rank in data["components"]),
+        graph=tuple(tuple(edge) for edge in data["graph"]),
+    )
+
+
+def zariski_report_from_dict(data: dict[str, Any]) -> ZariskiReport:
+    params = FamilyParams(data["params"]["n"], data["params"]["k"],
+                          tuple(data["params"]["a"]))
+    c = data["checks"]
+    checks = ZariskiChecks(
+        p_dot_sigma_zero=c["p_dot_sigma_zero"],
+        p_dot_fibers_zero=c["p_dot_fibers_zero"],
+        p_dot_n_zero=c["p_dot_n_zero"],
+        n_effective=c["n_effective"],
+        n_support_negative_definite=c["n_support_negative_definite"],
+        sum_is_minus_canonical=c["sum_is_minus_canonical"],
+    )
+    return ZariskiReport(
+        params=params,
+        positive_part=divisor_from_list(data["positive_part"]),
+        negative_part=divisor_from_list(data["negative_part"]),
+        p_squared=parse_frac(data["p_squared"]),
+        checks=checks,
+        lc_coefficient=parse_frac(data["lc_coefficient"]),
+        log_canonical=data["log_canonical"],
+    )
+
+
+def class_table_from_dict(data: dict[str, Any]) -> NegativeClassTable:
+    table = NegativeClassTable(
+        r=data["r"],
+        minus_one_classes=tuple(divisor_from_list(c)
+                                for c in data["minus_one_classes"]),
+        minus_two_roots=tuple(divisor_from_list(c)
+                              for c in data["minus_two_roots"]),
+    )
+    if (len(table.minus_one_classes) != data["minus_one_count"]
+            or len(table.minus_two_roots) != data["root_count"]):
+        raise ValueError("class counts disagree with the listed classes")
+    return table
+
+
+def witness_from_dict(data: dict[str, Any]) -> WitnessReport:
+    return WitnessReport(
+        example=data["example"],
+        holds=data["holds"],
+        lhs=divisor_from_list(data["lhs"]),
+        big_part=divisor_from_list(data["big_part"]),
+        effective_part=divisor_from_list(data["effective_part"]),
+        residual=divisor_from_list(data["residual"]),
+        n=data["n"],
+    )
+
+
+def sweep_from_dict(data: dict[str, Any]) -> SweepReport:
+    report = SweepReport(
+        line_conic_count=data["line_conic_count"],
+        three_lines_count=data["three_lines_count"],
+        disagreements=tuple(data["disagreement_cases"]),
+        flag_violations=tuple(data["flag_violation_cases"]),
+    )
+    if (len(report.disagreements) != data["disagreements"]
+            or len(report.flag_violations) != data["flag_violations"]):
+        raise ValueError("sweep counts disagree with the listed cases")
+    return report

@@ -24,7 +24,13 @@ from bigsurf.picard import (
     blowup_p2,
     config_lattice,
 )
-from oracles import dot
+from oracles import (
+    dot,
+    line_conic_closed_form,
+    line_conic_layout,
+    three_lines_closed_form,
+    three_lines_layout,
+)
 
 
 def test_complement_of_nothing_is_everything():
@@ -169,7 +175,49 @@ def test_line_conic_monotone_in_a(a, b):
         assert classify_anticanonical(LineConic(a - 1, b)).big
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(
+    st.builds(LineConic, st.integers(0, 40), st.integers(0, 40), st.integers(0, 2)),
+    st.builds(ThreeLines, st.integers(0, 15), st.integers(0, 15), st.integers(0, 15),
+              st.booleans(), st.booleans(), st.booleans())))
+def test_generic_closed_form_matches_per_family_reference(config):
+    # the verdict and the lattice layout are derived from the configuration's
+    # curves/shared description; the oracles spell each family out by hand
+    if isinstance(config, LineConic):
+        case, reference = "ii", line_conic_closed_form(config)
+        labels, components = line_conic_layout(config)
+    else:
+        case, reference = "iii", three_lines_closed_form(config)
+        labels, components = three_lines_layout(config)
+    verdict = classify_anticanonical(config)
+    assert verdict.case == case
+    if reference is None:
+        assert verdict.big
+        assert (verdict.inequality_lhs, verdict.v, verdict.v_squared) == (None, None, None)
+    else:
+        lhs, v, v_squared = reference
+        assert verdict.inequality_lhs == lhs
+        assert verdict.v == DivisorClass.of(v)
+        assert verdict.v_squared == v_squared
+        assert verdict.big == (lhs > 1)
+    assert config_lattice(config).labels == tuple(labels)
+    assert anticanonical_components(config) == tuple(map(DivisorClass.of, components))
+
+
 # cross-checking -----------------------------------------------------------
+
+
+def test_cross_check_builds_the_lattice_once():
+    with mock.patch.object(bigness, "config_lattice", wraps=bigness.config_lattice) as build:
+        assert cross_check(ThreeLines(5, 3, 2, p12=True)).ok
+    assert build.call_count == 1
+
+
+def test_sweep_calls_cross_check_through_the_module_global():
+    # the benchmark's sweep workload times each cross-check by rebinding it
+    with mock.patch.object(bigness, "cross_check", wraps=bigness.cross_check) as check:
+        report = agreement_sweep(1, 1, 1)
+    assert check.call_count == report.line_conic_count + report.three_lines_count == 12 + 64
 
 
 def test_cross_check_agreement_cases():

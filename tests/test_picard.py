@@ -139,7 +139,7 @@ def test_arithmetic_genus_examples():
 
 def test_riemann_roch_on_nef_classes():
     p2 = blowup_p2(0)
-    assert p2.riemann_roch_nef(p2.zero()) == 1
+    assert p2.riemann_roch_nef(DivisorClass.of((0,) * p2.rank)) == 1
     assert p2.riemann_roch_nef(p2.basis_class("l")) == 3
     assert p2.riemann_roch_nef(2 * p2.basis_class("l")) == 6
     assert p2.riemann_roch_nef(p2.anticanonical) == 10
@@ -319,7 +319,7 @@ def test_hirzebruch_witness_residual_on_section_points(n, fibers, extra):
     report = verify_witness("hirzebruch_b", n=n, fibers=fibers, extra_on_sigma=extra)
     assert not report.holds
     lat = blowup_hirzebruch(n, fibers, extra)
-    expected = lat.zero()
+    expected = DivisorClass.of((0,) * lat.rank)
     for i, (_, on) in enumerate(fibers, start=1):
         if on:
             expected = expected + n * lat.basis_class(f"e{i}_s")

@@ -285,6 +285,16 @@ def test_classify_rejects_unbalanced_signs():
         classify([(1, 0), (0, 1), (-1, 0)], A2)
 
 
+@pytest.mark.parametrize("roots", [
+    [(1,), (-1,)],                  # shorter than the Gram
+    [(1, 0, 0), (-1, 0, 0)],        # longer than the Gram
+    [(1, 0), (-1, 0), (0, 1, 0)],   # one root of the wrong length
+])
+def test_classify_rejects_roots_of_the_wrong_dimension(roots):
+    with pytest.raises(ValueError, match="Gram's dimension 2"):
+        classify(roots, [[-2, 0], [0, -2]])
+
+
 def test_expected_root_counts():
     assert expected_root_count("A", 2) == 6
     assert expected_root_count("B", 3) == 18
