@@ -18,7 +18,7 @@ from .bigness import (
     orthogonal_complement,
 )
 from .enumeration import NegativeClassTable, negative_classes
-from .errors import DomainError, NotNegativeDefiniteError
+from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 from .linalg import (
     Inertia,
     gram_restrict,
@@ -63,6 +63,7 @@ from .zariski import (
 
 __all__ = [
     "DomainError",
+    "InvariantError",
     "NotNegativeDefiniteError",
     "Inertia",
     "gram_restrict",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
 from .picard import (
     DivisorClass,
@@ -100,7 +100,8 @@ def _closed_form(config: LineConic | ThreeLines, lattice: PicardLattice) -> Bign
     lhs = sum(Fraction(d * d, count) for d, _, count in config.curves)
     v = incidence_class(config, prod, [-d * (prod // count) for d, _, count in config.curves])
     v_sq = lattice.pair(v, v)
-    assert v_sq == prod ** 2 * (1 - lhs)
+    if v_sq != prod ** 2 * (1 - lhs):
+        raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")
     return BignessVerdict(lhs > 1, config.case, lhs, v, v_sq, True)
 
 

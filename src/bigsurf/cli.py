@@ -4,7 +4,9 @@ Subcommands: classify, check, roots, zariski, enumerate, witness, sweep.
 Configurations arrive as JSON (inline via --json or from a file via
 --input) with a "model" discriminator; reports leave as JSON, DOT (roots
 only) or plain text.  Exit status: 0 on success, 1 when the input is
-outside the supported domain, 2 when an internal cross-check fails.
+outside the supported domain, 2 when an internal cross-check fails
+(`InvariantError`, reported in one stderr line).  Any other uncaught error
+ends the process with Python's status 1 and a traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import serialize as ser
 from .bigness import (agreement_sweep, classify_anticanonical, cross_check,
                       orthogonal_complement)
 from .enumeration import negative_classes
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .picard import (Generic, LineConic, PointConfiguration, ThreeLines,
                      blowup_p2, verify_witness)
 from .roots import (classify as classify_roots, coxeter_dot, extract_roots,
@@ -107,8 +109,7 @@ def _load_json(text: str) -> Any:
             f"malformed JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
     except RecursionError as exc:
-        # RecursionError is a RuntimeError, which main() reserves for
-        # failed internal cross-checks; deep nesting is bad input.
+        # deep nesting is bad input, not a fault of the program
         raise DomainError("malformed JSON: nested too deeply") from exc
 
 
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.format, args.out)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .picard import DivisorClass
 
 __all__ = ["NegativeClassTable", "negative_classes"]
@@ -86,7 +86,8 @@ def negative_classes(r: int) -> NegativeClassTable:
             "enumeration is unbounded")
     minus_one = _solutions(r, 1, -1)
     roots = _solutions(r, 0, -2)
-    assert all(sol[0] >= 0 for sol in minus_one)
+    if any(sol[0] < 0 for sol in minus_one):
+        raise InvariantError("a minus-one class of negative degree")
 
     def to_class(sol: tuple[int, ...]) -> DivisorClass:
         return DivisorClass.of((sol[0],) + tuple(-m for m in sol[1:]))

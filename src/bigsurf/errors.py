@@ -7,3 +7,8 @@ class DomainError(ValueError):
 
 class NotNegativeDefiniteError(DomainError):
     """A lattice expected to be negative definite is not."""
+
+
+class InvariantError(RuntimeError):
+    """An internal cross-check failed: two routes to the same exact value
+    disagree, which indicates a bug rather than bad input."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import NotNegativeDefiniteError
+from .errors import InvariantError, NotNegativeDefiniteError
 
 Vec = tuple[int, ...]
 IntRows = Sequence[Sequence[int]]
@@ -30,10 +30,6 @@ class Inertia:
     positive: int
     negative: int
     zero: int
-
-    @property
-    def dim(self) -> int:
-        return self.positive + self.negative + self.zero
 
     @property
     def is_negative_definite(self) -> bool:
@@ -129,7 +125,8 @@ def integer_kernel(m: IntRows) -> list[Vec]:
                 break
     basis = []
     for i in range(rank, n):
-        assert not any(work[i][:r])
+        if any(work[i][:r]):
+            raise InvariantError("kernel row fails to vanish after row reduction")
         basis.append(_sign_normalized(tuple(work[i][r:])))
     basis.sort()
     return basis

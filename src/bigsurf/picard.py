@@ -25,55 +25,130 @@ all derived from that description here, and nowhere else.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
-    """A divisor class as a rational coefficient vector in a fixed basis."""
+    """A divisor class as a rational coefficient vector in a fixed basis,
+    stored as integer numerators `nums` over one common denominator
+    `den >= 1`, in lowest terms: gcd(den, *nums) == 1.
 
-    coeffs: tuple[Fraction, ...]
+    Equal rational vectors therefore compare and hash equal, and an
+    integral class has den == 1 and never builds a Fraction: its sums,
+    differences and multiples are int arithmetic, and a least common
+    multiple is taken only when a denominator exceeds 1.
+    """
+
+    nums: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        nums, den = tuple(self.nums), self.den
+        if type(den) is not int or den < 1:
+            raise ValueError("den must be an int >= 1")
+        if not set(map(type, nums)) <= _INT:
+            raise TypeError("numerators must be ints")
+        nums, den = _lowest(nums, den)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
 
     @staticmethod
     def of(values: Iterable[Rational]) -> "DivisorClass":
-        return DivisorClass(tuple(Fraction(v) for v in values))
+        """The class with the given int or Fraction coefficients; a float
+        (or any other non-rational entry) raises TypeError."""
+        values = tuple(values)
+        if set(map(type, values)) <= _INT:
+            return _new(values, 1)
+        for v in values:
+            if not isinstance(v, numbers.Rational):
+                raise TypeError(f"coefficient {v!r} is not an int or Fraction")
+        exact = [Fraction(v) for v in values]
+        # over the lcm of reduced denominators the numerators stay coprime to it
+        den = math.lcm(*(int(f.denominator) for f in exact))
+        return _new(tuple(int(f.numerator) * (den // int(f.denominator)) for f in exact), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions (derived, read-only)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
+
+    def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
+        a, b = self.nums, other.nums
+        if len(a) != len(b):
+            raise ValueError("classes have different lengths")
+        da, db = self.den, other.den
+        if da == db:
+            return _new(*_lowest(tuple(map(op, a, b)), da))
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        return _new(*_lowest(tuple(op(x * fa, y * fb) for x, y in zip(a, b)), den))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return _new(tuple(map(operator.neg, self.nums)), self.den)
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
-        if not isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, int):
+            num, den = scalar, self.den
+        elif isinstance(scalar, Fraction):
+            num, den = scalar.numerator, self.den * scalar.denominator
+        else:
             return NotImplemented
-        return DivisorClass(tuple(a * scalar for a in self.coeffs))
+        return _new(*_lowest(tuple(x * num for x in self.nums), den))
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def integral_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral:
+        if self.den != 1:
             raise ValueError(f"class {self.coeffs} is not integral")
-        return tuple(c.numerator for c in self.coeffs)
+        return self.nums
+
+
+_INT = {int}
+_set = object.__setattr__
+
+
+def _new(nums: tuple[int, ...], den: int) -> DivisorClass:
+    """A DivisorClass from int numerators already in lowest terms over den."""
+    c = object.__new__(DivisorClass)
+    _set(c, "nums", nums)
+    _set(c, "den", den)
+    return c
+
+
+def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Int numerators over den brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            return tuple(x // g for x in nums), den // g
+    return nums, den
 
 
 @dataclass(frozen=True)
@@ -103,9 +178,10 @@ def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
         vec[i] += times * c
 
 
-def pair_with_row(terms: Terms, row: dict[int, Rational]) -> Fraction:
-    """u.v for the sparse class u, given the row {j: v.b_j} of v."""
-    return Fraction(sum(c * row[i] for i, c in terms if i in row))
+def pair_with_row(terms: Terms, row: dict[int, Rational]) -> Rational:
+    """u.v for the sparse class u, given the row {j: v.b_j} of v: the exact
+    sum, an int when every coefficient is one."""
+    return sum(c * row[i] for i, c in terms if i in row)
 
 
 @dataclass(frozen=True)
@@ -117,8 +193,9 @@ class PicardLattice:
     of every later (exceptional) class, with no other nonzero entry.  The
     head is ((1,),) for plane blow-ups (the line class) and ((-n, 1), (1, 0))
     for blow-ups of a degree-n Hirzebruch surface (sigma and F).  Pairing
-    therefore costs O(rank), and a sparse class pairs in time proportional
-    to its support.  `gram` is a dense read-only view, built on first read.
+    therefore costs O(rank), and the row G.v of a sparse class costs time
+    proportional to its support.  `gram` is a dense read-only view, built
+    on first read.
     """
 
     head: tuple[tuple[int, ...], ...]
@@ -163,20 +240,30 @@ class PicardLattice:
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         """Intersection pairing of two classes, in O(rank) through the
-        head-plus-tail structure; zero coordinates are skipped.  A class
-        shorter than the lattice reads as padded with zeros; a nonzero
-        coordinate beyond the rank raises IndexError."""
-        u, v = sparse_terms(a.coeffs), sparse_terms(b.coeffs)
-        if u and max(u[-1][0], v[-1][0] if v else 0) >= self.rank:
+        head-plus-tail structure: the int numerators pair through the head
+        block and the -I tail, and the sum is divided once by the product
+        of the denominators.  A class shorter than the lattice reads as
+        padded with zeros; when a is nonzero, a nonzero coordinate of
+        either class beyond the rank raises IndexError."""
+        x, y = a.nums, b.nums
+        rank = self.rank
+        if any(x) and (any(x[rank:]) or any(y[rank:])):
             raise IndexError("class has a coordinate beyond the lattice rank")
-        return pair_with_row(u, self.row(v))
+        h = len(self.head)
+        total = -sum(map(operator.mul, x[h:], y[h:]))
+        for xi, row in zip(x, self.head):
+            if xi:
+                total += xi * sum(map(operator.mul, row, y))
+        return Fraction(total, a.den * b.den)
 
     def basis_class(self, label: str) -> DivisorClass:
         try:
             i = self.index[label]
         except KeyError:
             raise ValueError(f"{label!r} is not a basis label") from None
-        return DivisorClass.of(tuple(int(j == i) for j in range(self.rank)))
+        coeffs = [0] * self.rank
+        coeffs[i] = 1
+        return _new(tuple(coeffs), 1)
 
     def class_of(self, terms: Terms) -> DivisorClass:
         """The dense class of a sparse one."""
@@ -187,27 +274,6 @@ class PicardLattice:
     @property
     def anticanonical(self) -> DivisorClass:
         return -self.canonical
-
-    def k_squared(self) -> int:
-        v = self.pair(self.canonical, self.canonical)
-        assert v.denominator == 1
-        return v.numerator
-
-    def arithmetic_genus(self, c: DivisorClass) -> int:
-        """Genus of an integral class by adjunction: 1 + (C^2 + C.K)/2."""
-        if not c.is_integral:
-            raise ValueError("arithmetic genus needs an integral class")
-        val = 1 + Fraction(self.pair(c, c) + self.pair(c, self.canonical), 2)
-        assert val.denominator == 1, "adjunction parity violated"
-        return val.numerator
-
-    def riemann_roch_nef(self, n: DivisorClass) -> int:
-        """Section count (N^2 - K.N)/2 + 1 valid for nef classes."""
-        if not n.is_integral:
-            raise ValueError("needs an integral class")
-        val = Fraction(self.pair(n, n) - self.pair(self.canonical, n), 2) + 1
-        assert val.denominator == 1
-        return val.numerator
 
 
 def _plane_lattice(labels: Sequence[str]) -> PicardLattice:
@@ -421,8 +487,8 @@ def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[Div
                  + [label for label, on in config.shared if i in on]))
              for i, (degree, prefix, count) in enumerate(config.curves)]
     parts += [lattice.basis_class(label) for label, _ in config.shared]
-    assert sum(parts[1:], parts[0]) == lattice.anticanonical, \
-        "components fail to sum to -K"
+    if sum(parts[1:], parts[0]) != lattice.anticanonical:
+        raise InvariantError("anticanonical components fail to sum to -K")
     return tuple(parts)
 
 

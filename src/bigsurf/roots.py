@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Sequence
 
 from .bigness import orthogonal_complement
-from .errors import DomainError, NotNegativeDefiniteError
+from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 from .linalg import is_negative_definite, short_vectors
 from .picard import (
     Generic,
@@ -92,18 +92,18 @@ def _recognize(nodes: list[int], cartan: list[list[int]],
     edges = [(u, v, cartan[u][v] * cartan[v][u])
              for i, u in enumerate(nodes) for v in nodes[i + 1:] if cartan[u][v]]
     if len(edges) != n - 1:
-        raise RuntimeError("component graph is not a tree; lattice cannot be finite type")
+        raise InvariantError("component graph is not a tree; lattice cannot be finite type")
     multiple = [(u, v, m) for u, v, m in edges if m > 1]
     if any(m > 3 for _, _, m in multiple):
-        raise RuntimeError("Coxeter bond of multiplicity > 3; not a finite type")
+        raise InvariantError("Coxeter bond of multiplicity > 3; not a finite type")
     branch = [u for u in nodes if degree[u] >= 3]
     if any(m == 3 for _, _, m in multiple):
         if n == 2 and len(multiple) == 1:
             return ("G", 2)
-        raise RuntimeError("triple bond outside rank 2; not a finite type")
+        raise InvariantError("triple bond outside rank 2; not a finite type")
     if multiple:
         if len(multiple) > 1 or branch:
-            raise RuntimeError("double bonds in a non-path arrangement; not a finite type")
+            raise InvariantError("double bonds in a non-path arrangement; not a finite type")
         u, v, _ = multiple[0]
         if n == 2:
             return ("B", 2)
@@ -111,7 +111,7 @@ def _recognize(nodes: list[int], cartan: list[list[int]],
         if not u_leaf and not v_leaf:
             if n == 4:
                 return ("F", 4)
-            raise RuntimeError("interior double bond outside rank 4; not a finite type")
+            raise InvariantError("interior double bond outside rank 4; not a finite type")
         leaf, inner = (u, v) if u_leaf else (v, u)
         # cartan[inner][leaf] = 2(inner.leaf)/(leaf.leaf): value -2 means the
         # leaf is the short root (type B); -1 means it is long (type C)
@@ -119,7 +119,7 @@ def _recognize(nodes: list[int], cartan: list[list[int]],
     if not branch:
         return ("A", n)
     if len(branch) > 1 or degree[branch[0]] > 3:
-        raise RuntimeError("branching beyond a single degree-3 node; not a finite type")
+        raise InvariantError("branching beyond a single degree-3 node; not a finite type")
     hub = branch[0]
     arms = []
     for start in (v for v in nodes if cartan[hub][v] and v != hub):
@@ -140,7 +140,7 @@ def _recognize(nodes: list[int], cartan: list[list[int]],
         return ("E", 7)
     if arms == [1, 2, 4]:
         return ("E", 8)
-    raise RuntimeError(f"branched diagram with arms {arms}; not a finite type")
+    raise InvariantError(f"branched diagram with arms {arms}; not a finite type")
 
 
 def _normalize(components: list[Component]) -> tuple[Component, ...]:
@@ -180,7 +180,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     integer.
 
     The sum of the catalog root counts of the recognized components must
-    reproduce the input size exactly; any mismatch raises RuntimeError,
+    reproduce the input size exactly; any mismatch raises InvariantError,
     since finite-type recognition on a negative definite lattice cannot
     legitimately disagree with the enumeration.
     """
@@ -218,10 +218,10 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
                 continue
             entry, rest = divmod(2 * sum(map(operator.mul, simple[i], g_simple[j])), norms[j])
             if rest:
-                raise RuntimeError("non-integral Cartan entry; input is not a root system")
+                raise InvariantError("non-integral Cartan entry; input is not a root system")
             cartan[i][j] = entry
             if entry > 0:
-                raise RuntimeError("positive off-diagonal Cartan entry among simple roots")
+                raise InvariantError("positive off-diagonal Cartan entry among simple roots")
 
     degree = {i: sum(1 for j in range(k) if j != i and cartan[i][j]) for i in range(k)}
     seen: set[int] = set()
@@ -241,7 +241,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
 
     expected = sum(expected_root_count(f, r) for f, r in components)
     if expected != len(codes):
-        raise RuntimeError(
+        raise InvariantError(
             f"root count {len(codes)} does not match classified type "
             f"(expected {expected}); enumeration and recognition disagree")
 

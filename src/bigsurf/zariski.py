@@ -13,14 +13,15 @@ sum(1/a_i) >= k - 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
-from .picard import (DivisorClass, Rational, add_terms, blowup_hirzebruch,
-                     fiber_terms, pair_with_row, sparse_terms)
+from .picard import (DivisorClass, add_terms, blowup_hirzebruch, fiber_terms,
+                     pair_with_row, sparse_terms)
 
 __all__ = [
     "FamilyParams",
@@ -101,9 +102,11 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     matrix of the components with strictly positive coefficient in N.
 
     The strict transforms stay sparse (their incidence terms): P and N are
-    summed from them, and P pairs with sigma, the F_i and N through its row
-    G.P, computed once, so the work is linear in the rank and in k apart
-    from the (k+1)^2 support Gram entries.
+    summed from them as integer numerators over one common denominator
+    den = (denominator of c) * lcm(a), on which c and every c/a_i are
+    integers, and P pairs with sigma, the F_i and N through its row G.P,
+    computed once, so the work is linear in the rank and in k apart from
+    the (k+1)^2 support Gram entries, all of them ints.
     """
     n, k, a = params.n, params.k, params.a
     lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
@@ -114,32 +117,40 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)
-    p_vec: list[Rational] = [0] * rank
-    neg_vec: list[Rational] = [0] * rank
-    add_terms(p_vec, sigma, c)
-    p_vec[fiber] += n + 2 - k
-    add_terms(neg_vec, sigma, 2 - c)
-    for ai, fi in zip(a, strict):
-        add_terms(p_vec, fi, c / ai)
-        add_terms(neg_vec, fi, 1 - c / ai)
-    p, neg = DivisorClass.of(p_vec), DivisorClass.of(neg_vec)
+    lcm_a = math.lcm(*a)
+    den = c.denominator * lcm_a
+    c_num = c.numerator * lcm_a  # c * den
+    sigma_neg = 2 * den - c_num  # (2 - c) * den
+    fiber_pos = [c_num // ai for ai in a]  # (c / a_i) * den
+    fiber_neg = [den - x for x in fiber_pos]  # (1 - c / a_i) * den
+    p_vec = [0] * rank
+    neg_vec = [0] * rank
+    add_terms(p_vec, sigma, c_num)
+    p_vec[fiber] += (n + 2 - k) * den
+    add_terms(neg_vec, sigma, sigma_neg)
+    for fi, pos, neg_coef in zip(strict, fiber_pos, fiber_neg):
+        add_terms(p_vec, fi, pos)
+        add_terms(neg_vec, fi, neg_coef)
+    p, neg = DivisorClass(tuple(p_vec), den), DivisorClass(tuple(neg_vec), den)
 
     p_squared = lattice.pair(p, p)
-    assert p_squared == Fraction((n + 2 - k) ** 2) / (n - s)
+    if p_squared != Fraction((n + 2 - k) ** 2) / (n - s):
+        raise InvariantError(f"P^2 = {p_squared} disagrees with the closed form "
+                             f"for n={n} k={k} a={list(a)}")
 
     support = []
-    if 2 - c > 0:
+    if sigma_neg > 0:
         support.append(sigma)
-    support.extend(fi for ai, fi in zip(a, strict) if 1 - c / ai > 0)
+    support.extend(fi for fi, neg_coef in zip(strict, fiber_neg) if neg_coef > 0)
     support_rows = [lattice.row(v) for v in support]
     support_gram = [[pair_with_row(u, row) for row in support_rows] for u in support]
-    p_row = lattice.row(sparse_terms(p.coeffs))
+    p_row = lattice.row(sparse_terms(p.nums))
 
     checks = ZariskiChecks(
         p_dot_sigma_zero=pair_with_row(sigma, p_row) == 0,
         p_dot_fibers_zero=all(pair_with_row(fi, p_row) == 0 for fi in strict),
         p_dot_n_zero=lattice.pair(p, neg) == 0,
-        n_effective=2 - c >= 0 and all(1 - c / ai >= 0 for ai in a),
+        n_effective=sigma_neg >= 0 and all(x >= 0 for x in fiber_neg),
         n_support_negative_definite=is_negative_definite(support_gram),
         sum_is_minus_canonical=(p + neg) == lattice.anticanonical,
     )

@@ -10,18 +10,23 @@ structured pairings and root norms against.
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
-verdict is checked against; and the ``*_from_dict`` readers that invert
-`bigsurf.serialize` for the round-trip tests.
+verdict is checked against; `FractionClass`, the coefficient-by-coefficient
+Fraction vector that `DivisorClass` is checked against; the adjunction and
+Riemann-Roch counts that the parity tests read off a lattice; and the
+``*_from_dict`` readers that invert `bigsurf.serialize` for the round-trip
+tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
-from bigsurf.picard import DivisorClass, LineConic, ThreeLines, WitnessReport
+from bigsurf.picard import (DivisorClass, LineConic, PicardLattice, ThreeLines,
+                            WitnessReport)
 from bigsurf.roots import RootSystemReport
 from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
 
@@ -96,6 +101,70 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+# reference class arithmetic ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionClass:
+    """A divisor class as a plain tuple of Fractions, one per coordinate:
+    the reference `DivisorClass` (int numerators over one denominator) is
+    checked against."""
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(values: Iterable[int | Fraction]) -> "FractionClass":
+        return FractionClass(tuple(Fraction(v) for v in values))
+
+    def __add__(self, other: "FractionClass") -> "FractionClass":
+        return FractionClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+
+    def __sub__(self, other: "FractionClass") -> "FractionClass":
+        return FractionClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+
+    def __neg__(self) -> "FractionClass":
+        return FractionClass(tuple(-a for a in self.coeffs))
+
+    def __mul__(self, scalar: int | Fraction) -> "FractionClass":
+        return FractionClass(tuple(a * scalar for a in self.coeffs))
+
+    __rmul__ = __mul__
+
+    @property
+    def is_integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.coeffs)
+
+    def integral_coeffs(self) -> tuple[int, ...]:
+        if not self.is_integral:
+            raise ValueError(f"class {self.coeffs} is not integral")
+        return tuple(c.numerator for c in self.coeffs)
+
+
+def k_squared(lattice: PicardLattice) -> int:
+    """K^2 of the lattice's surface."""
+    v = lattice.pair(lattice.canonical, lattice.canonical)
+    assert v.denominator == 1
+    return v.numerator
+
+
+def arithmetic_genus(lattice: PicardLattice, c: DivisorClass) -> int:
+    """Genus of an integral class by adjunction: 1 + (C^2 + C.K)/2."""
+    if not c.is_integral:
+        raise ValueError("arithmetic genus needs an integral class")
+    val = 1 + Fraction(lattice.pair(c, c) + lattice.pair(c, lattice.canonical), 2)
+    assert val.denominator == 1, "adjunction parity violated"
+    return val.numerator
+
+
+def riemann_roch_nef(lattice: PicardLattice, n: DivisorClass) -> int:
+    """Section count (N^2 - K.N)/2 + 1 valid for nef classes."""
+    if not n.is_integral:
+        raise ValueError("needs an integral class")
+    val = Fraction(lattice.pair(n, n) - lattice.pair(lattice.canonical, n), 2) + 1
+    assert val.denominator == 1
+    return val.numerator
 
 
 # reference closed forms ---------------------------------------------------

@@ -92,6 +92,27 @@ def test_check_disagreement_exits_two(monkeypatch, capsys):
     assert "disagrees" in err
 
 
+BREAK_V = ("import sys; from bigsurf import bigness, cli; "
+           "real = bigness.incidence_class; "
+           "bigness.incidence_class = lambda *args: 2 * real(*args); "
+           "sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_invariant_exits_two(flags):
+    """A wrong v makes v^2 disagree with the closed form: an internal
+    cross-check failure, so exit 2 with one stderr line, no traceback and
+    no report.  The check is no assert: it also fires under python -O."""
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BREAK_V, "classify", "--json", LINE_CONIC_25],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("internal error: v^2")
+    assert "Traceback" not in proc.stderr
+
+
 def test_roots_generic_eight(capsys):
     code, out, _ = run_cli(capsys, "roots", "--json",
                            '{"model":"generic","r":8}')

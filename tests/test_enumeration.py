@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bigsurf import DomainError
 from bigsurf.enumeration import negative_classes
 from bigsurf.picard import DivisorClass, blowup_p2
+from oracles import arithmetic_genus
 
 MINUS_ONE_COUNTS = {0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {0: 0, 1: 0, 2: 2, 3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -102,7 +103,7 @@ def test_lattice_identities(r):
     for c in table.minus_one_classes:
         assert lattice.pair(c, c) == -1
         assert lattice.pair(c, k) == 1
-        assert lattice.arithmetic_genus(c) == 0
+        assert arithmetic_genus(lattice, c) == 0
     for a in table.minus_two_roots:
         assert lattice.pair(a, a) == -2
         assert lattice.pair(a, k) == 0

@@ -212,6 +212,40 @@ def test_kernel_rank_complements_row_rank(m):
     assert len(integer_kernel(m)) == n - rank
 
 
+@st.composite
+def low_rank_matrix(draw, max_rows=6, max_cols=8):
+    """A product A B with inner dimension t, so the rank is at most t and
+    the kernel is often larger than the column count minus the rows."""
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    t = draw(st.integers(1, max(r, c)))
+    a = [[draw(small_ints) for _ in range(t)] for _ in range(r)]
+    b = [[draw(small_ints) for _ in range(c)] for _ in range(t)]
+    return [[sum(a[i][k] * b[k][j] for k in range(t)) for j in range(c)] for i in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(int_matrix(max_rows=6, max_cols=8), low_rank_matrix()))
+def test_kernel_against_sympy_nullspace(m):
+    """Same dimension as sympy's rational nullspace, every vector in its
+    span and in the kernel, and saturated: the maximal minors of the basis
+    have gcd 1, so no integer kernel vector is missed."""
+    sympy = pytest.importorskip("sympy")
+    matrix = sympy.Matrix(m)
+    basis = integer_kernel(m)
+    nullspace = matrix.nullspace()
+    assert len(basis) == len(nullspace)
+    if not basis:
+        return
+    b = sympy.Matrix([list(v) for v in basis])
+    assert (matrix * b.T).is_zero_matrix
+    assert sympy.Matrix.vstack(b, *(v.T for v in nullspace)).rank() == len(basis)
+    k, n = b.shape
+    minors = [b.extract(list(range(k)), list(cols)).det()
+              for cols in itertools.combinations(range(n), k)]
+    assert math.gcd(*(int(x) for x in minors)) == 1
+
+
 # inertia ---------------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from bigsurf.picard import (
     sigma_strict,
     verify_witness,
 )
-from oracles import dot
+from oracles import FractionClass, arithmetic_genus, dot, k_squared, riemann_roch_nef
 
 
 def test_divisor_class_arithmetic():
@@ -44,6 +45,103 @@ def test_divisor_class_integrality():
         half.integral_coeffs()
 
 
+def test_divisor_class_representation():
+    """Int numerators over one denominator, in lowest terms."""
+    a = DivisorClass.of([Fraction(1, 3), Fraction(2, 3), 1])
+    assert (a.nums, a.den) == ((1, 2, 3), 3)
+    assert DivisorClass((2, 4, 6), 6) == a
+    assert DivisorClass((2, 4, 6), 6).nums == (1, 2, 3)
+    assert DivisorClass.of([2, 4]).den == 1
+    assert (a * 3).den == 1 and (a * 3).nums == (1, 2, 3)
+    assert (a * 0).nums == (0, 0, 0) and (a * 0).den == 1
+    assert hash(DivisorClass.of([Fraction(4, 2), 1])) == hash(DivisorClass.of([2, 1]))
+    with pytest.raises(ValueError):
+        DivisorClass((1, 2), 0)
+    with pytest.raises(TypeError):
+        DivisorClass((1, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("values", [[0.1, 2], [1, 2.0], [float("nan")], ["1/2"]])
+def test_divisor_class_of_rejects_non_rationals(values):
+    with pytest.raises(TypeError):
+        DivisorClass.of(values)
+
+
+@st.composite
+def lattice_and_values(draw):
+    """A plane or Hirzebruch lattice of rank 1..40 and the coefficient lists
+    of two classes on it: ints and Fractions of mixed denominators, each
+    list of the full rank or shorter, the two of equal or unequal length,
+    the second sometimes the first again with every entry a Fraction."""
+    rank = draw(st.integers(1, 40))
+    if rank >= 2 and draw(st.booleans()):
+        on_fiber = draw(st.integers(0, rank - 2))
+        meets_sigma = on_fiber > 0 and draw(st.booleans())
+        lat = blowup_hirzebruch(draw(st.integers(1, 6)),
+                                [(on_fiber - meets_sigma, meets_sigma)],
+                                extra_on_sigma=rank - 2 - on_fiber)
+    else:
+        lat = blowup_p2(rank - 1)
+    assert lat.rank == rank
+    coeff = st.one_of(st.just(0), st.integers(-9, 9),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    if draw(st.booleans()):
+        coeff = st.one_of(st.just(0), st.integers(-9, 9))
+    size = rank if draw(st.booleans()) else draw(st.integers(0, rank))
+    xs = draw(st.lists(coeff, min_size=size, max_size=size))
+    if draw(st.integers(0, 4)) == 0:
+        return lat, xs, [Fraction(x) for x in xs]
+    if draw(st.integers(0, 4)):
+        other = size
+    else:
+        other = draw(st.integers(0, rank))
+    return lat, xs, draw(st.lists(coeff, min_size=other, max_size=other))
+
+
+def assert_matches_oracle(c, f):
+    assert c.coeffs == f.coeffs
+    assert c.den >= 1 and math.gcd(c.den, *c.nums) == 1
+    assert all(type(x) is int for x in c.nums)
+    assert c.is_integral == f.is_integral == (c.den == 1)
+    assert c.is_zero == (not any(f.coeffs))
+    if f.is_integral:
+        assert c.integral_coeffs() == f.integral_coeffs()
+    else:
+        with pytest.raises(ValueError):
+            c.integral_coeffs()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_values(),
+       st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=8)))
+def test_divisor_class_matches_fraction_oracle(case, scalar):
+    """The arithmetic of the oracle; the pairing on the same cases is
+    checked against the dense Gram by test_structured_pair_matches_dense_gram."""
+    _, xs, ys = case
+    a, b = DivisorClass.of(xs), DivisorClass.of(ys)
+    fa, fb = FractionClass.of(xs), FractionClass.of(ys)
+    assert_matches_oracle(a, fa)
+    assert_matches_oracle(b, fb)
+    assert_matches_oracle(-a, -fa)
+    assert_matches_oracle(a * scalar, fa * scalar)
+    assert_matches_oracle(scalar * b, scalar * fb)
+    if len(xs) == len(ys):
+        assert_matches_oracle(a + b, fa + fb)
+        assert_matches_oracle(a - b, fa - fb)
+    else:
+        for op in (DivisorClass.__add__, DivisorClass.__sub__):
+            with pytest.raises(ValueError):
+                op(a, b)
+        for op in (FractionClass.__add__, FractionClass.__sub__):
+            with pytest.raises(ValueError):
+                op(fa, fb)
+    assert (a == b) == (fa == fb)
+    if a == b:
+        assert hash(a) == hash(b)
+    same = DivisorClass.of(fa.coeffs)
+    assert same == a and hash(same) == hash(a)
+
+
 def test_plane_blowup_shape():
     lat = blowup_p2(6)
     assert lat.rank == 7
@@ -52,11 +150,11 @@ def test_plane_blowup_shape():
     assert lat.gram[0][0] == 1
     assert all(lat.gram[i][i] == -1 for i in range(1, 7))
     assert all(lat.gram[i][j] == 0 for i in range(7) for j in range(7) if i != j)
-    assert lat.k_squared() == 3
+    assert k_squared(lat) == 3
 
 
 def test_plane_blowup_degenerate_cases():
-    assert blowup_p2(0).k_squared() == 9
+    assert k_squared(blowup_p2(0)) == 9
     with pytest.raises(DomainError):
         blowup_p2(-1)
 
@@ -64,15 +162,15 @@ def test_plane_blowup_degenerate_cases():
 def test_rank_plus_k_squared_is_ten():
     for r in range(0, 11):
         lat = blowup_p2(r)
-        assert lat.rank + lat.k_squared() == 10
+        assert lat.rank + k_squared(lat) == 10
     lat = blowup_hirzebruch(3, [(2, False), (1, True)], extra_on_sigma=1)
-    assert lat.rank + lat.k_squared() == 10
+    assert lat.rank + k_squared(lat) == 10
 
 
 def test_hirzebruch_blowup_shape():
     lat = blowup_hirzebruch(4, [(2, False), (3, False), (7, False)])
     assert lat.rank == 14
-    assert lat.k_squared() == 8 - 12
+    assert k_squared(lat) == 8 - 12
     assert lat.labels[:2] == ("sigma", "F")
     assert lat.labels[2:4] == ("e1_1", "e1_2")
     assert lat.labels[-1] == "e3_7"
@@ -128,21 +226,21 @@ def test_pairing_is_symmetric_and_bilinear():
 def test_arithmetic_genus_examples():
     lat = blowup_p2(3)
     line = lat.basis_class("l")
-    assert lat.arithmetic_genus(line) == 0
-    assert lat.arithmetic_genus(lat.basis_class("e1")) == 0
-    assert lat.arithmetic_genus(2 * line) == 0
-    assert lat.arithmetic_genus(3 * line) == 1
-    assert lat.arithmetic_genus(blowup_p2(0).anticanonical) == 1
+    assert arithmetic_genus(lat, line) == 0
+    assert arithmetic_genus(lat, lat.basis_class("e1")) == 0
+    assert arithmetic_genus(lat, 2 * line) == 0
+    assert arithmetic_genus(lat, 3 * line) == 1
+    assert arithmetic_genus(lat, blowup_p2(0).anticanonical) == 1
     with pytest.raises(ValueError):
-        lat.arithmetic_genus(DivisorClass.of([Fraction(1, 2), 0, 0, 0]))
+        arithmetic_genus(lat, DivisorClass.of([Fraction(1, 2), 0, 0, 0]))
 
 
 def test_riemann_roch_on_nef_classes():
     p2 = blowup_p2(0)
-    assert p2.riemann_roch_nef(DivisorClass.of((0,) * p2.rank)) == 1
-    assert p2.riemann_roch_nef(p2.basis_class("l")) == 3
-    assert p2.riemann_roch_nef(2 * p2.basis_class("l")) == 6
-    assert p2.riemann_roch_nef(p2.anticanonical) == 10
+    assert riemann_roch_nef(p2, DivisorClass.of((0,) * p2.rank)) == 1
+    assert riemann_roch_nef(p2, p2.basis_class("l")) == 3
+    assert riemann_roch_nef(p2, 2 * p2.basis_class("l")) == 6
+    assert riemann_roch_nef(p2, p2.anticanonical) == 10
 
 
 @given(st.integers(0, 8), st.data())
@@ -153,35 +251,11 @@ def test_parity_of_square_and_canonical_degree(r, data):
     assert (lat.pair(cls, cls) - lat.pair(cls, lat.canonical)) % 2 == 0
 
 
-@st.composite
-def lattice_and_classes(draw):
-    """A plane or Hirzebruch lattice of rank 1..40 and two classes on it:
-    integral or rational coefficients, possibly shorter than the rank."""
-    rank = draw(st.integers(1, 40))
-    if rank >= 2 and draw(st.booleans()):
-        on_fiber = draw(st.integers(0, rank - 2))
-        meets_sigma = on_fiber > 0 and draw(st.booleans())
-        lat = blowup_hirzebruch(draw(st.integers(1, 6)),
-                                [(on_fiber - meets_sigma, meets_sigma)],
-                                extra_on_sigma=rank - 2 - on_fiber)
-    else:
-        lat = blowup_p2(rank - 1)
-    assert lat.rank == rank
-    coeff = st.integers(-9, 9)
-    if draw(st.booleans()):
-        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    classes = []
-    for _ in range(2):
-        size = rank if draw(st.booleans()) else draw(st.integers(0, rank))
-        values = draw(st.lists(st.one_of(st.just(0), coeff), min_size=size, max_size=size))
-        classes.append(DivisorClass.of(values))
-    return lat, classes[0], classes[1]
-
-
 @settings(max_examples=200, deadline=None)
-@given(lattice_and_classes())
+@given(lattice_and_values())
 def test_structured_pair_matches_dense_gram(case):
-    lat, a, b = case
+    lat, xs, ys = case
+    a, b = DivisorClass.of(xs), DivisorClass.of(ys)
     value = lat.pair(a, b)
     assert type(value) is Fraction
     assert value == dot(lat.gram, a.coeffs, b.coeffs)

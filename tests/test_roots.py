@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigsurf.bigness import orthogonal_complement
-from bigsurf.errors import DomainError, NotNegativeDefiniteError
+from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
 from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
 from bigsurf.roots import (
     RootSystemReport,
@@ -276,7 +276,7 @@ def test_d_ladder_from_line_conic(n):
 
 def test_classify_rejects_incomplete_list():
     roots = [r for r in extract_roots(A2) if abs(r[0]) + abs(r[1]) != 2]
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InvariantError):
         classify(roots, A2)
 
 
