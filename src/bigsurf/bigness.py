@@ -17,7 +17,7 @@ Two independent routes to the same answer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -87,7 +87,6 @@ class BignessVerdict:
     v: DivisorClass | None
     v_squared: Fraction | None
     effective: bool | None
-    lattice_confirmed: bool = False
 
 
 def _closed_form(config: LineConic | ThreeLines, lattice: PicardLattice) -> BignessVerdict:
@@ -155,8 +154,7 @@ def cross_check(config: PointConfiguration) -> CrossCheckReport:
         diff = 1 - verdict.inequality_lhs
         sign_consistent = ((verdict.v_squared > 0) == (diff > 0)
                            and (verdict.v_squared == 0) == (diff == 0))
-    return CrossCheckReport(replace(verdict, lattice_confirmed=agrees),
-                            lattice_big, agrees, v_orthogonal, sign_consistent)
+    return CrossCheckReport(verdict, lattice_big, agrees, v_orthogonal, sign_consistent)
 
 
 @dataclass(frozen=True)

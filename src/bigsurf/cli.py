@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import serialize as ser
 from .bigness import (agreement_sweep, classify_anticanonical, cross_check,
@@ -28,7 +28,7 @@ from .roots import (classify as classify_roots, coxeter_dot, extract_roots,
                     predicted_type, root_lattice_of_config, type_string)
 from .zariski import FamilyParams, zariski_decompose
 
-__all__ = ["config_from_dict", "parse_config", "main", "run"]
+__all__ = ["config_from_dict", "main", "run"]
 
 _MODELS = ("generic", "line_conic", "three_lines", "hirzebruch_family")
 
@@ -97,10 +97,6 @@ def config_from_dict(data: Any) -> PointConfiguration | FamilyParams:
         f"unknown model: {model!r} (expected one of {', '.join(_MODELS)})")
 
 
-def parse_config(text: str) -> PointConfiguration | FamilyParams:
-    return config_from_dict(_load_json(text))
-
-
 def _load_json(text: str) -> Any:
     try:
         return json.loads(text)
@@ -138,8 +134,8 @@ def _witness_args(data: Any) -> dict[str, Any]:
     return kwargs
 
 
-def _point_config(parsed: PointConfiguration | FamilyParams,
-                  command: str) -> PointConfiguration:
+def _point_config(request: Any, command: str) -> PointConfiguration:
+    parsed = config_from_dict(request)
     if isinstance(parsed, FamilyParams):
         raise DomainError(f"{command} expects a point configuration, "
                           "not hirzebruch_family parameters")
@@ -153,35 +149,28 @@ def _type_label(config: PointConfiguration) -> str | None:
     return None if components is None else type_string(components)
 
 
-def _run_classify(config: PointConfiguration) -> tuple[dict[str, Any], int]:
-    verdict = classify_anticanonical(config)
-    data = ser.verdict_to_dict(verdict)
-    # "lattice" reports the lattice-side verdict of the check command; a
-    # plain classify never runs that computation, so the key is left out.
-    del data["lattice"]
-    effective = data.pop("effective")
-    data["type"] = _type_label(config)
-    data["effective"] = effective
-    return data, 0
+# A handler takes the parsed request (the sweep's is its three bounds) and
+# the output format, and returns the report with the one-line message of a
+# failed internal cross-check, which makes the exit status 2 (None when
+# every check passed).
+Outcome = tuple[dict[str, Any] | str, str | None]
 
 
-def _run_check(config: PointConfiguration) -> tuple[dict[str, Any], int]:
+def _classify(request: Any, fmt: str) -> Outcome:
+    config = _point_config(request, "classify")
+    return ser.classify_to_dict(classify_anticanonical(config), _type_label(config)), None
+
+
+def _check(request: Any, fmt: str) -> Outcome:
+    config = _point_config(request, "check")
     report = cross_check(config)
-    flat = ser.cross_check_to_dict(report)
-    data: dict[str, Any] = {}
-    for key, value in flat.items():
-        data[key] = value
-        if key == "lattice":
-            data["type"] = _type_label(config)
-    if report.ok:
-        return data, 0
-    print("error: lattice verdict disagrees with the closed-form criterion",
-          file=sys.stderr)
-    return data, 2
+    failure = (None if report.ok
+               else "lattice verdict disagrees with the closed-form criterion")
+    return ser.cross_check_to_dict(report, _type_label(config)), failure
 
 
-def _run_roots(config: PointConfiguration,
-               fmt: str) -> tuple[dict[str, Any] | str, int]:
+def _roots(request: Any, fmt: str) -> Outcome:
+    config = _point_config(request, "roots")
     if isinstance(config, Generic):
         lattice = blowup_p2(config.r)
         basis, gram = orthogonal_complement(lattice, [lattice.anticanonical])
@@ -189,46 +178,55 @@ def _run_roots(config: PointConfiguration,
         basis, gram = root_lattice_of_config(config)
     report = classify_roots(extract_roots(gram), gram)
     if fmt == "dot":
-        return coxeter_dot(report), 0
-    tail = ser.root_report_to_dict(report)
-    data = {
-        "type": type_string(report.components),
-        "root_count": len(report.roots),
-        "components": tail["components"],
-        "basis": [list(v) for v in basis],
-        "simple_roots": tail["simple_roots"],
-        "cartan": tail["cartan"],
-        "graph": tail["graph"],
-        "roots": tail["roots"],
-    }
-    return data, 0
+        return coxeter_dot(report), None
+    return ser.roots_to_dict(report, basis), None
 
 
-def _run_zariski(params: FamilyParams) -> tuple[dict[str, Any], int]:
-    report = zariski_decompose(params)
-    data = ser.zariski_report_to_dict(report)
-    if report.checks.all_pass:
-        return data, 0
+def _zariski(request: Any, fmt: str) -> Outcome:
+    params = config_from_dict(request)
+    if not isinstance(params, FamilyParams):
+        raise DomainError("zariski expects hirzebruch_family parameters")
+    data = ser.zariski_report_to_dict(zariski_decompose(params))
     failed = [name for name, value in data["checks"].items() if not value]
-    print(f"error: decomposition checks failed: {', '.join(failed)}",
-          file=sys.stderr)
-    return data, 2
+    return data, (f"decomposition checks failed: {', '.join(failed)}"
+                  if failed else None)
 
 
-def _run_enumerate(config: PointConfiguration) -> tuple[dict[str, Any], int]:
+def _enumerate(request: Any, fmt: str) -> Outcome:
+    config = _point_config(request, "enumerate")
     if not isinstance(config, Generic):
         raise DomainError("enumerate expects a generic configuration "
                           '({"model":"generic","r":...})')
-    return ser.class_table_to_dict(negative_classes(config.r)), 0
+    return ser.class_table_to_dict(negative_classes(config.r)), None
 
 
-def _run_sweep(max_a: int, max_b: int, max_ai: int) -> tuple[dict[str, Any], int]:
-    report = agreement_sweep(max_a, max_b, max_ai)
-    data = ser.sweep_to_dict(report)
-    if report.clean:
-        return data, 0
-    print("error: cross-validation sweep found disagreements", file=sys.stderr)
-    return data, 2
+def _witness(request: Any, fmt: str) -> Outcome:
+    return ser.witness_to_dict(verify_witness(**_witness_args(request))), None
+
+
+def _sweep(bounds: tuple[int, int, int], fmt: str) -> Outcome:
+    report = agreement_sweep(*bounds)
+    return ser.sweep_to_dict(report), (
+        None if report.clean else "cross-validation sweep found disagreements")
+
+
+_TEXT = ("json", "text")
+
+# name -> (help, output formats, handler), in the order of the help listing
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], Callable[[Any, str], Outcome]]] = {
+    "classify": ("decide bigness of the anticanonical class", _TEXT, _classify),
+    "check": ("cross-validate the closed-form verdict against the lattice",
+              _TEXT, _check),
+    "zariski": ("decompose the anticanonical class of a family member",
+                _TEXT, _zariski),
+    "enumerate": ("list minus-one classes and roots of a del Pezzo lattice",
+                  _TEXT, _enumerate),
+    "witness": ("verify a stored effective-decomposition identity",
+                _TEXT, _witness),
+    "roots": ("extract and classify the root system orthogonal to the "
+              "anticanonical components", ("json", "dot", "text"), _roots),
+    "sweep": ("run the full cross-validation sweep", _TEXT, _sweep),
+}
 
 
 def _scalar_text(value: Any) -> str:
@@ -274,52 +272,34 @@ def _read_input(args: argparse.Namespace) -> str:
         raise DomainError(f"cannot read {args.input}: {exc.strerror}") from exc
 
 
-def _add_io_arguments(parser: argparse.ArgumentParser,
-                      formats: tuple[str, ...]) -> None:
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", metavar="FILE",
-                        help="read the JSON request from FILE")
-    source.add_argument("--json", metavar="TEXT",
-                        help="inline JSON request")
-    parser.add_argument("--format", choices=formats, default="json",
-                        help="output format (default: json)")
-    parser.add_argument("--out", metavar="FILE",
-                        help="write the report to FILE instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigsurf",
         description="Exact bigness tests, root systems and Zariski "
                     "decompositions for rational surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    simple = {
-        "classify": "decide bigness of the anticanonical class",
-        "check": "cross-validate the closed-form verdict against the lattice",
-        "zariski": "decompose the anticanonical class of a family member",
-        "enumerate": "list minus-one classes and roots of a del Pezzo lattice",
-        "witness": "verify a stored effective-decomposition identity",
-    }
-    for name, help_text in simple.items():
-        _add_io_arguments(sub.add_parser(name, help=help_text),
-                          ("json", "text"))
-    _add_io_arguments(
-        sub.add_parser("roots",
-                       help="extract and classify the root system orthogonal "
-                            "to the anticanonical components"),
-        ("json", "dot", "text"))
-
-    sweep = sub.add_parser("sweep", help="run the full cross-validation sweep")
-    sweep.add_argument("--max-a", type=int, default=12, metavar="N",
-                       help="bound on points per line (default: 12)")
-    sweep.add_argument("--max-b", type=int, default=12, metavar="N",
-                       help="bound on points per conic (default: 12)")
-    sweep.add_argument("--max-ai", type=int, default=10, metavar="N",
-                       help="bound on points per line, three-line models "
-                            "(default: 10)")
-    sweep.add_argument("--format", choices=("json", "text"), default="json")
-    sweep.add_argument("--out", metavar="FILE")
+    for name, (help_text, formats, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if name == "sweep":
+            command.add_argument("--max-a", type=int, default=12, metavar="N",
+                                 help="bound on points per line (default: 12)")
+            command.add_argument("--max-b", type=int, default=12, metavar="N",
+                                 help="bound on points per conic (default: 12)")
+            command.add_argument("--max-ai", type=int, default=10, metavar="N",
+                                 help="bound on points per line, three-line "
+                                      "models (default: 10)")
+            command.add_argument("--format", choices=formats, default="json")
+            command.add_argument("--out", metavar="FILE")
+            continue
+        source = command.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", metavar="FILE",
+                            help="read the JSON request from FILE")
+        source.add_argument("--json", metavar="TEXT",
+                            help="inline JSON request")
+        command.add_argument("--format", choices=formats, default="json",
+                             help="output format (default: json)")
+        command.add_argument("--out", metavar="FILE",
+                             help="write the report to FILE instead of stdout")
     return parser
 
 
@@ -331,37 +311,21 @@ def main(argv: list[str] | None = None) -> int:
         # invariant failures, so fold usage problems into the domain-error
         # status (--help still exits 0).
         return 1 if exc.code else 0
+    handler = _COMMANDS[args.command][2]
     try:
-        if args.command == "sweep":
-            payload, code = _run_sweep(args.max_a, args.max_b, args.max_ai)
-        elif args.command == "witness":
-            payload, code = (
-                ser.witness_to_dict(verify_witness(
-                    **_witness_args(_load_json(_read_input(args))))), 0)
-        else:
-            parsed = parse_config(_read_input(args))
-            if args.command == "classify":
-                payload, code = _run_classify(_point_config(parsed, "classify"))
-            elif args.command == "check":
-                payload, code = _run_check(_point_config(parsed, "check"))
-            elif args.command == "roots":
-                payload, code = _run_roots(_point_config(parsed, "roots"),
-                                           args.format)
-            elif args.command == "zariski":
-                if not isinstance(parsed, FamilyParams):
-                    raise DomainError(
-                        "zariski expects hirzebruch_family parameters")
-                payload, code = _run_zariski(parsed)
-            else:
-                payload, code = _run_enumerate(_point_config(parsed, "enumerate"))
+        request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"
+                   else _load_json(_read_input(args)))
+        payload, failure = handler(request, args.format)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
     _emit(payload, args.format, args.out)
-    return code
+    return 0 if failure is None else 2
 
 
 def run() -> None:

@@ -227,8 +227,7 @@ def gram_restrict(g: IntRows, basis: Sequence[Sequence[int]]) -> list[list[int]]
     return [[sum(bi[t] * gbj[t] for t in range(n)) for gbj in gb] for bi in bs]
 
 
-def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
-                  include_negatives: bool = False) -> list[Vec]:
+def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int) -> list[Vec]:
     """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
 
     Fincke-Pohst enumeration on completed squares read straight off the
@@ -255,14 +254,10 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
     S_k = r_k[k+1] x_{k+1} + B_k, where the part B_k over j > k + 1 stays
     fixed while x_{k+1} runs through its interval, so B_k is summed once
     per interval of x_{k+1}, over the nonzero x_j only, and each centre S_k
-    costs one product.  Only
-    one vector of each {v, -v} pair is visited (while every higher
-    coordinate is zero, v_k >= 0 is required); its negation is built next
-    to it.
-
-    Returns one representative per {v, -v} pair (first nonzero coefficient
-    positive), or both signs when include_negatives is set, sorted
-    lexicographically either way.
+    costs one product.  Only one vector of each {v, -v} pair is visited
+    (while every higher coordinate is zero, v_k >= 0 is required); its
+    negation is built next to it, and both signs are returned, sorted
+    lexicographically.
     """
     a, g_den = _symmetric_int_rows(g)
     n = len(a)
@@ -328,11 +323,7 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int,
             i += 1
         else:
             break
-    if include_negatives:
-        found += negated
-        found.sort()
-        return found
-    # of v and -v the lexicographically larger has its first nonzero
-    # coefficient positive
-    return sorted(map(max, found, negated))
+    found += negated
+    found.sort()
+    return found
 

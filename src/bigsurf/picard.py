@@ -242,13 +242,11 @@ class PicardLattice:
         """Intersection pairing of two classes, in O(rank) through the
         head-plus-tail structure: the int numerators pair through the head
         block and the -I tail, and the sum is divided once by the product
-        of the denominators.  A class shorter than the lattice reads as
-        padded with zeros; when a is nonzero, a nonzero coordinate of
-        either class beyond the rank raises IndexError."""
+        of the denominators.  Both classes must have exactly rank
+        coordinates; any other length raises ValueError."""
         x, y = a.nums, b.nums
-        rank = self.rank
-        if any(x) and (any(x[rank:]) or any(y[rank:])):
-            raise IndexError("class has a coordinate beyond the lattice rank")
+        if len(x) != self.rank or len(y) != self.rank:
+            raise ValueError("class length does not match the lattice rank")
         h = len(self.head)
         total = -sum(map(operator.mul, x[h:], y[h:]))
         for xi, row in zip(x, self.head):

@@ -65,7 +65,7 @@ def extract_roots(gram: Gram) -> list[Vec]:
 
     Raises NotNegativeDefiniteError, from the elimination inside
     short_vectors, when the form is not negative definite."""
-    return short_vectors(gram, 2, include_negatives=True)
+    return short_vectors(gram, 2)
 
 
 def expected_root_count(family: str, rank: int) -> int:

@@ -1,8 +1,9 @@
 """Exact JSON-compatible views of every report type.
 
 Rational numbers travel as strings in lowest terms ("42" or "-44/43"),
-never as floats; divisor classes become lists of such strings.  Key order
-is fixed so serialized output is byte-stable across runs.  The package
+never as floats; divisor classes become lists of such strings.  Each
+``*_to_dict`` lays out one CLI report, key order included, so output is
+byte-stable across runs and no other code touches the keys.  The package
 only writes reports; the ``*_from_dict`` inverses that the round-trip
 tests read them back with live in ``tests/oracles.py``.
 """
@@ -15,12 +16,12 @@ from typing import Any
 from .bigness import BignessVerdict, CrossCheckReport, SweepReport
 from .enumeration import NegativeClassTable
 from .picard import DivisorClass, WitnessReport
-from .roots import RootSystemReport
+from .roots import RootSystemReport, Vec, type_string
 from .zariski import ZariskiReport
 
 __all__ = [
-    "frac_str", "divisor_to_list", "verdict_to_dict", "cross_check_to_dict",
-    "root_report_to_dict", "zariski_report_to_dict", "class_table_to_dict",
+    "frac_str", "divisor_to_list", "classify_to_dict", "cross_check_to_dict",
+    "roots_to_dict", "zariski_report_to_dict", "class_table_to_dict",
     "witness_to_dict", "sweep_to_dict",
 ]
 
@@ -37,30 +38,46 @@ def divisor_to_list(divisor: DivisorClass) -> list[str]:
     return [frac_str(c) for c in divisor.coeffs]
 
 
-def verdict_to_dict(verdict: BignessVerdict) -> dict[str, Any]:
+def _closed_form_items(verdict: BignessVerdict) -> dict[str, Any]:
     return {
         "big": verdict.big,
         "case": verdict.case,
         "inequality": _opt_frac_str(verdict.inequality_lhs),
         "v": None if verdict.v is None else divisor_to_list(verdict.v),
         "v_squared": _opt_frac_str(verdict.v_squared),
-        "lattice": verdict.lattice_confirmed,
-        "effective": verdict.effective,
     }
 
 
-def cross_check_to_dict(report: CrossCheckReport) -> dict[str, Any]:
-    out = verdict_to_dict(report.verdict)
-    out["lattice"] = report.lattice_big
-    out["agrees"] = report.agrees
-    out["v_orthogonal"] = report.v_orthogonal
-    out["sign_consistent"] = report.sign_consistent
-    return out
+def classify_to_dict(verdict: BignessVerdict, type_label: str | None) -> dict[str, Any]:
+    """The classify report: the closed-form verdict and the predicted root
+    type (None when no type is predicted)."""
+    return {**_closed_form_items(verdict), "type": type_label,
+            "effective": verdict.effective}
 
 
-def root_report_to_dict(report: RootSystemReport) -> dict[str, Any]:
+def cross_check_to_dict(report: CrossCheckReport,
+                        type_label: str | None) -> dict[str, Any]:
+    """The check report: the classify report with the lattice verdict in
+    front of the type, and the three agreement flags at the end."""
     return {
+        **_closed_form_items(report.verdict),
+        "lattice": report.lattice_big,
+        "type": type_label,
+        "effective": report.verdict.effective,
+        "agrees": report.agrees,
+        "v_orthogonal": report.v_orthogonal,
+        "sign_consistent": report.sign_consistent,
+    }
+
+
+def roots_to_dict(report: RootSystemReport, basis: list[Vec]) -> dict[str, Any]:
+    """The roots report: the root system in the coordinates of the given
+    basis of the complement, which the report lists too."""
+    return {
+        "type": type_string(report.components),
+        "root_count": len(report.roots),
         "components": [[family, rank] for family, rank in report.components],
+        "basis": [list(v) for v in basis],
         "simple_roots": [list(v) for v in report.simple_roots],
         "cartan": [list(row) for row in report.cartan],
         "graph": [list(edge) for edge in report.graph],

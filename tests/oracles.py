@@ -27,7 +27,7 @@ from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
 from bigsurf.picard import (DivisorClass, LineConic, PicardLattice, ThreeLines,
                             WitnessReport)
-from bigsurf.roots import RootSystemReport
+from bigsurf.roots import RootSystemReport, type_string
 from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
 
 
@@ -242,7 +242,7 @@ def divisor_from_list(values: list[str]) -> DivisorClass:
     return DivisorClass.of(parse_frac(v) for v in values)
 
 
-def verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:
+def _verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:
     return BignessVerdict(
         big=data["big"],
         case=data["case"],
@@ -250,29 +250,40 @@ def verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:
         v=None if data["v"] is None else divisor_from_list(data["v"]),
         v_squared=_opt_parse_frac(data["v_squared"]),
         effective=data["effective"],
-        lattice_confirmed=data["lattice"],
     )
 
 
-def cross_check_from_dict(data: dict[str, Any]) -> CrossCheckReport:
-    verdict = verdict_from_dict({**data, "lattice": data["agrees"]})
-    return CrossCheckReport(
-        verdict=verdict,
+def classify_from_dict(data: dict[str, Any]) -> tuple[BignessVerdict, str | None]:
+    """The verdict and the type label of a classify report."""
+    return _verdict_from_dict(data), data["type"]
+
+
+def cross_check_from_dict(data: dict[str, Any]) -> tuple[CrossCheckReport, str | None]:
+    """The cross-check report and the type label of a check report."""
+    report = CrossCheckReport(
+        verdict=_verdict_from_dict(data),
         lattice_big=data["lattice"],
         agrees=data["agrees"],
         v_orthogonal=data["v_orthogonal"],
         sign_consistent=data["sign_consistent"],
     )
+    return report, data["type"]
 
 
-def root_report_from_dict(data: dict[str, Any]) -> RootSystemReport:
-    return RootSystemReport(
+def roots_from_dict(data: dict[str, Any]) -> tuple[RootSystemReport, list[tuple[int, ...]]]:
+    """The root system and the complement basis of a roots report; the
+    type and root count it also lists must agree with the root system."""
+    report = RootSystemReport(
         roots=tuple(tuple(v) for v in data["roots"]),
         simple_roots=tuple(tuple(v) for v in data["simple_roots"]),
         cartan=tuple(tuple(row) for row in data["cartan"]),
         components=tuple((family, rank) for family, rank in data["components"]),
         graph=tuple(tuple(edge) for edge in data["graph"]),
     )
+    if (data["type"] != type_string(report.components)
+            or data["root_count"] != len(report.roots)):
+        raise ValueError("type or root count disagrees with the listed roots")
+    return report, [tuple(v) for v in data["basis"]]
 
 
 def zariski_report_from_dict(data: dict[str, Any]) -> ZariskiReport:

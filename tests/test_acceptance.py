@@ -14,13 +14,12 @@ from fractions import Fraction
 from math import isqrt
 
 import numpy as np
-import pytest
 
 from bigsurf.bigness import (agreement_sweep, classify_anticanonical,
                              cross_check, orthogonal_complement)
 from bigsurf.enumeration import negative_classes
 from bigsurf.linalg import inertia
-from bigsurf.picard import (DivisorClass, Generic, LineConic, ThreeLines,
+from bigsurf.picard import (DivisorClass, LineConic, ThreeLines,
                             anticanonical_components, blowup_hirzebruch,
                             blowup_p2, config_lattice, verify_witness)
 from bigsurf.roots import (classify, expected_root_count, extract_roots,

@@ -233,7 +233,7 @@ def test_cross_check_agreement_cases():
         assert report.agrees
         assert report.v_orthogonal
         assert report.sign_consistent
-        assert report.verdict.lattice_confirmed
+        assert report.lattice_big == report.verdict.big
 
 
 def test_cross_check_rejects_generic():

@@ -171,6 +171,25 @@ def test_zariski_frozen_example(capsys):
     assert data["positive_part"][0] == "42/43"
 
 
+def test_zariski_failed_checks_exit_two(monkeypatch, capsys):
+    real = cli.zariski_decompose
+
+    def tampered(params):
+        report = real(params)
+        checks = dataclasses.replace(report.checks, p_dot_n_zero=False,
+                                     n_effective=False)
+        return dataclasses.replace(report, checks=checks)
+
+    monkeypatch.setattr(cli, "zariski_decompose", tampered)
+    code, out, err = run_cli(capsys, "zariski", "--json",
+                             '{"model":"hirzebruch_family","n":2,"k":3,"a":[2,3,7]}')
+    assert code == 2
+    data = json.loads(out)
+    assert data["p_squared"] == "42/43"
+    assert data["checks"]["p_dot_n_zero"] is False
+    assert err == "error: decomposition checks failed: p_dot_n_zero, n_effective\n"
+
+
 def test_zariski_invalid_params(capsys):
     code, _, err = run_cli(capsys, "zariski", "--json",
                            '{"model":"hirzebruch_family","n":2,"k":9,"a":[2]}')
@@ -247,6 +266,46 @@ def test_sweep_rejects_negative_bounds(capsys):
     assert code == 1
     assert out == ""
     assert "max_a" in err
+
+
+REPORT_KEYS = {
+    "check": (["check", "--json", LINE_CONIC_25],
+              ["big", "case", "inequality", "v", "v_squared", "lattice", "type",
+               "effective", "agrees", "v_orthogonal", "sign_consistent"], {}),
+    "roots": (["roots", "--json", LINE_CONIC_25],
+              ["type", "root_count", "components", "basis", "simple_roots",
+               "cartan", "graph", "roots"], {}),
+    "zariski": (["zariski", "--json",
+                 '{"model":"hirzebruch_family","n":2,"k":3,"a":[2,3,7]}'],
+                ["params", "positive_part", "negative_part", "p_squared",
+                 "checks", "lc_coefficient", "log_canonical"],
+                {"params": ["n", "k", "a"],
+                 "checks": ["p_dot_sigma_zero", "p_dot_fibers_zero",
+                            "p_dot_n_zero", "n_effective",
+                            "n_support_negative_definite",
+                            "sum_is_minus_canonical"]}),
+    "enumerate": (["enumerate", "--json", '{"model":"generic","r":4}'],
+                  ["r", "minus_one_count", "root_count", "minus_one_classes",
+                   "minus_two_roots"], {}),
+    "witness": (["witness", "--json", '{"example":"conic_c","n":2}'],
+                ["example", "holds", "n", "lhs", "big_part", "effective_part",
+                 "residual"], {}),
+    "sweep": (["sweep", "--max-a", "1", "--max-b", "1", "--max-ai", "1"],
+              ["line_conic_count", "three_lines_count", "disagreements",
+               "flag_violations", "disagreement_cases", "flag_violation_cases"],
+              {}),
+}
+
+
+@pytest.mark.parametrize("argv, keys, nested", REPORT_KEYS.values(),
+                         ids=list(REPORT_KEYS))
+def test_report_key_order(capsys, argv, keys, nested):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == keys
+    for key, inner in nested.items():
+        assert list(data[key]) == inner
 
 
 def test_deeply_nested_json_is_domain_error(capsys):

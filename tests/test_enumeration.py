@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest

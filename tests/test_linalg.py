@@ -19,14 +19,7 @@ from bigsurf.linalg import (
 from oracles import dot, invert_rational, solve_rational
 
 
-def first_nonzero_positive(v):
-    for c in v:
-        if c:
-            return c > 0
-    return False
-
-
-def box_short_vectors(g, bound, include_negatives=False):
+def box_short_vectors(g, bound):
     """Exhaustive reference enumeration inside the dual-form box.
 
     For a positive definite A and x^T A x <= C every coordinate satisfies
@@ -41,9 +34,7 @@ def box_short_vectors(g, bound, include_negatives=False):
         q = -dot(g, v, v)
         if 0 < q <= bound:
             out.append(v)
-    if include_negatives:
-        return sorted(out)
-    return sorted(v for v in out if first_nonzero_positive(v))
+    return sorted(out)
 
 
 def apply_congruence(g, u):
@@ -366,22 +357,17 @@ def test_gram_restrict_empty_basis():
 
 def test_short_vectors_a2():
     g = [[-2, 1], [1, -2]]
-    reps = short_vectors(g, 2)
-    assert reps == [(0, 1), (1, 0), (1, 1)]
-    both = short_vectors(g, 2, include_negatives=True)
-    assert len(both) == 6
-    assert set(both) == {(0, 1), (1, 0), (1, 1), (0, -1), (-1, 0), (-1, -1)}
+    assert short_vectors(g, 2) == [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 def test_short_vectors_unit_form():
     # diag(-1, -1): four pairs, norms 1 and 2
-    reps = short_vectors([[-1, 0], [0, -1]], 2)
-    assert reps == [(0, 1), (1, -1), (1, 0), (1, 1)]
+    assert short_vectors([[-1, 0], [0, -1]], 2) == [
+        (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 
 def test_short_vectors_norm_filter():
-    reps = short_vectors([[-1, 0], [0, -1]], 1)
-    assert reps == [(0, 1), (1, 0)]
+    assert short_vectors([[-1, 0], [0, -1]], 1) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_short_vectors_rejects_indefinite():
@@ -431,13 +417,14 @@ def test_short_vectors_deeper_than_the_recursion_limit():
         vecs = short_vectors(g, 1)
     finally:
         sys.setrecursionlimit(limit)
-    assert vecs == sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert vecs == sorted(tuple(s * int(i == j) for j in range(n))
+                          for i in range(n) for s in (1, -1))
 
 
 @settings(max_examples=60)
-@given(negative_definite_matrix(), st.integers(1, 6), st.booleans())
-def test_short_vectors_against_box_search(g, bound, include_negatives):
-    assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
+@given(negative_definite_matrix(), st.integers(1, 6))
+def test_short_vectors_against_box_search(g, bound):
+    assert short_vectors(g, bound) == box_short_vectors(g, bound)
 
 
 FIXED_NEGATIVE_DEFINITE = [
@@ -455,32 +442,33 @@ FIXED_NEGATIVE_DEFINITE = [
 ]
 
 
-@pytest.mark.parametrize("include_negatives", [False, True])
+@pytest.mark.parametrize("reversed_basis", [False, True])
 @pytest.mark.parametrize("bound", [1, 2, 4])
 @pytest.mark.parametrize("g", FIXED_NEGATIVE_DEFINITE)
-def test_short_vectors_against_box_search_fixed(g, bound, include_negatives):
-    # grams whose L D L^T factors carry nontrivial denominators
-    assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
+def test_short_vectors_against_box_search_fixed(g, bound, reversed_basis):
+    # grams whose L D L^T factors carry nontrivial denominators, eliminated
+    # in the given and in the reversed coordinate order
+    if reversed_basis:
+        g = [row[::-1] for row in g[::-1]]
+    assert short_vectors(g, bound) == box_short_vectors(g, bound)
 
 
 def test_short_vectors_scales_bound_with_fraction_gram():
     # the A2 form scaled to norm 1: three vectors of square -1 up to sign
     g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
-    assert short_vectors(g, 1) == [(0, 1), (1, 0), (1, 1)]
+    assert short_vectors(g, 1) == [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 @settings(max_examples=40)
-@given(negative_definite_matrix(max_dim=3), st.integers(1, 4), st.integers(1, 4),
-       st.booleans())
-def test_short_vectors_against_box_search_fraction(g, den, bound, include_negatives):
+@given(negative_definite_matrix(max_dim=3), st.integers(1, 4), st.integers(1, 4))
+def test_short_vectors_against_box_search_fraction(g, den, bound):
     g = [[Fraction(x, den) for x in row] for row in g]
-    assert short_vectors(g, bound, include_negatives) == box_short_vectors(g, bound, include_negatives)
+    assert short_vectors(g, bound) == box_short_vectors(g, bound)
 
 
 @settings(max_examples=40)
 @given(negative_definite_matrix(), st.integers(1, 6))
-def test_short_vectors_closed_under_negation_when_requested(g, bound):
-    both = short_vectors(g, bound, include_negatives=True)
-    s = set(both)
-    assert all(tuple(-c for c in v) in s for v in both)
-    assert len(both) == 2 * len(short_vectors(g, bound))
+def test_short_vectors_closed_under_negation(g, bound):
+    vecs = short_vectors(g, bound)
+    assert vecs == sorted(set(vecs))
+    assert sorted(tuple(-c for c in v) for v in vecs) == vecs

@@ -230,7 +230,7 @@ def test_arithmetic_genus_examples():
     assert arithmetic_genus(lat, lat.basis_class("e1")) == 0
     assert arithmetic_genus(lat, 2 * line) == 0
     assert arithmetic_genus(lat, 3 * line) == 1
-    assert arithmetic_genus(lat, blowup_p2(0).anticanonical) == 1
+    assert arithmetic_genus(blowup_p2(0), blowup_p2(0).anticanonical) == 1
     with pytest.raises(ValueError):
         arithmetic_genus(lat, DivisorClass.of([Fraction(1, 2), 0, 0, 0]))
 
@@ -254,8 +254,16 @@ def test_parity_of_square_and_canonical_degree(r, data):
 @settings(max_examples=200, deadline=None)
 @given(lattice_and_values())
 def test_structured_pair_matches_dense_gram(case):
+    """On classes of the full rank the pairing is the dense Gram's; any
+    other length, of either class, raises ValueError."""
     lat, xs, ys = case
     a, b = DivisorClass.of(xs), DivisorClass.of(ys)
+    if not len(xs) == len(ys) == lat.rank:
+        with pytest.raises(ValueError):
+            lat.pair(a, b)
+        with pytest.raises(ValueError):
+            lat.pair(b, a)
+        return
     value = lat.pair(a, b)
     assert type(value) is Fraction
     assert value == dot(lat.gram, a.coeffs, b.coeffs)
@@ -272,12 +280,18 @@ def test_structured_lattice_head_blocks():
 
 def test_pair_rejects_coordinates_beyond_the_rank():
     lat = blowup_p2(1)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         lat.pair(DivisorClass.of([0, 0, 1]), DivisorClass.of([1, 0]))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         lat.pair(DivisorClass.of([1, 0]), DivisorClass.of([0, 0, 1]))
-    # a zero class pairs to zero whatever the other one holds
-    assert lat.pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([0, 0, 1])) == 0
+    # a zero class is no exception, whichever class has the wrong length
+    with pytest.raises(ValueError):
+        lat.pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([0, 0, 1]))
+    with pytest.raises(ValueError):
+        blowup_p2(2).pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([1, 0, 0, 5]))
+    # nor is a class shorter than the rank
+    with pytest.raises(ValueError):
+        lat.pair(DivisorClass.of([1]), DivisorClass.of([1, 0]))
 
 
 def test_basis_class_unknown_label():

@@ -11,7 +11,6 @@ from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
 from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
 from bigsurf.roots import (
-    RootSystemReport,
     classify,
     coxeter_dot,
     expected_root_count,

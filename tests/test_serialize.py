@@ -8,6 +8,7 @@ from bigsurf.enumeration import negative_classes
 from bigsurf.picard import Generic, LineConic, ThreeLines, verify_witness
 from bigsurf.roots import classify, extract_roots, root_lattice_of_config
 from bigsurf import serialize as ser
+from bigsurf.cli import _type_label as type_label
 from bigsurf.zariski import FamilyParams, zariski_decompose
 import oracles
 
@@ -37,11 +38,11 @@ def test_divisor_round_trip():
 ])
 def test_verdict_round_trip(config):
     verdict = classify_anticanonical(config)
-    data = ser.verdict_to_dict(verdict)
+    data = ser.classify_to_dict(verdict, type_label(config))
     json.dumps(data)
-    assert oracles.verdict_from_dict(data) == verdict
+    assert oracles.classify_from_dict(data) == (verdict, type_label(config))
     assert list(data) == ["big", "case", "inequality", "v", "v_squared",
-                          "lattice", "effective"]
+                          "type", "effective"]
 
 
 @pytest.mark.parametrize("config", [
@@ -49,20 +50,25 @@ def test_verdict_round_trip(config):
 ])
 def test_cross_check_round_trip(config):
     report = cross_check(config)
-    data = ser.cross_check_to_dict(report)
+    data = ser.cross_check_to_dict(report, type_label(config))
     json.dumps(data)
-    assert oracles.cross_check_from_dict(data) == report
-    keys = list(data)
-    assert keys.index("big") < keys.index("case") < keys.index("inequality")
-    assert keys.index("v_squared") < keys.index("lattice")
+    assert oracles.cross_check_from_dict(data) == (report, type_label(config))
+    assert list(data) == ["big", "case", "inequality", "v", "v_squared",
+                          "lattice", "type", "effective", "agrees",
+                          "v_orthogonal", "sign_consistent"]
 
 
 def test_root_report_round_trip():
     basis, gram = root_lattice_of_config(LineConic(2, 5))
     report = classify(extract_roots(gram), gram)
-    data = ser.root_report_to_dict(report)
+    data = ser.roots_to_dict(report, basis)
     json.dumps(data)
-    assert oracles.root_report_from_dict(data) == report
+    assert oracles.roots_from_dict(data) == (report, basis)
+    assert list(data) == ["type", "root_count", "components", "basis",
+                          "simple_roots", "cartan", "graph", "roots"]
+    data["root_count"] += 1
+    with pytest.raises(ValueError):
+        oracles.roots_from_dict(data)
 
 
 def test_zariski_round_trip():
