@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
@@ -119,8 +120,7 @@ def classify_anticanonical(config: PointConfiguration) -> BignessVerdict:
     return _closed_form(config, config_lattice(config))
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     verdict: BignessVerdict
     lattice_big: bool
     agrees: bool

@@ -161,12 +161,19 @@ def _classify(request: Any, fmt: str) -> Outcome:
     return ser.classify_to_dict(classify_anticanonical(config), _type_label(config)), None
 
 
+# each certificate of a cross-check, with the message naming its failure
+_CERTIFICATES = (
+    ("agrees", "lattice verdict disagrees with the closed-form criterion"),
+    ("v_orthogonal", "v is not orthogonal to every anticanonical component"),
+    ("sign_consistent", "the sign of v^2 disagrees with the inequality"),
+)
+
+
 def _check(request: Any, fmt: str) -> Outcome:
     config = _point_config(request, "check")
     report = cross_check(config)
-    failure = (None if report.ok
-               else "lattice verdict disagrees with the closed-form criterion")
-    return ser.cross_check_to_dict(report, _type_label(config)), failure
+    failed = [message for name, message in _CERTIFICATES if not getattr(report, name)]
+    return ser.cross_check_to_dict(report, _type_label(config)), "; ".join(failed) or None
 
 
 def _roots(request: Any, fmt: str) -> Outcome:

@@ -10,8 +10,8 @@ below, so a pruned recursive search is provably complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .picard import DivisorClass
@@ -19,8 +19,7 @@ from .picard import DivisorClass
 __all__ = ["NegativeClassTable", "negative_classes"]
 
 
-@dataclass(frozen=True)
-class NegativeClassTable:
+class NegativeClassTable(NamedTuple):
     """All (d; m) solutions for one lattice, as divisor classes in the
     basis (l, e_1..e_r), listed in lexicographic (d, m) order."""
 

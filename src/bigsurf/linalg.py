@@ -13,9 +13,8 @@ be hashed and compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantError, NotNegativeDefiniteError
 
@@ -23,8 +22,7 @@ Vec = tuple[int, ...]
 IntRows = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Signature (p, n, z) of a symmetric bilinear form."""
 
     positive: int

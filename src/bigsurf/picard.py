@@ -28,19 +28,61 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 
 Rational = int | Fraction
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields, in constructor order, in `_fields` and
+    stores them in `__slots__`; its `__init__` validates the arguments and
+    stores each field with `_set`.  Equality (with an instance of the same
+    class only), hash, repr and pickling go by the field values, as for a
+    frozen dataclass, and assigning or deleting an attribute raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls._fields)  # the field values, read in C
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class DivisorClass(Frozen):
     """A divisor class as a rational coefficient vector in a fixed basis,
     stored as integer numerators `nums` over one common denominator
     `den >= 1`, in lowest terms: gcd(den, *nums) == 1.
@@ -51,11 +93,10 @@ class DivisorClass:
     multiple is taken only when a denominator exceeds 1.
     """
 
-    nums: tuple[int, ...]
-    den: int = 1
+    _fields = __slots__ = ("nums", "den")
 
-    def __post_init__(self):
-        nums, den = tuple(self.nums), self.den
+    def __init__(self, nums: Iterable[int], den: int = 1):
+        nums = tuple(nums)
         if type(den) is not int or den < 1:
             raise ValueError("den must be an int >= 1")
         if not set(map(type, nums)) <= _INT:
@@ -131,7 +172,6 @@ class DivisorClass:
 
 
 _INT = {int}
-_set = object.__setattr__
 
 
 def _new(nums: tuple[int, ...], den: int) -> DivisorClass:
@@ -151,13 +191,11 @@ def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     return nums, den
 
 
-@dataclass(frozen=True)
-class PlaneBlowup:
+class PlaneBlowup(NamedTuple):
     points: int
 
 
-@dataclass(frozen=True)
-class HirzebruchBlowup:
+class HirzebruchBlowup(NamedTuple):
     n: int
     fiber_specs: tuple[tuple[int, bool], ...]
     extra_on_sigma: int
@@ -184,8 +222,7 @@ def pair_with_row(terms: Terms, row: dict[int, Rational]) -> Rational:
     return sum(c * row[i] for i, c in terms if i in row)
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Frozen):
     """Intersection lattice of a surface model, with labeled basis.
 
     The form is stored by its structure, not as a dense matrix: a small
@@ -198,10 +235,15 @@ class PicardLattice:
     on first read.
     """
 
-    head: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    canonical: DivisorClass
-    model: PlaneBlowup | HirzebruchBlowup
+    _fields = ("head", "labels", "canonical", "model")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached gram and index
+
+    def __init__(self, head: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 canonical: DivisorClass, model: PlaneBlowup | HirzebruchBlowup):
+        _set(self, "head", head)
+        _set(self, "labels", labels)
+        _set(self, "canonical", canonical)
+        _set(self, "model", model)
 
     @property
     def rank(self) -> int:
@@ -367,32 +409,32 @@ def sigma_strict(lattice: PicardLattice) -> DivisorClass:
 # point configurations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(Frozen):
     """r points in general position in the plane."""
 
-    r: int
+    _fields = __slots__ = ("r",)
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __init__(self, r: int):
+        if r < 0:
             raise DomainError("r must be a non-negative integer")
+        _set(self, "r", r)
 
 
-@dataclass(frozen=True)
-class LineConic:
+class LineConic(Frozen):
     """Points on a line and a conic: a exclusively on the line, b exclusively
     on the conic, and `both` of the (at most two) intersection points."""
 
-    a: int
-    b: int
-    both: int = 0
+    _fields = __slots__ = ("a", "b", "both")
     case = "ii"
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    def __init__(self, a: int, b: int, both: int = 0):
+        if a < 0 or b < 0:
             raise DomainError("point counts must be non-negative")
-        if not 0 <= self.both <= 2:
+        if not 0 <= both <= 2:
             raise DomainError("both must satisfy 0 <= both <= 2")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "both", both)
 
     @property
     def curves(self) -> tuple[tuple[int, str, int], ...]:
@@ -403,22 +445,23 @@ class LineConic:
         return tuple((f"g{k}", (0, 1)) for k in range(1, self.both + 1))
 
 
-@dataclass(frozen=True)
-class ThreeLines:
+class ThreeLines(Frozen):
     """Points on three pairwise distinct, non-concurrent lines: a_i points
     exclusively on line i, plus optionally the pairwise intersections."""
 
-    a1: int
-    a2: int
-    a3: int
-    p12: bool = False
-    p13: bool = False
-    p23: bool = False
+    _fields = __slots__ = ("a1", "a2", "a3", "p12", "p13", "p23")
     case = "iii"
 
-    def __post_init__(self):
-        if min(self.a1, self.a2, self.a3) < 0:
+    def __init__(self, a1: int, a2: int, a3: int,
+                 p12: bool = False, p13: bool = False, p23: bool = False):
+        if min(a1, a2, a3) < 0:
             raise DomainError("point counts must be non-negative")
+        _set(self, "a1", a1)
+        _set(self, "a2", a2)
+        _set(self, "a3", a3)
+        _set(self, "p12", p12)
+        _set(self, "p13", p13)
+        _set(self, "p23", p23)
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -493,8 +536,7 @@ def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[Div
 # witness identities ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of checking one of the multiple-of-(-K) decompositions."""
 
     example: str

@@ -86,7 +86,6 @@ def roots_to_dict(report: RootSystemReport, basis: list[Vec]) -> dict[str, Any]:
 
 
 def zariski_report_to_dict(report: ZariskiReport) -> dict[str, Any]:
-    checks = report.checks
     return {
         "params": {
             "n": report.params.n,
@@ -96,14 +95,7 @@ def zariski_report_to_dict(report: ZariskiReport) -> dict[str, Any]:
         "positive_part": divisor_to_list(report.positive_part),
         "negative_part": divisor_to_list(report.negative_part),
         "p_squared": frac_str(report.p_squared),
-        "checks": {
-            "p_dot_sigma_zero": checks.p_dot_sigma_zero,
-            "p_dot_fibers_zero": checks.p_dot_fibers_zero,
-            "p_dot_n_zero": checks.p_dot_n_zero,
-            "n_effective": checks.n_effective,
-            "n_support_negative_definite": checks.n_support_negative_definite,
-            "sum_is_minus_canonical": checks.sum_is_minus_canonical,
-        },
+        "checks": report.checks._asdict(),  # one key per check, in field order
         "lc_coefficient": frac_str(report.lc_coefficient),
         "log_canonical": report.log_canonical,
     }

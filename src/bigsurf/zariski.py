@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
-from .picard import (DivisorClass, add_terms, blowup_hirzebruch, fiber_terms,
-                     pair_with_row, sparse_terms)
+from .picard import (DivisorClass, Frozen, _set, add_terms, blowup_hirzebruch,
+                     fiber_terms, pair_with_row, sparse_terms)
 
 __all__ = [
     "FamilyParams",
@@ -44,18 +44,17 @@ def _validate_shape(n: int, k: int, a: Sequence[int]) -> None:
         raise DomainError("every a_j must satisfy a_j >= 1")
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Frozen):
     """Parameters (n, k, a_1..a_k) of one member of the family."""
 
-    n: int
-    k: int
-    a: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        _validate_shape(self.n, self.k, self.a)
-        if self.reciprocal_sum >= self.k - 2:
+    _fields = __slots__ = ("n", "k", "a")
+    def __init__(self, n: int, k: int, a: Sequence[int]):
+        a = tuple(a)
+        _validate_shape(n, k, a)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "a", a)
+        if self.reciprocal_sum >= k - 2:
             raise DomainError("a must satisfy sum(1/a_j) < k - 2")
 
     @property
@@ -63,8 +62,7 @@ class FamilyParams:
         return sum(Fraction(1, ai) for ai in self.a)
 
 
-@dataclass(frozen=True)
-class ZariskiChecks:
+class ZariskiChecks(NamedTuple):
     """Certificates recomputed from the lattice pairing, never assumed."""
 
     p_dot_sigma_zero: bool
@@ -76,9 +74,7 @@ class ZariskiChecks:
 
     @property
     def all_pass(self) -> bool:
-        return all((self.p_dot_sigma_zero, self.p_dot_fibers_zero,
-                    self.p_dot_n_zero, self.n_effective,
-                    self.n_support_negative_definite, self.sum_is_minus_canonical))
+        return all(self)
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,7 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
                          lc_coefficient=2 - c, log_canonical=s >= k - 2)
 
 
-@dataclass(frozen=True)
-class LogCanonicalResult:
+class LogCanonicalResult(NamedTuple):
     """log_canonical is decided by sum(1/a_j) >= k - 2; the coefficient
     2 - (n+2-k)/(n - sum 1/a_j) is None when its denominator vanishes."""
 

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigsurf import cli
 from bigsurf.bigness import SweepReport
@@ -83,13 +86,36 @@ def test_check_disagreement_exits_two(monkeypatch, capsys):
 
     def tampered(config):
         report = real(config)
-        return dataclasses.replace(report, agrees=False)
+        return report._replace(agrees=False)
 
     monkeypatch.setattr(cli, "cross_check", tampered)
     code, out, err = run_cli(capsys, "check", "--json", LINE_CONIC_25)
     assert code == 2
     assert json.loads(out)["agrees"] is False
     assert "disagrees" in err
+
+
+CERTIFICATE_MESSAGES = {
+    "agrees": "lattice verdict disagrees with the closed-form criterion",
+    "v_orthogonal": "v is not orthogonal to every anticanonical component",
+    "sign_consistent": "the sign of v^2 disagrees with the inequality",
+}
+
+
+@pytest.mark.parametrize("failed", [["agrees"], ["v_orthogonal"], ["sign_consistent"],
+                                    ["v_orthogonal", "sign_consistent"],
+                                    list(CERTIFICATE_MESSAGES)])
+def test_check_names_the_failed_certificates(monkeypatch, capsys, failed):
+    """stderr names exactly the certificates that failed, joined by '; ' in
+    report order; stdout is the unchanged report and the exit status 2."""
+    real = cli.cross_check
+    monkeypatch.setattr(cli, "cross_check",
+                        lambda config: real(config)._replace(**dict.fromkeys(failed, False)))
+    code, out, err = run_cli(capsys, "check", "--json", LINE_CONIC_25)
+    assert code == 2
+    data = json.loads(out)
+    assert [key for key in CERTIFICATE_MESSAGES if data[key] is False] == failed
+    assert err == "error: " + "; ".join(CERTIFICATE_MESSAGES[key] for key in failed) + "\n"
 
 
 BREAK_V = ("import sys; from bigsurf import bigness, cli; "
@@ -176,8 +202,7 @@ def test_zariski_failed_checks_exit_two(monkeypatch, capsys):
 
     def tampered(params):
         report = real(params)
-        checks = dataclasses.replace(report.checks, p_dot_n_zero=False,
-                                     n_effective=False)
+        checks = report.checks._replace(p_dot_n_zero=False, n_effective=False)
         return dataclasses.replace(report, checks=checks)
 
     monkeypatch.setattr(cli, "zariski_decompose", tampered)
@@ -420,3 +445,56 @@ def test_console_script():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["minus_one_count"] == 56
+
+
+# The CLI contract on arbitrary requests: random JSON mixing nested lists and
+# objects, bools, strings, floats and null, with ints in [-3, 12] so that
+# every well-formed request stays small.  Requests of the right shape are
+# drawn too, with and without stray values, so that the constructors' own
+# validation (negative counts, k against len(a), ...) is reached.
+INTS = st.integers(-3, 12)
+SCALARS = st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=6)
+FIELDS = ["model", "r", "a", "b", "both", "intersections", "n", "k",
+          "example", "fibers", "extra_on_sigma"]
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4),
+                                      inner, max_size=4), max_leaves=10)
+FIBERS = st.lists(st.tuples(INTS, st.booleans()).map(list), max_size=14)
+SHAPED = st.one_of(
+    st.fixed_dictionaries({"model": st.just("generic"), "r": INTS}),
+    st.fixed_dictionaries({"model": st.just("line_conic"), "a": INTS, "b": INTS},
+                          optional={"both": INTS}),
+    st.fixed_dictionaries({"model": st.just("three_lines"),
+                           "a": st.lists(INTS, min_size=3, max_size=3)},
+                          optional={"intersections": st.lists(st.booleans(), min_size=3,
+                                                              max_size=3)}),
+    st.lists(INTS, min_size=1, max_size=6).flatmap(lambda a: st.fixed_dictionaries(
+        {"model": st.just("hirzebruch_family"), "n": INTS,
+         "k": st.just(len(a)) | INTS, "a": st.just(a)})),
+    st.fixed_dictionaries({"example": st.sampled_from(["hirzebruch_b", "conic_c",
+                                                       "castravet_d"])},
+                          optional={"n": INTS, "fibers": FIBERS, "extra_on_sigma": INTS}),
+)
+# a shaped request with one field replaced by, or one field added with, any JSON
+REQUESTS = JSON | SHAPED | st.tuples(SHAPED, st.sampled_from(FIELDS), JSON).map(
+    lambda t: {**t[0], t[1]: t[2]})
+COMMANDS = ["classify", "check", "roots", "zariski", "enumerate", "witness"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMMANDS), REQUESTS, st.sampled_from(["json", "text", "dot"]))
+def test_cli_contract_on_random_requests(command, request, fmt):
+    """Exit 0 with a report and a silent stderr, or exit 1 with no report
+    and exactly one `error:` line; no exception escapes cli.main."""
+    if fmt == "dot" and command != "roots":
+        fmt = "text"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--json=" + json.dumps(request), "--format", fmt])
+    assert code in (0, 1)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
