@@ -20,9 +20,7 @@ from .bigness import (
 from .enumeration import NegativeClassTable, negative_classes
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 from .linalg import (
-    Inertia,
     gram_restrict,
-    inertia,
     integer_kernel,
     is_negative_definite,
     short_vectors,
@@ -65,9 +63,7 @@ __all__ = [
     "DomainError",
     "InvariantError",
     "NotNegativeDefiniteError",
-    "Inertia",
     "gram_restrict",
-    "inertia",
     "integer_kernel",
     "is_negative_definite",
     "short_vectors",

@@ -1,10 +1,11 @@
-"""Exact integer and rational linear algebra for small lattices.
+"""Exact integer linear algebra for small lattices.
 
-Everything here runs on arbitrary-precision integers and `fractions.Fraction`;
-no floating point enters any code path.  The routines cover exactly what
-lattice computations on surfaces need: saturated integer kernels, Sylvester
-inertia of symmetric forms, Gram restriction to a sublattice, and bounded
-short-vector enumeration on negative definite forms.
+Everything here runs on arbitrary-precision integers; no floating point
+enters any code path.  The routines cover exactly what lattice computations
+on surfaces need: saturated integer kernels, negative definiteness, Gram
+restriction to a sublattice, and bounded short-vector enumeration on
+symmetric forms whose entries are exact ints (a Fraction, bool or numpy
+entry raises DomainError).
 
 Matrices are plain sequences of rows; vectors come back as tuples so they can
 be hashed and compared.
@@ -13,25 +14,12 @@ be hashed and compared.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .errors import InvariantError, NotNegativeDefiniteError
+from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 
 Vec = tuple[int, ...]
 IntRows = Sequence[Sequence[int]]
-
-
-class Inertia(NamedTuple):
-    """Signature (p, n, z) of a symmetric bilinear form."""
-
-    positive: int
-    negative: int
-    zero: int
-
-    @property
-    def is_negative_definite(self) -> bool:
-        return self.positive == 0 and self.zero == 0
 
 
 def _copy_rows(m: IntRows) -> list[list[int]]:
@@ -43,24 +31,11 @@ def _copy_rows(m: IntRows) -> list[list[int]]:
     return rows
 
 
-def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]
-                        ) -> tuple[list[list[int]], int]:
-    """Validate symmetry and clear denominators: the integer matrix den * g
-    and the positive integer den, the lcm of the entries' denominators.
-
-    Scaling a symmetric form by a positive integer does not change its
-    inertia, so rational input is lifted to an integer matrix.  When every
-    entry is exactly an int the rows are taken as they are, with den = 1;
-    any other entry (Fraction, bool, numpy scalar) sends the whole matrix
-    through Fraction.
-    """
+def _symmetric_int_rows(g: IntRows) -> list[list[int]]:
+    """The rows of g as lists, after checking that g is square and
+    symmetric (ValueError otherwise) and that every entry is exactly an int
+    (DomainError otherwise)."""
     rows = [list(r) for r in g]
-    if all(type(x) is int for r in rows for x in r):
-        den = 1
-    else:
-        exact = [[Fraction(x) for x in r] for r in rows]
-        den = math.lcm(*(x.denominator for r in exact for x in r))
-        rows = [[int(x * den) for x in r] for r in exact]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("gram matrix must be square")
@@ -68,7 +43,9 @@ def _symmetric_int_rows(g: Sequence[Sequence[int | Fraction]]
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
-    return rows, den
+    if not all(type(x) is int for r in rows for x in r):
+        raise DomainError("gram matrix entries must all be int")
+    return rows
 
 
 def _sign_normalized(v: Vec) -> Vec:
@@ -176,36 +153,16 @@ def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
         prev = p
 
 
-def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
-    """Exact inertia of a symmetric matrix by congruence elimination.
-
-    Runs the fraction-free (Bareiss) elimination of `_bareiss_pivots`.  With
-    Delta_k the k-th pivot (Delta_0 = 1), the form is congruent to
-    diag(Delta_1/Delta_0, ..., Delta_r/Delta_{r-1}, 0, ..., 0), so a pivot
-    whose sign agrees with the previous one counts as positive, one whose
-    sign differs as negative, and the steps not taken as zero.
-    """
-    a, _ = _symmetric_int_rows(g)
-    pos = neg = 0
-    for prev, p, _ in _bareiss_pivots(a):
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-    return Inertia(pos, neg, len(a) - pos - neg)
-
-
-def is_negative_definite(g: Sequence[Sequence[int | Fraction]]) -> bool:
+def is_negative_definite(g: IntRows) -> bool:
     """Early-exit negative definiteness test.
 
     A symmetric form is negative definite iff its leading principal minors
     Delta_1, ..., Delta_n are nonzero and alternate in sign starting
     negative, i.e. iff every Bareiss pivot of `_bareiss_pivots` has sign
-    opposite the previous one (Delta_0 = 1) for all len(g) steps.
-    Equivalent to ``inertia(g).is_negative_definite`` but stops at the first
-    pivot that fails to alternate.
+    opposite the previous one (Delta_0 = 1) for all len(g) steps.  Stops
+    at the first pivot that fails to alternate.
     """
-    a, _ = _symmetric_int_rows(g)
+    a = _symmetric_int_rows(g)
     steps = 0
     for prev, p, _ in _bareiss_pivots(a):
         if (p > 0) == (prev > 0):
@@ -225,7 +182,7 @@ def gram_restrict(g: IntRows, basis: Sequence[Sequence[int]]) -> list[list[int]]
     return [[sum(bi[t] * gbj[t] for t in range(n)) for gbj in gb] for bi in bs]
 
 
-def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int) -> list[Vec]:
+def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
 
     Fincke-Pohst enumeration on completed squares read straight off the
@@ -242,9 +199,8 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int) -> list[Vec
     interval comes from one math.isqrt.  A pivot <= 0, or an elimination
     that stops early, means the form is not negative definite and raises
     NotNegativeDefiniteError; no separate definiteness pass runs, and the
-    elimination runs before a bound <= 0 returns [].  A rational G is
-    first scaled to g_den * G by the lcm g_den of its denominators, and the
-    bound with it.
+    elimination runs before a bound <= 0 returns [].  The search needs no
+    evenness: odd forms are enumerated the same way.
 
     The search is iterative, so its depth is not limited by Python's
     recursion limit.  Coordinates are fixed from the last one down; level
@@ -257,7 +213,7 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int) -> list[Vec
     negation is built next to it, and both signs are returned, sorted
     lexicographically.
     """
-    a, g_den = _symmetric_int_rows(g)
+    a = _symmetric_int_rows(g)
     n = len(a)
     minor = [1]
     # row k of m holds r_k[j] at position j > k and zeros elsewhere
@@ -287,7 +243,7 @@ def short_vectors(g: Sequence[Sequence[int | Fraction]], bound: int) -> list[Vec
     nonzero: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     # entering level i with budget r and centre s = S_i; every x_j with
     # j <= i is 0 here
-    i, r, s = n - 1, bound * g_den * scale, 0
+    i, r, s = n - 1, bound * scale, 0
     while True:
         d = minor[i + 1]
         # w_i (d * x_i + s)^2 <= r  iff  |d * x_i + s| <= isqrt(r // w_i)

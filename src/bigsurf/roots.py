@@ -1,13 +1,11 @@
-"""Root systems of negative definite lattices.
+"""Root systems of even negative definite lattices.
 
-A root is a lattice vector of square -1 or -2.  In a negative definite
-lattice there are finitely many; they form a finite root system inside the
-span, so each connected component of the simple-root graph matches one of
-the classical Cartan types.  The classifier recognizes the full catalog
-(A, B, C, D, E, F, G) from the Cartan matrix alone; lattices arising from
-surface configurations only ever produce the simply-laced types, and the
-expected-count cross-check turns any recognition slip into a hard error
-rather than a wrong answer.
+The lattices are complements of the anticanonical components, where
+K.x = 0, so adjunction (x^2 + K.x = 2 p_a(x) - 2) makes them even: a root
+has square -2, finitely many lie in a negative definite lattice, and they
+form a simply-laced root system whose components are of type A, D or E.
+The expected-count cross-check turns any recognition slip into a hard
+error rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,13 +13,12 @@ from __future__ import annotations
 import bisect
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
 from .bigness import orthogonal_complement
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
-from .linalg import is_negative_definite, short_vectors
+from .linalg import _symmetric_int_rows, is_negative_definite, short_vectors
 from .picard import (
     Generic,
     LineConic,
@@ -32,7 +29,7 @@ from .picard import (
 )
 
 Vec = tuple[int, ...]
-Gram = Sequence[Sequence[int | Fraction]]
+Gram = Sequence[Sequence[int]]
 Component = tuple[str, int]
 
 
@@ -41,8 +38,8 @@ class RootSystemReport:
     """Roots of a lattice with their classification.
 
     graph lists the Coxeter edges between simple roots as (i, j, bond)
-    with 0-based indices into simple_roots and bond = product of the two
-    off-diagonal Cartan entries (1 single, 2 double, 3 triple).
+    with 0-based indices into simple_roots; the system is simply laced, so
+    the bond is always 1, kept so that the report's layout stays the same.
     """
 
     roots: tuple[Vec, ...]
@@ -61,61 +58,32 @@ class RootSystemReport:
 
 
 def extract_roots(gram: Gram) -> list[Vec]:
-    """All vectors of square -1 or -2, both signs, in lexicographic order.
-
+    """All vectors of square -1 or -2, both signs, in lexicographic order:
+    the roots of an even form (classify rejects an odd form's vectors).
     Raises NotNegativeDefiniteError, from the elimination inside
     short_vectors, when the form is not negative definite."""
     return short_vectors(gram, 2)
 
 
 def expected_root_count(family: str, rank: int) -> int:
-    """Number of roots of the finite root system of the given type."""
+    """Number of roots of the simply-laced root system of the given type."""
     if family == "A":
         return rank * (rank + 1)
-    if family in ("B", "C"):
-        return 2 * rank * rank
     if family == "D":
         return 2 * rank * (rank - 1)
     if family == "E" and rank in (6, 7, 8):
         return {6: 72, 7: 126, 8: 240}[rank]
-    if family == "F" and rank == 4:
-        return 48
-    if family == "G" and rank == 2:
-        return 12
     raise ValueError(f"unknown root-system type {family}{rank}")
 
 
 def _recognize(nodes: list[int], cartan: list[list[int]],
                degree: dict[int, int]) -> Component:
-    """Match one connected Coxeter component against the finite-type catalog."""
+    """Match one connected Dynkin component against the A, D and E diagrams."""
     n = len(nodes)
-    edges = [(u, v, cartan[u][v] * cartan[v][u])
-             for i, u in enumerate(nodes) for v in nodes[i + 1:] if cartan[u][v]]
-    if len(edges) != n - 1:
+    edges = sum(1 for i, u in enumerate(nodes) for v in nodes[i + 1:] if cartan[u][v])
+    if edges != n - 1:
         raise InvariantError("component graph is not a tree; lattice cannot be finite type")
-    multiple = [(u, v, m) for u, v, m in edges if m > 1]
-    if any(m > 3 for _, _, m in multiple):
-        raise InvariantError("Coxeter bond of multiplicity > 3; not a finite type")
     branch = [u for u in nodes if degree[u] >= 3]
-    if any(m == 3 for _, _, m in multiple):
-        if n == 2 and len(multiple) == 1:
-            return ("G", 2)
-        raise InvariantError("triple bond outside rank 2; not a finite type")
-    if multiple:
-        if len(multiple) > 1 or branch:
-            raise InvariantError("double bonds in a non-path arrangement; not a finite type")
-        u, v, _ = multiple[0]
-        if n == 2:
-            return ("B", 2)
-        u_leaf, v_leaf = degree[u] == 1, degree[v] == 1
-        if not u_leaf and not v_leaf:
-            if n == 4:
-                return ("F", 4)
-            raise InvariantError("interior double bond outside rank 4; not a finite type")
-        leaf, inner = (u, v) if u_leaf else (v, u)
-        # cartan[inner][leaf] = 2(inner.leaf)/(leaf.leaf): value -2 means the
-        # leaf is the short root (type B); -1 means it is long (type C)
-        return ("B", n) if cartan[inner][leaf] == -2 else ("C", n)
     if not branch:
         return ("A", n)
     if len(branch) > 1 or degree[branch[0]] > 3:
@@ -174,16 +142,17 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     closure under negation, positivity and the simple-root test are
     therefore each one integer operation and one set lookup.
 
-    Cartan entries 2 (s_i, s_j) / (s_j, s_j) are exact: G s_j is formed
-    once per simple root, each pairing is one dot product with it, and
-    divmod, exact on int and Fraction alike, checks the quotient is an
-    integer.
+    The gram is an int matrix, as for short_vectors.  With every simple
+    root of square -2 the Cartan matrix, 2 (s_i, s_j) / (s_j, s_j), is minus
+    the Gram of the simple roots; any other square (an odd form) raises
+    DomainError.
 
     The sum of the catalog root counts of the recognized components must
     reproduce the input size exactly; any mismatch raises InvariantError,
     since finite-type recognition on a negative definite lattice cannot
     legitimately disagree with the enumeration.
     """
+    gram = _symmetric_int_rows(gram)
     vecs = [tuple(map(int, v)) for v in roots]
     n = len(gram)
     if any(len(v) != n for v in vecs):
@@ -208,20 +177,12 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     simple = [by_code[c] for c in simple_codes]
 
     g_simple = [[sum(map(operator.mul, row, s)) for row in gram] for s in simple]
-    norms = [sum(map(operator.mul, s, gs)) for s, gs in zip(simple, g_simple)]
+    cartan = [[-sum(map(operator.mul, s, gs)) for gs in g_simple] for s in simple]
     k = len(simple)
-    cartan: list[list[int]] = [[0] * k for _ in range(k)]
-    for i in range(k):
-        cartan[i][i] = 2
-        for j in range(k):
-            if i == j:
-                continue
-            entry, rest = divmod(2 * sum(map(operator.mul, simple[i], g_simple[j])), norms[j])
-            if rest:
-                raise InvariantError("non-integral Cartan entry; input is not a root system")
-            cartan[i][j] = entry
-            if entry > 0:
-                raise InvariantError("positive off-diagonal Cartan entry among simple roots")
+    if any(cartan[i][i] != 2 for i in range(k)):
+        raise DomainError("a simple root has square other than -2: not an even form's roots")
+    if any(x not in (0, -1) for i, row in enumerate(cartan) for x in row[i + 1:]):
+        raise InvariantError("off-diagonal Cartan entry outside {0, -1} among simple roots")
 
     degree = {i: sum(1 for j in range(k) if j != i and cartan[i][j]) for i in range(k)}
     seen: set[int] = set()
@@ -245,8 +206,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
             f"root count {len(codes)} does not match classified type "
             f"(expected {expected}); enumeration and recognition disagree")
 
-    graph = tuple((i, j, cartan[i][j] * cartan[j][i])
-                  for i in range(k) for j in range(i + 1, k) if cartan[i][j])
+    graph = tuple((i, j, 1) for i in range(k) for j in range(i + 1, k) if cartan[i][j])
     return RootSystemReport(tuple(map(by_code.__getitem__, codes)), tuple(simple),
                             tuple(tuple(row) for row in cartan),
                             _normalize(components), graph)
@@ -315,8 +275,7 @@ def coxeter_dot(report: RootSystemReport) -> str:
     lines = ["graph coxeter {"]
     for i in range(report.rank):
         lines.append(f'  "eps{i + 1}";')
-    for i, j, bond in report.graph:
-        attr = f' [label="{bond}"]' if bond > 1 else ""
-        lines.append(f'  "eps{i + 1}" -- "eps{j + 1}"{attr};')
+    for i, j, _ in report.graph:
+        lines.append(f'  "eps{i + 1}" -- "eps{j + 1}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ cross-path checks express lattice vectors in a sublattice basis.  Plain
 Gauss-Jordan elimination over `fractions.Fraction`, kept independent of
 the package's fraction-free core so the oracles share no code with it.
 `dot` is the dense pairing u^T G v that the tests check the package's
-structured pairings and root norms against.
+structured pairings and root norms against.  `inertia` is the signature
+of a symmetric form by congruence diagonalization over Fraction, so the
+signature checks share no elimination code with `is_negative_definite`.
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
@@ -101,6 +103,60 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+class Inertia(NamedTuple):
+    """Signature (p, n, z) of a symmetric bilinear form."""
+
+    positive: int
+    negative: int
+    zero: int
+
+    @property
+    def is_negative_definite(self) -> bool:
+        return self.positive == 0 and self.zero == 0
+
+
+def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
+    """Exact inertia of a symmetric matrix by congruence diagonalization.
+
+    Step k moves a nonzero diagonal entry of the trailing block to (k, k),
+    counts its sign, and replaces the block below it by its Schur
+    complement.  When the trailing diagonal is all zero but some a_ij is
+    not, adding row and column j to row and column i makes a_ii = 2 a_ij.
+    Every step is a congruence, so by Sylvester's law of inertia the signs
+    of the pivots, and the size of the block left zero, are the signature.
+    """
+    a = [[Fraction(x) for x in row] for row in g]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("gram matrix must be square")
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("gram matrix is not symmetric")
+    signs = []
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+            if off is None:
+                break
+            i, j = off
+            for t in range(k, n):
+                a[i][t] += a[j][t]
+            for t in range(k, n):
+                a[t][i] += a[t][j]
+            piv = i
+        a[k], a[piv] = a[piv], a[k]
+        for row in a:
+            row[k], row[piv] = row[piv], row[k]
+        p = a[k][k]
+        signs.append(p > 0)
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    pos = sum(signs)
+    return Inertia(pos, len(signs) - pos, n - len(signs))
 
 
 # reference class arithmetic ----------------------------------------------

@@ -18,14 +18,13 @@ import numpy as np
 from bigsurf.bigness import (agreement_sweep, classify_anticanonical,
                              cross_check, orthogonal_complement)
 from bigsurf.enumeration import negative_classes
-from bigsurf.linalg import inertia
 from bigsurf.picard import (DivisorClass, LineConic, ThreeLines,
                             anticanonical_components, blowup_hirzebruch,
                             blowup_p2, config_lattice, verify_witness)
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
                            predicted_type, root_lattice_of_config, type_string)
 from bigsurf.zariski import FamilyParams, log_canonical_test, zariski_decompose
-from oracles import arithmetic_genus, invert_rational, solve_rational
+from oracles import arithmetic_genus, inertia, invert_rational, solve_rational
 
 
 def box_roots(gram):

@@ -13,7 +13,7 @@ from bigsurf.bigness import (
     is_big_supported,
     orthogonal_complement,
 )
-from bigsurf.linalg import inertia, is_negative_definite
+from bigsurf.linalg import is_negative_definite
 from bigsurf.picard import (
     DivisorClass,
     Generic,
@@ -26,6 +26,7 @@ from bigsurf.picard import (
 )
 from oracles import (
     dot,
+    inertia,
     line_conic_closed_form,
     line_conic_layout,
     three_lines_closed_form,

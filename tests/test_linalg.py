@@ -3,20 +3,19 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigsurf.errors import NotNegativeDefiniteError
+from bigsurf.errors import DomainError, NotNegativeDefiniteError
 from bigsurf.linalg import (
-    Inertia,
     gram_restrict,
-    inertia,
     integer_kernel,
     is_negative_definite,
     short_vectors,
 )
-from oracles import dot, invert_rational, solve_rational
+from oracles import Inertia, dot, inertia, invert_rational, solve_rational
 
 
 def box_short_vectors(g, bound):
@@ -237,7 +236,7 @@ def test_kernel_against_sympy_nullspace(m):
     assert math.gcd(*(int(x) for x in minors)) == 1
 
 
-# inertia ---------------------------------------------------------------------
+# inertia (the Fraction oracle) and the Gram input contract -------------------
 
 
 def test_inertia_examples():
@@ -270,11 +269,14 @@ def test_inertia_rejects_asymmetric():
 ])
 @pytest.mark.parametrize("entry", [int, Fraction])
 def test_malformed_gram_messages(g, message, entry):
+    # shape and symmetry are checked before the entry type, so a malformed
+    # Gram names its defect whatever its entries are
     g = [[entry(x) for x in row] for row in g]
-    for routine in (inertia, is_negative_definite, lambda m: short_vectors(m, 2)):
+    for routine in (is_negative_definite, lambda m: short_vectors(m, 2)):
         with pytest.raises(ValueError) as err:
             routine(g)
         assert str(err.value) == message
+        assert type(err.value) is ValueError
 
 
 def outcome(routine, g):
@@ -286,10 +288,31 @@ def outcome(routine, g):
 
 @given(st.one_of(symmetric_matrix(max_dim=5), int_matrix(max_rows=4, max_cols=4)))
 def test_int_entries_match_fraction_entries(g):
-    # exact ints skip the Fraction round trip; the results must not move
+    # a malformed Gram fails alike whatever its entries; a well-formed one is
+    # answered with int entries and refused with Fraction entries
     as_fractions = [[Fraction(x) for x in row] for row in g]
-    for routine in (inertia, is_negative_definite):
-        assert outcome(routine, g) == outcome(routine, as_fractions)
+    for routine in (is_negative_definite, lambda m: short_vectors(m, 2)):
+        with_ints, with_fractions = outcome(routine, g), outcome(routine, as_fractions)
+        if with_fractions == (DomainError, "gram matrix entries must all be int"):
+            assert type(with_ints) is not tuple or with_ints[0] is NotNegativeDefiniteError
+        else:
+            assert with_ints == with_fractions
+            assert with_ints[0] is ValueError
+
+
+NON_INT_ENTRIES = {"Fraction": Fraction, "bool": bool, "numpy.int64": np.int64}
+
+
+@given(symmetric_matrix(max_dim=5), st.sampled_from(sorted(NON_INT_ENTRIES)), st.data())
+def test_non_int_entries_raise_domain_error(g, kind, data):
+    # one symmetric pair of entries of another type, even of integral value,
+    # puts the whole Gram outside the domain
+    i = data.draw(st.integers(0, len(g) - 1))
+    j = data.draw(st.integers(0, len(g) - 1))
+    g[i][j] = g[j][i] = NON_INT_ENTRIES[kind](g[i][j])
+    for routine in (is_negative_definite, lambda m: short_vectors(m, 2)):
+        with pytest.raises(DomainError, match="gram matrix entries must all be int"):
+            routine(g)
 
 
 @given(st.data())
@@ -434,11 +457,10 @@ FIXED_NEGATIVE_DEFINITE = [
     [[-3, 1, 1], [1, -5, 2], [1, 2, -7]],
     [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
     [[-6, 2, 1, 0], [2, -3, 1, 1], [1, 1, -4, 1], [0, 1, 1, -5]],
-    # Fraction grams: the bound scales with their denominators
-    [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]],
-    [[Fraction(-2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(-2, 3)]],
-    [[Fraction(-3, 2), 0, Fraction(1, 2)], [0, -1, Fraction(1, 3)],
-     [Fraction(1, 2), Fraction(1, 3), -2]],
+    # odd forms: Fincke-Pohst needs no evenness
+    [[-3, 1], [1, -3]],
+    [[-5, 2], [2, -3]],
+    [[-9, 0, 3], [0, -6, 2], [3, 2, -13]],
 ]
 
 
@@ -454,16 +476,20 @@ def test_short_vectors_against_box_search_fixed(g, bound, reversed_basis):
 
 
 def test_short_vectors_scales_bound_with_fraction_gram():
-    # the A2 form scaled to norm 1: three vectors of square -1 up to sign
+    # the A2 form scaled to norm 1 is refused; the caller scales the Gram and
+    # the bound by its denominator and gets three vectors of square -1 up to sign
     g = [[-1, Fraction(1, 2)], [Fraction(1, 2), -1]]
-    assert short_vectors(g, 1) == [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+    with pytest.raises(DomainError, match="gram matrix entries must all be int"):
+        short_vectors(g, 1)
+    assert short_vectors([[-2, 1], [1, -2]], 2) == [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 @settings(max_examples=40)
 @given(negative_definite_matrix(max_dim=3), st.integers(1, 4), st.integers(1, 4))
 def test_short_vectors_against_box_search_fraction(g, den, bound):
-    g = [[Fraction(x, den) for x in row] for row in g]
-    assert short_vectors(g, bound) == box_short_vectors(g, bound)
+    # x^T (g/den) x >= -bound exactly when x^T g x >= -bound*den
+    scaled = [[Fraction(x, den) for x in row] for row in g]
+    assert short_vectors(g, bound * den) == box_short_vectors(scaled, bound)
 
 
 @settings(max_examples=40)

@@ -4,12 +4,13 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bigsurf.bigness import orthogonal_complement
+from bigsurf.bigness import classify_anticanonical, orthogonal_complement
 from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
-from bigsurf.picard import Generic, LineConic, ThreeLines, blowup_p2, config_lattice
+from bigsurf.picard import (Generic, LineConic, ThreeLines, anticanonical_components,
+                            blowup_p2, config_lattice)
 from bigsurf.roots import (
     classify,
     coxeter_dot,
@@ -121,22 +122,28 @@ def test_classify_orthogonal_sum():
     assert report.graph == ()
 
 
+# The forms below carry the root systems B_n, G2, C3 and F4, which are not
+# simply laced: a simple root has square -1 or -6 (or the Gram is not
+# integral), and classify rejects them.
+
+
 def test_classify_unit_forms_are_type_b():
+    # the vectors of square -1 and -2 of the odd unit form make up B_n, whose
+    # short simple root has square -1
     for n in (2, 3, 4):
         gram = [[-(i == j) for j in range(n)] for i in range(n)]
         roots = extract_roots(gram)
         assert len(roots) == 2 * n * n
-        report = classify(roots, gram)
-        assert report.components == (("B", n),)
+        with pytest.raises(DomainError, match="square other than -2"):
+            classify(roots, gram)
 
 
 def test_classify_g2():
     gram = [[-2, 3], [3, -6]]
     roots = weyl_closure(gram, [(1, 0), (0, 1)])
     assert len(roots) == 12
-    report = classify(roots, gram)
-    assert report.components == (("G", 2),)
-    assert report.graph == ((0, 1, 3),)
+    with pytest.raises(DomainError, match="square other than -2"):
+        classify(roots, gram)
 
 
 def test_classify_c3():
@@ -145,8 +152,10 @@ def test_classify_c3():
             [0, 1, -2]]
     roots = weyl_closure(gram, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert len(roots) == 18
-    report = classify(roots, gram)
-    assert report.components == (("C", 3),)
+    with pytest.raises(DomainError, match="entries must all be int"):
+        classify(roots, gram)
+    with pytest.raises(DomainError, match="square other than -2"):
+        classify(roots, [[int(2 * x) for x in row] for row in gram])
 
 
 def test_classify_f4():
@@ -156,8 +165,10 @@ def test_classify_f4():
             [0, 0, Fraction(1, 2), -1]]
     roots = weyl_closure(gram, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert len(roots) == 48
-    report = classify(roots, gram)
-    assert report.components == (("F", 4),)
+    with pytest.raises(DomainError, match="entries must all be int"):
+        classify(roots, gram)
+    with pytest.raises(DomainError, match="square other than -2"):
+        classify(roots, [[int(2 * x) for x in row] for row in gram])
 
 
 def pairwise_sum_simple_roots(roots):
@@ -169,15 +180,29 @@ def pairwise_sum_simple_roots(roots):
     return tuple(p for p in positives if p not in sums)
 
 
+# int Grams carrying the non-simply-laced systems (C3 and F4 scaled by 2 to
+# clear their half-integral entries) and the ratio of their two root lengths
 NONSIMPLY_LACED = {
-    "B3": ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], None),
-    "G2": ([[-2, 3], [3, -6]], [(1, 0), (0, 1)]),
-    "C3": ([[-1, Fraction(1, 2), 0], [Fraction(1, 2), -1, 1], [0, 1, -2]],
-           [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
-    "F4": ([[-2, 1, 0, 0], [1, -2, 1, 0],
-            [0, 1, -1, Fraction(1, 2)], [0, 0, Fraction(1, 2), -1]],
-           [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    "B3": ([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], None, 2),
+    "G2": ([[-2, 3], [3, -6]], [(1, 0), (0, 1)], 3),
+    "C3": ([[-2, 1, 0], [1, -2, 2], [0, 2, -4]], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2),
+    "F4": ([[-4, 2, 0, 0], [2, -4, 2, 0], [0, 2, -2, 1], [0, 0, 1, -2]],
+           [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 2),
 }
+
+
+@pytest.mark.parametrize("name", sorted(NONSIMPLY_LACED))
+def test_simple_roots_match_pairwise_sum_oracle_non_simply_laced(name):
+    # the oracle's simple roots come in two lengths, so one of them has a
+    # square other than -2 and classify rejects the form
+    gram, simples, ratio = NONSIMPLY_LACED[name]
+    roots = extract_roots(gram) if simples is None else weyl_closure(gram, simples)
+    oracle = pairwise_sum_simple_roots(roots)
+    assert len(oracle) == int(name[1:])
+    short, long = sorted({-dot(gram, s, s) for s in oracle})
+    assert long == ratio * short
+    with pytest.raises(DomainError, match="square other than -2"):
+        classify(roots, gram)
 
 
 @pytest.mark.parametrize("config", [
@@ -197,15 +222,6 @@ def test_simple_roots_match_pairwise_sum_oracle_on_config_lattices(config):
     assert classify(roots, gram).simple_roots == pairwise_sum_simple_roots(roots)
 
 
-@pytest.mark.parametrize("name", sorted(NONSIMPLY_LACED))
-def test_simple_roots_match_pairwise_sum_oracle_non_simply_laced(name):
-    gram, simples = NONSIMPLY_LACED[name]
-    roots = extract_roots(gram) if simples is None else weyl_closure(gram, simples)
-    report = classify(roots, gram)
-    assert report.components == ((name[0], int(name[1:])),)
-    assert report.simple_roots == pairwise_sum_simple_roots(roots)
-
-
 def complement_gram(config):
     if isinstance(config, Generic):
         lattice = blowup_p2(config.r)
@@ -216,14 +232,9 @@ def complement_gram(config):
 ENUMERATED_GRAMS = {
     **{f"D{n}": complement_gram(LineConic(1, n)) for n in (4, 5, 6, 8, 12)},
     **{f"E{r}": complement_gram(Generic(r)) for r in (6, 7, 8)},
-    **{name: gram for name, (gram, simples) in NONSIMPLY_LACED.items() if simples is None},
 }
-# gram, its complete root list, and whether extract_roots found that list
-BASIS_CHANGE_CASES = {
-    **{name: (gram, extract_roots(gram), True) for name, gram in ENUMERATED_GRAMS.items()},
-    **{name: (gram, weyl_closure(gram, simples), False)
-       for name, (gram, simples) in NONSIMPLY_LACED.items() if simples is not None},
-}
+# gram and its complete root list
+BASIS_CHANGE_CASES = {name: (gram, extract_roots(gram)) for name, gram in ENUMERATED_GRAMS.items()}
 
 
 @st.composite
@@ -246,7 +257,7 @@ def basis_change(draw, n):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(BASIS_CHANGE_CASES)), st.data())
 def test_classify_is_invariant_under_basis_change(name, data):
-    gram, roots, enumerated = BASIS_CHANGE_CASES[name]
+    gram, roots = BASIS_CHANGE_CASES[name]
     n = len(gram)
     u, u_inv = data.draw(basis_change(n))
     # the same lattice in the basis given by the columns of U, where the
@@ -255,7 +266,7 @@ def test_classify_is_invariant_under_basis_change(name, data):
               for j in range(n)] for i in range(n)]
     moved_roots = [tuple(sum(row[k] * r[k] for k in range(n)) for row in u_inv)
                    for r in roots]
-    if enumerated and n <= 8:
+    if n <= 8:
         # enumeration on the skewed form finds exactly the moved roots
         assert extract_roots(moved) == sorted(moved_roots)
     report = classify(moved_roots, moved)
@@ -296,17 +307,54 @@ def test_classify_rejects_roots_of_the_wrong_dimension(roots):
 
 def test_expected_root_counts():
     assert expected_root_count("A", 2) == 6
-    assert expected_root_count("B", 3) == 18
-    assert expected_root_count("C", 3) == 18
     assert expected_root_count("D", 5) == 40
     assert expected_root_count("E", 7) == 126
-    assert expected_root_count("F", 4) == 48
-    assert expected_root_count("G", 2) == 12
-    with pytest.raises(ValueError):
-        expected_root_count("E", 9)
+    # only the simply-laced types occur
+    for family, rank in (("B", 3), ("C", 3), ("F", 4), ("G", 2), ("E", 9)):
+        with pytest.raises(ValueError, match=f"unknown root-system type {family}{rank}"):
+            expected_root_count(family, rank)
 
 
 # configuration lattices ---------------------------------------------------
+
+
+@st.composite
+def big_configuration(draw, max_rank=14):
+    """A Generic(r <= 8), or a LineConic or ThreeLines of rank <= max_rank
+    whose anticanonical class is big."""
+    kind = draw(st.sampled_from(["generic", "line_conic", "three_lines"]))
+    if kind == "generic":
+        return Generic(draw(st.integers(0, 8)))
+    if kind == "line_conic":
+        both = draw(st.integers(0, 2))
+        a = draw(st.integers(0, max_rank - 1 - both))
+        config = LineConic(a, draw(st.integers(0, max_rank - 1 - both - a)), both)
+    else:
+        flags = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        room = max_rank - 1 - sum(flags)
+        a1 = draw(st.integers(0, room))
+        a2 = draw(st.integers(0, room - a1))
+        config = ThreeLines(a1, a2, draw(st.integers(0, room - a1 - a2)), *flags)
+    assume(classify_anticanonical(config).big)
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_configuration())
+def test_complements_are_even_lattices(config):
+    """The premise of the simply-laced root pipeline.  The complement of the
+    anticanonical components has K.x = 0, so adjunction, x^2 + K.x =
+    2 p_a(x) - 2, makes x^2 even: an int Gram with an even diagonal, since
+    x^2 = sum_i g_ii x_i^2 + 2 sum_{i<j} g_ij x_i x_j."""
+    if isinstance(config, Generic):
+        lattice = blowup_p2(config.r)
+        components = [lattice.anticanonical]
+    else:
+        lattice = config_lattice(config)
+        components = list(anticanonical_components(config))
+    _, gram = orthogonal_complement(lattice, components)
+    assert all(type(x) is int for row in gram for x in row)
+    assert all(gram[i][i] % 2 == 0 for i in range(len(gram)))
 
 
 def test_root_lattice_e6():
@@ -453,15 +501,6 @@ def test_coxeter_dot_a2():
         '  "eps1" -- "eps2";\n'
         '}\n'
     )
-
-
-def test_coxeter_dot_marks_multiplicities():
-    gram = [[-1, 0], [0, -1]]
-    report = classify(extract_roots(gram), gram)
-    assert '[label="2"]' in coxeter_dot(report)
-    g2 = [[-2, 3], [3, -6]]
-    report = classify(weyl_closure(g2, [(1, 0), (0, 1)]), g2)
-    assert '"eps1" -- "eps2" [label="3"];' in coxeter_dot(report)
 
 
 def test_coxeter_dot_isolated_nodes():

@@ -18,7 +18,7 @@ import pytest
 
 import bigsurf
 from bigsurf import (CrossCheckReport, DivisorClass, DomainError, FamilyParams, Generic,
-                     Inertia, LineConic, LogCanonicalResult, NegativeClassTable,
+                     LineConic, LogCanonicalResult, NegativeClassTable,
                      PicardLattice, ThreeLines, WitnessReport, ZariskiChecks,
                      blowup_p2, classify_anticanonical)
 from bigsurf.picard import HirzebruchBlowup, PlaneBlowup
@@ -39,7 +39,6 @@ SPECS = [
      {"a1": 1, "a2": 2, "a3": 3, "p12": True, "p13": False, "p23": False},
      {"p12": False, "p13": False, "p23": False}),
     (FamilyParams, (2, 3, [2, 3, 7]), (2, 3, (2, 3, 8)), {"n": 2, "k": 3, "a": (2, 3, 7)}, {}),
-    (Inertia, (1, 2, 0), (2, 1, 0), {"positive": 1, "negative": 2, "zero": 0}, {}),
     (PlaneBlowup, (2,), (3,), {"points": 2}, {}),
     (HirzebruchBlowup, (2, ((1, True),), 1), (2, ((1, False),), 1),
      {"n": 2, "fiber_specs": ((1, True),), "extra_on_sigma": 1}, {}),
@@ -166,7 +165,7 @@ def test_unknown_keyword_raises_type_error():
 
 
 def test_only_the_report_types_remain_dataclasses():
-    """Fourteen types are records or value types; these four stay frozen
+    """Thirteen types are records or value types; these four stay frozen
     dataclasses because the benchmark's own tests rebuild them with
     `dataclasses.replace`, and the benchmark code stays the same on both
     sides of a measured change."""
