@@ -4,9 +4,10 @@ Subcommands: classify, check, roots, zariski, enumerate, witness, sweep.
 Configurations arrive as JSON (inline via --json or from a file via
 --input) with a "model" discriminator; reports leave as JSON, DOT (roots
 only) or plain text.  Exit status: 0 on success, 1 when the input is
-outside the supported domain, 2 when an internal cross-check fails
-(`InvariantError`, reported in one stderr line).  Any other uncaught error
-ends the process with Python's status 1 and a traceback.
+outside the supported domain or a file cannot be read or written, 2 when
+an internal cross-check fails (`InvariantError`, reported in one stderr
+line).  Any other uncaught error ends the process with Python's status 1
+and a traceback.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ def _load_json(text: str) -> Any:
     except RecursionError as exc:
         # deep nesting is bad input, not a fault of the program
         raise DomainError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal past the interpreter's int conversion limit
+        raise DomainError("malformed JSON: integer literal too long") from exc
 
 
 def _witness_args(data: Any) -> dict[str, Any]:
@@ -267,7 +271,10 @@ def _emit(payload: dict[str, Any] | str, fmt: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _read_input(args: argparse.Namespace) -> str:
@@ -323,15 +330,15 @@ def main(argv: list[str] | None = None) -> int:
         request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"
                    else _load_json(_read_input(args)))
         payload, failure = handler(request, args.format)
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
+        _emit(payload, args.format, args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-    _emit(payload, args.format, args.out)
     return 0 if failure is None else 2
 
 

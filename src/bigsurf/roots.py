@@ -142,6 +142,10 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     closure under negation, positivity and the simple-root test are
     therefore each one integer operation and one set lookup.
 
+    Root coordinates are integers (a Fraction or float raises TypeError);
+    a root of the wrong dimension, a duplicate, the zero vector or a list
+    not closed under negation raises ValueError.
+
     The gram is an int matrix, as for short_vectors.  With every simple
     root of square -2 the Cartan matrix, 2 (s_i, s_j) / (s_j, s_j), is minus
     the Gram of the simple roots; any other square (an odd form) raises
@@ -153,7 +157,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     legitimately disagree with the enumeration.
     """
     gram = _symmetric_int_rows(gram)
-    vecs = [tuple(map(int, v)) for v in roots]
+    vecs = [tuple(map(operator.index, v)) for v in roots]
     n = len(gram)
     if any(len(v) != n for v in vecs):
         raise ValueError(f"every root must have the Gram's dimension {n}")
@@ -165,6 +169,8 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     by_code = {sum(map(operator.mul, v, powers)): v for v in vecs}
     if len(by_code) != len(vecs):
         raise ValueError("duplicate roots in input")
+    if 0 in by_code:
+        raise ValueError("the zero vector is not a root")
     codes = sorted(by_code)
     is_root = by_code.__contains__
     if not all(map(is_root, map(operator.neg, codes))):

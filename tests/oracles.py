@@ -9,6 +9,9 @@ the package's fraction-free core so the oracles share no code with it.
 structured pairings and root norms against.  `inertia` is the signature
 of a symmetric form by congruence diagonalization over Fraction, so the
 signature checks share no elimination code with `is_negative_definite`.
+`box_short_vectors` is the exhaustive box search that `short_vectors` and
+`extract_roots` are checked against, and `cauchy_schwarz_negative_classes`
+the Diophantine search that `negative_classes` is checked against.
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
@@ -21,9 +24,13 @@ tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor, isqrt, lcm
 from typing import Any, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
@@ -158,6 +165,94 @@ def inertia(g: Sequence[Sequence[int | Fraction]]) -> Inertia:
     pos = sum(signs)
     return Inertia(pos, len(signs) - pos, n - len(signs))
 
+
+
+# reference searches -------------------------------------------------------
+
+
+def box_short_vectors(g: Sequence[Sequence[int | Fraction]],
+                      bound: int) -> list[tuple[int, ...]]:
+    """Every v with 0 < -v^T G v <= bound on a negative definite G, sorted.
+
+    For a positive definite A = -G and x^T A x <= C every coordinate
+    satisfies x_i^2 <= C * (A^-1)_ii, so scanning that box and filtering is
+    complete.  G is scaled by the common denominator of its entries and the
+    box is scanned with numpy, one block of rows per value of the first
+    coordinate; the int64 products are exact for the small forms tested.
+    """
+    n = len(g)
+    if n == 0:
+        return []
+    ainv = invert_rational([[-x for x in row] for row in g])
+    limits = [isqrt(floor(bound * ainv[i][i])) for i in range(n)]
+    den = lcm(*(Fraction(x).denominator for row in g for x in row))
+    scaled = np.array([[int(Fraction(x) * den) for x in row] for row in g], dtype=np.int64)
+    tail = np.array(list(itertools.product(*(range(-m, m + 1) for m in limits[1:]))),
+                    dtype=np.int64)
+    found = []
+    for first in range(-limits[0], limits[0] + 1):
+        block = np.hstack([np.full((len(tail), 1), first, dtype=np.int64), tail])
+        q = -np.einsum("ij,jk,ik->i", block, scaled, block)
+        found.extend(tuple(int(x) for x in row)
+                     for row in block[(q > 0) & (q <= bound * den)])
+    return sorted(found)
+
+
+def _degree_interval(r: int, kpair: int, square: int) -> range:
+    """Integer degrees d admitted by Cauchy-Schwarz.
+
+    The constraints force sum(m) = 3d - kpair and sum(m^2) = d^2 - square,
+    so (3d - kpair)^2 <= r*(d^2 - square), a quadratic inequality in d
+    with positive leading coefficient 9 - r.  Its roots are
+    (3*kpair +- sqrt(disc)) / (9 - r) with disc = r*(kpair^2 - (9-r)*square).
+    """
+    lead = 9 - r
+    disc = r * (kpair * kpair - lead * square)
+    if disc < 0:
+        return range(0)
+    s = isqrt(disc)
+    if s * s < disc:
+        s += 1
+    lo = -((s - 3 * kpair) // lead)
+    hi = (3 * kpair + s) // lead
+    return range(lo, hi + 1)
+
+
+def _fill(t: int, total: int, total_sq: int, prefix: list[int],
+          out: list[tuple[int, ...]]) -> None:
+    if t == 0:
+        if total == 0 and total_sq == 0:
+            out.append(tuple(prefix))
+        return
+    if total * total > t * total_sq:
+        return
+    bound = isqrt(total_sq)
+    for m in range(-bound, bound + 1):
+        prefix.append(m)
+        _fill(t - 1, total - m, total_sq - m * m, prefix, out)
+        prefix.pop()
+
+
+def _solutions(r: int, kpair: int, square: int) -> list[tuple[int, ...]]:
+    found: list[tuple[int, ...]] = []
+    for d in _degree_interval(r, kpair, square):
+        total_sq = d * d - square
+        if total_sq < 0:
+            continue
+        ms: list[tuple[int, ...]] = []
+        _fill(r, 3 * d - kpair, total_sq, [], ms)
+        found.extend((d,) + m for m in ms)
+    return found
+
+
+def cauchy_schwarz_negative_classes(
+        r: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The (d, m_1..m_r) solutions, in lexicographic order, of
+    d^2 - sum(m^2) = -1, 3d - sum(m) = 1 (the minus-one classes) and of
+    d^2 - sum(m^2) = -2, 3d - sum(m) = 0 (the roots) for 0 <= r <= 8: a
+    recursive search over the degrees `_degree_interval` admits, pruned by
+    Cauchy-Schwarz on the multiplicities still to be chosen."""
+    return _solutions(r, 1, -1), _solutions(r, 0, -2)
 
 # reference class arithmetic ----------------------------------------------
 

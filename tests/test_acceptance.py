@@ -24,31 +24,7 @@ from bigsurf.picard import (DivisorClass, LineConic, ThreeLines,
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
                            predicted_type, root_lattice_of_config, type_string)
 from bigsurf.zariski import FamilyParams, log_canonical_test, zariski_decompose
-from oracles import arithmetic_genus, inertia, invert_rational, solve_rational
-
-
-def box_roots(gram):
-    """Exhaustive search for vectors of square -1 or -2 inside the exact
-    coordinate box |x_i|^2 <= 2 * (G^-1)_ii forced by Cauchy-Schwarz."""
-    n = len(gram)
-    inv = invert_rational([[-x for x in row] for row in gram])
-    limits = []
-    for i in range(n):
-        t = 2 * inv[i][i]
-        limits.append(isqrt(t.numerator * t.denominator) // t.denominator)
-    g = np.array(gram, dtype=np.int64)
-    ranges = [range(-m, m + 1) for m in limits[1:]]
-    tail = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    if tail.size == 0:
-        tail = tail.reshape(len(tail), n - 1)
-    found = []
-    for first in range(-limits[0], limits[0] + 1):
-        block = np.hstack([np.full((len(tail), 1), first, dtype=np.int64), tail])
-        q = np.einsum("ij,jk,ik->i", block, g, block)
-        for row in block[(q == -1) | (q == -2)]:
-            if any(row):
-                found.append(tuple(int(x) for x in row))
-    return sorted(found)
+from oracles import arithmetic_genus, box_short_vectors, inertia, solve_rational
 
 
 def computed_type(config):
@@ -144,7 +120,7 @@ def test_criterion_3_root_counts_against_box_search():
     for config, component, count in cases:
         _, gram = root_lattice_of_config(config)
         roots = extract_roots(gram)
-        assert roots == box_roots(gram)
+        assert roots == box_short_vectors(gram, 2)
         report = classify(roots, gram)
         assert report.components == (component,)
         assert len(roots) == count

@@ -348,6 +348,15 @@ def test_malformed_json(capsys):
     assert "malformed JSON" in err
 
 
+def test_oversized_integer_literal_is_domain_error(capsys):
+    # a literal past the interpreter's int conversion limit (4300 digits)
+    code, out, err = run_cli(capsys, "enumerate", "--json",
+                             '{"model":"generic","r":' + "1" * 5000 + "}")
+    assert code == 1
+    assert out == ""
+    assert err == "error: malformed JSON: integer literal too long\n"
+
+
 def test_unknown_field_has_path(capsys):
     code, _, err = run_cli(capsys, "classify", "--json",
                            '{"model":"line_conic","a":2,"b":5,"c":1}')
@@ -404,6 +413,20 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["type"] == "E6"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--json", '{"model":"generic","r":3}'],
+    ["sweep", "--max-a", "1", "--max-b", "1", "--max-ai", "1"],
+])
+def test_out_to_unwritable_path(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
 
 
 def test_output_is_deterministic(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bigsurf import DomainError
 from bigsurf.enumeration import negative_classes
 from bigsurf.picard import DivisorClass, blowup_p2
-from oracles import arithmetic_genus
+from oracles import arithmetic_genus, cauchy_schwarz_negative_classes
 
 MINUS_ONE_COUNTS = {0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {0: 0, 1: 0, 2: 2, 3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
@@ -92,6 +92,15 @@ def test_box_oracle_agreement(r):
     oracle_m1, oracle_roots = naive_box_table(r)
     assert {raw(c) for c in table.minus_one_classes} == oracle_m1
     assert {raw(c) for c in table.minus_two_roots} == oracle_roots
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_cauchy_schwarz_oracle_agreement(r):
+    # the same classes in the same (d, m) order as the Diophantine search
+    table = negative_classes(r)
+    oracle_m1, oracle_roots = cauchy_schwarz_negative_classes(r)
+    assert [raw(c) for c in table.minus_one_classes] == oracle_m1
+    assert [raw(c) for c in table.minus_two_roots] == oracle_roots
 
 
 @pytest.mark.parametrize("r", range(1, 9))

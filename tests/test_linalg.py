@@ -15,25 +15,7 @@ from bigsurf.linalg import (
     is_negative_definite,
     short_vectors,
 )
-from oracles import Inertia, dot, inertia, invert_rational, solve_rational
-
-
-def box_short_vectors(g, bound):
-    """Exhaustive reference enumeration inside the dual-form box.
-
-    For a positive definite A and x^T A x <= C every coordinate satisfies
-    x_i^2 <= C * (A^-1)_ii, so scanning that box and filtering is complete.
-    """
-    n = len(g)
-    a = [[-x for x in row] for row in g]
-    ainv = invert_rational(a)
-    boxes = [math.isqrt(int(Fraction(bound) * ainv[i][i])) for i in range(n)]
-    out = []
-    for v in itertools.product(*(range(-b, b + 1) for b in boxes)):
-        q = -dot(g, v, v)
-        if 0 < q <= bound:
-            out.append(v)
-    return sorted(out)
+from oracles import Inertia, box_short_vectors, inertia, solve_rational
 
 
 def apply_congruence(g, u):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from oracles import dot, invert_rational, solve_rational
+from oracles import (box_short_vectors, cauchy_schwarz_negative_classes, dot,
+                     invert_rational, solve_rational)
 
 
 def test_solve_rational_unique():
@@ -24,3 +25,19 @@ def test_dot_exact_on_fraction_gram():
     assert dot(g, (1, 1), (1, 1)) == -1
     assert dot(g, (1, 0), (0, 1)) == Fraction(1, 2)
     assert dot(g, (0, 0), (1, 1)) == 0
+
+
+def test_box_short_vectors_small_forms():
+    assert box_short_vectors([], 3) == []
+    assert box_short_vectors([[-1]], 3) == [(-1,), (1,)]
+    a2 = [(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
+    assert box_short_vectors([[-2, 1], [1, -2]], 2) == a2
+    # the same form scaled to norm 1: the Fraction Gram is scaled back
+    assert box_short_vectors([[-1, Fraction(1, 2)], [Fraction(1, 2), -1]], 1) == a2
+
+
+def test_cauchy_schwarz_negative_classes_two_points():
+    # (d, m1, m2): e1, e2 and l - e1 - e2; the roots e1 - e2 and e2 - e1
+    minus_one, roots = cauchy_schwarz_negative_classes(2)
+    assert minus_one == [(0, -1, 0), (0, 0, -1), (1, 1, 1)]
+    assert roots == [(0, -1, 1), (0, 1, -1)]

@@ -1,6 +1,4 @@
-import itertools
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
-from oracles import dot, invert_rational, solve_rational
+from oracles import box_short_vectors, dot, solve_rational
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -46,28 +44,6 @@ def weyl_closure(gram, simples):
                     roots.add(image)
                     grew = True
     return sorted(roots)
-
-
-def box_roots(gram):
-    """Independent exhaustive search for vectors of square -1 or -2, using
-    coordinate bounds from the inverse form and a chunked numpy scan."""
-    n = len(gram)
-    inv = invert_rational([[-x for x in row] for row in gram])
-    limits = []
-    for i in range(n):
-        t = 2 * inv[i][i]
-        limits.append(isqrt(t.numerator * t.denominator) // t.denominator)
-    g = np.array(gram, dtype=np.int64)
-    found = []
-    ranges = [range(-m, m + 1) for m in limits[1:]]
-    tail = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    for first in range(-limits[0], limits[0] + 1):
-        block = np.hstack([np.full((len(tail), 1), first, dtype=np.int64), tail])
-        q = np.einsum("ij,jk,ik->i", block, g, block)
-        for row in block[(q == -1) | (q == -2)]:
-            if any(row):
-                found.append(tuple(int(x) for x in row))
-    return sorted(found)
 
 
 def coords_in(basis, vec):
@@ -97,7 +73,7 @@ def test_extract_roots_rejects_indefinite():
 
 def test_extract_roots_agrees_with_box_search():
     for gram in (A2, [[-1, 0], [0, -1]], [[-2, 0, 1], [0, -2, 1], [1, 1, -4]]):
-        assert extract_roots(gram) == box_roots(gram)
+        assert extract_roots(gram) == box_short_vectors(gram, 2)
 
 
 def test_classify_empty():
@@ -295,6 +271,24 @@ def test_classify_rejects_unbalanced_signs():
         classify([(1, 0), (0, 1), (-1, 0)], A2)
 
 
+@pytest.mark.parametrize("coordinate", [Fraction(3, 2), 1.7])
+def test_classify_rejects_non_integer_coordinates(coordinate):
+    # truncating to an int would silently classify different vectors
+    with pytest.raises(TypeError):
+        classify([(coordinate,), (-coordinate,)], [[-2]])
+
+
+def test_classify_accepts_numpy_integer_coordinates():
+    roots = extract_roots(A2)
+    as_numpy = [tuple(np.int64(x) for x in r) for r in roots]
+    assert classify(as_numpy, A2) == classify(roots, A2)
+
+
+def test_classify_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        classify([(0, 0), *extract_roots(A2)], A2)
+
+
 @pytest.mark.parametrize("roots", [
     [(1,), (-1,)],                  # shorter than the Gram
     [(1, 0, 0), (-1, 0, 0)],        # longer than the Gram
@@ -486,7 +480,7 @@ def test_listed_roots_are_members_three_lines():
 def test_box_search_agrees_on_config_lattices():
     for config in (LineConic(2, 4), LineConic(3, 2), ThreeLines(2, 2, 2)):
         _, gram = root_lattice_of_config(config)
-        assert extract_roots(gram) == box_roots(gram)
+        assert extract_roots(gram) == box_short_vectors(gram, 2)
 
 
 # DOT output ----------------------------------------------------------------
