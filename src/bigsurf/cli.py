@@ -24,7 +24,7 @@ from .bigness import (agreement_sweep, classify_anticanonical, cross_check,
 from .enumeration import negative_classes
 from .errors import DomainError, InvariantError
 from .picard import (Generic, LineConic, PointConfiguration, ThreeLines,
-                     blowup_p2, verify_witness)
+                     blowup_p2, check_witness_fields, verify_witness)
 from .roots import (classify as classify_roots, coxeter_dot, extract_roots,
                     predicted_type, root_lattice_of_config, type_string)
 from .zariski import FamilyParams, zariski_decompose
@@ -135,6 +135,8 @@ def _witness_args(data: Any) -> dict[str, Any]:
         kwargs["fibers"] = [tuple(f) for f in fibers]
     if "extra_on_sigma" in data:
         kwargs["extra_on_sigma"] = _int_field(data, "witness", "extra_on_sigma")
+    # every key counts, even one that holds its default value
+    check_witness_fields(example, kwargs.get("n"), [k for k in data if k != "example"])
     return kwargs
 
 

@@ -2,10 +2,11 @@
 
 Everything here runs on arbitrary-precision integers; no floating point
 enters any code path.  The routines cover exactly what lattice computations
-on surfaces need: saturated integer kernels, negative definiteness, Gram
-restriction to a sublattice, and bounded short-vector enumeration on
-symmetric forms whose entries are exact ints (a Fraction, bool or numpy
-entry raises DomainError).
+on surfaces need: saturated integer kernels, negative definiteness by
+Sylvester's criterion on the pivots of one unpivoted fraction-free
+elimination, Gram restriction to a sublattice, and bounded short-vector
+enumeration on symmetric forms whose entries are exact ints (a Fraction,
+bool or numpy entry raises DomainError).
 
 Matrices are plain sequences of rows; vectors come back as tuples so they can
 be hashed and compared.
@@ -109,38 +110,22 @@ def integer_kernel(m: IntRows) -> list[Vec]:
 
 def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
     """Fraction-free symmetric elimination (Bareiss) of the integer matrix a,
-    in place; the one symmetric elimination core of the module.
+    in place and without pivoting; the one elimination core of the module.
 
-    Step k picks a nonzero diagonal pivot by symmetric pivoting; when the
-    remaining diagonal is all zero, the row+column addition a_i += a_j turns
-    an off-diagonal entry into a usable pivot.  It then yields (previous
-    pivot, pivot, pivot row), the previous pivot being 1 at the first step,
-    and eliminates below the pivot by exact division by the previous pivot.
-    Every intermediate value is an integer minor: without pivoting the k-th
-    pivot is the k-th leading principal minor of a.  The generator stops
-    early, after fewer than len(a) steps, when the remaining block is zero.
-    Row k is never written after step k, so a consumer may keep it.
+    Step k takes a[k][k] as its pivot, yields (previous pivot, pivot, pivot
+    row), the previous pivot being 1 at first, and eliminates below the pivot
+    by exact division by the previous pivot.  The k-th pivot is the k-th
+    leading principal minor Delta_k of a (Bareiss, Math. Comp. 22, 1968), so
+    Sylvester's criterion reads definiteness off the pivots.  The generator
+    returns at the first zero pivot, where the form is not definite.  Row k
+    is never written after step k, so a consumer may keep it.
     """
     n = len(a)
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                        if a[i][j] != 0), None)
-            if off is None:
-                return
-            i, j = off
-            for t in range(k, n):
-                a[i][t] += a[j][t]
-            for t in range(k, n):
-                a[t][i] += a[t][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for t in range(k, n):
-                a[t][k], a[t][piv] = a[t][piv], a[t][k]
         p = a[k][k]
+        if p == 0:
+            return
         yield prev, p, a[k]
         rowk = a[k]
         for i in range(k + 1, n):
@@ -154,13 +139,12 @@ def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
 
 
 def is_negative_definite(g: IntRows) -> bool:
-    """Early-exit negative definiteness test.
+    """Early-exit negative definiteness test by Sylvester's criterion.
 
     A symmetric form is negative definite iff its leading principal minors
-    Delta_1, ..., Delta_n are nonzero and alternate in sign starting
-    negative, i.e. iff every Bareiss pivot of `_bareiss_pivots` has sign
-    opposite the previous one (Delta_0 = 1) for all len(g) steps.  Stops
-    at the first pivot that fails to alternate.
+    Delta_1, ..., Delta_n, the pivots of `_bareiss_pivots`, are nonzero and
+    alternate in sign starting negative (Delta_0 = 1).  Stops at the first
+    pivot that fails to alternate or at a zero minor.
     """
     a = _symmetric_int_rows(g)
     steps = 0
@@ -196,10 +180,10 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     L * (-x^T G x) = sum_k w_k (Delta_{k+1} x_k + S_k)^2 with the integer
     weights w_k = L / (Delta_k Delta_{k+1}): the weights, the partial sums
     S_k and the remaining budget are all integers, and each coordinate
-    interval comes from one math.isqrt.  A pivot <= 0, or an elimination
-    that stops early, means the form is not negative definite and raises
-    NotNegativeDefiniteError; no separate definiteness pass runs, and the
-    elimination runs before a bound <= 0 returns [].  The search needs no
+    interval comes from one math.isqrt.  By Sylvester's criterion a pivot
+    <= 0, or a stop at a zero minor, means the form is not negative
+    definite and raises NotNegativeDefiniteError; no separate definiteness
+    pass runs, and the elimination runs before a bound <= 0 returns [].  The search needs no
     evenness: odd forms are enumerated the same way.
 
     The search is iterative, so its depth is not limited by Python's

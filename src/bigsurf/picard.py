@@ -558,8 +558,6 @@ def _report(example: str, lhs: list[int], big: list[int], eff: list[int],
 
 def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
                         extra_on_sigma: int) -> WitnessReport:
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
     if fibers is None:
         fibers = [(1, False)] * (n + 1)
     fibers = [(int(off), bool(on)) for off, on in fibers]
@@ -580,8 +578,6 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
 
 
 def _witness_conic(n: int) -> WitnessReport:
-    if n < 1:
-        raise DomainError("n must satisfy n >= 1")
     # e0 is the point off the conic, e1..en lie on it
     lattice = _plane_lattice(["l"] + [f"e{i}" for i in range(n + 1)])
     rank = lattice.rank
@@ -609,6 +605,26 @@ def _witness_castravet() -> WitnessReport:
     return _report("castravet_d", lhs, big, eff)
 
 
+# the request fields each witness example reads
+_WITNESS_FIELDS = {"hirzebruch_b": ("n", "fibers", "extra_on_sigma"),
+                   "conic_c": ("n",), "castravet_d": ()}
+
+
+def check_witness_fields(example: str, n: int | None, given: Iterable[str]) -> None:
+    """DomainError for an unknown example, a missing or nonpositive n where
+    the example reads n, or else the first given field it does not read."""
+    fields = _WITNESS_FIELDS.get(example)
+    if fields is None:
+        raise DomainError(f"unknown witness example {example!r}")
+    if "n" in fields and n is None:
+        raise DomainError(f"{example} requires n")
+    if "n" in fields and n < 1:
+        raise DomainError("n must satisfy n >= 1")
+    for name in given:
+        if name not in fields:
+            raise DomainError(f"field witness.{name} does not apply to {example}")
+
+
 def verify_witness(example: str, n: int | None = None,
                    fibers: Sequence[tuple[int, bool]] | None = None,
                    extra_on_sigma: int = 0) -> WitnessReport:
@@ -621,16 +637,13 @@ def verify_witness(example: str, n: int | None = None,
 
     Placements that break the identity (for instance a point at the meeting
     of the negative section and a named fiber) are reported with the
-    nonzero residual class rather than rejected.
+    nonzero residual class rather than rejected.  An n, fibers or nonzero
+    extra_on_sigma that the example does not read raises DomainError.
     """
+    check_witness_fields(example, n, [
+        name for name, value in (("n", n), ("fibers", fibers),
+                                 ("extra_on_sigma", extra_on_sigma or None))
+        if value is not None])
     if example == "hirzebruch_b":
-        if n is None:
-            raise DomainError("hirzebruch_b requires n")
         return _witness_hirzebruch(n, fibers, extra_on_sigma)
-    if example == "conic_c":
-        if n is None:
-            raise DomainError("conic_c requires n")
-        return _witness_conic(n)
-    if example == "castravet_d":
-        return _witness_castravet()
-    raise DomainError(f"unknown witness example {example!r}")
+    return _witness_conic(n) if example == "conic_c" else _witness_castravet()

@@ -8,10 +8,14 @@ the package's fraction-free core so the oracles share no code with it.
 `dot` is the dense pairing u^T G v that the tests check the package's
 structured pairings and root norms against.  `inertia` is the signature
 of a symmetric form by congruence diagonalization over Fraction, so the
-signature checks share no elimination code with `is_negative_definite`.
-`box_short_vectors` is the exhaustive box search that `short_vectors` and
-`extract_roots` are checked against, and `cauchy_schwarz_negative_classes`
-the Diophantine search that `negative_classes` is checked against.
+signature checks share no elimination code with `is_negative_definite`,
+and `determinant` is a Fraction determinant with row swaps, which the
+leading principal minors that the elimination core yields are checked
+against.  `box_short_vectors` is the exhaustive box search that
+`short_vectors` and `extract_roots` are checked against;
+`cauchy_schwarz_negative_classes` and `widened_box_negative_classes` are
+the Diophantine searches that `negative_classes` is checked against, and
+`raw` writes a class in their (d, m_1..m_r) coordinates.
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
@@ -110,6 +114,26 @@ def invert_rational(a: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction
                 f = aug[i][col]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def determinant(a: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
+    """Exact determinant of a square matrix by Gaussian elimination over
+    Fraction with row swaps; 1 for the empty matrix."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    n = len(rows)
+    total = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            total = -total
+        total *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return int(total) if total.denominator == 1 else total
 
 
 class Inertia(NamedTuple):
@@ -253,6 +277,41 @@ def cauchy_schwarz_negative_classes(
     recursive search over the degrees `_degree_interval` admits, pruned by
     Cauchy-Schwarz on the multiplicities still to be chosen."""
     return _solutions(r, 1, -1), _solutions(r, 0, -2)
+
+
+def widened_box_negative_classes(
+        r: int, max_d: int) -> tuple[set[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The same two Diophantine systems as `cauchy_schwarz_negative_classes`,
+    solved naively: scan every (d, m_1..m_r) with |d| <= max_d and
+    |m_i| <= isqrt(max_d^2 + 2), far outside the derived degree interval.
+    A solution has sum(m^2) = d^2 + 1 or d^2 + 2, so the box holds every
+    solution of degree at most max_d.  The first multiplicity is looped
+    over, so numpy holds (2 isqrt(max_d^2 + 2) + 1)^(r - 1) rows at once."""
+    bound = isqrt(max_d * max_d + 2)
+    axis = np.arange(-bound, bound + 1, dtype=np.int64)
+    # shape (1, 0) when r <= 1: one empty tail
+    tail = np.array(list(itertools.product(axis, repeat=max(r - 1, 0))),
+                    dtype=np.int64)
+    tail_sum = tail.sum(axis=1)
+    tail_sq = (tail * tail).sum(axis=1)
+    minus_one: set[tuple[int, ...]] = set()
+    roots: set[tuple[int, ...]] = set()
+    for d in range(-max_d, max_d + 1):
+        for first in (axis if r else [0]):
+            head = (d, int(first)) if r else (d,)
+            total_sum = first + tail_sum
+            total_sq = first * first + tail_sq
+            for (kpair, square), bucket in (((1, -1), minus_one), ((0, -2), roots)):
+                hit = (3 * d - total_sum == kpair) & (d * d - total_sq == square)
+                bucket.update(head + tuple(map(int, row)) for row in tail[hit])
+    return minus_one, roots
+
+
+def raw(cls: DivisorClass) -> tuple[int, ...]:
+    """(d, m_1..m_r) of the integral class d l - sum(m_i e_i) on blowup_p2(r)."""
+    coeffs = cls.integral_coeffs()
+    return (coeffs[0], *(-m for m in coeffs[1:]))
+
 
 # reference class arithmetic ----------------------------------------------
 

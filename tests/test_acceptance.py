@@ -11,7 +11,6 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from bigsurf.picard import (DivisorClass, LineConic, ThreeLines,
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
                            predicted_type, root_lattice_of_config, type_string)
 from bigsurf.zariski import FamilyParams, log_canonical_test, zariski_decompose
-from oracles import arithmetic_genus, box_short_vectors, inertia, solve_rational
+from oracles import (arithmetic_genus, box_short_vectors, inertia, raw,
+                     solve_rational, widened_box_negative_classes)
 
 
 def computed_type(config):
@@ -129,45 +129,6 @@ def test_criterion_3_root_counts_against_box_search():
           "A_n = n(n+1), D_n = 2n(n-1), all equal to an exhaustive box search")
 
 
-def wide_box_negative_classes(r, max_d=6):
-    """Naive oracle for the del Pezzo enumeration: scan every (d, m) with
-    |d| <= max_d and |m_i| <= isqrt(max_d^2 + 2), far outside the derived
-    degree interval, and keep the solutions of the two Diophantine systems."""
-    bound = isqrt(max_d * max_d + 2)
-    axis = np.arange(-bound, bound + 1, dtype=np.int64)
-    if r <= 1:
-        tail = np.zeros((1, 0), dtype=np.int64)
-    else:
-        tail = np.array(list(itertools.product(axis, repeat=r - 1)),
-                        dtype=np.int64)
-    tail_sum = tail.sum(axis=1)
-    tail_sq = (tail * tail).sum(axis=1)
-    minus_one, roots = set(), set()
-    firsts = [0] if r == 0 else axis
-    for d in range(-max_d, max_d + 1):
-        for first in firsts:
-            if r == 0:
-                total_sum, total_sq = tail_sum, tail_sq
-            else:
-                total_sum = first + tail_sum
-                total_sq = first * first + tail_sq
-            for target, bucket in (((1, -1), minus_one), ((0, -2), roots)):
-                hit = (3 * d - total_sum == target[0]) \
-                    & (d * d - total_sq == target[1])
-                if r == 0:
-                    if hit.any():
-                        bucket.add((d,))
-                else:
-                    bucket.update((d, int(first), *map(int, row))
-                                  for row in tail[hit])
-    return minus_one, roots
-
-
-def as_raw(cls):
-    coeffs = cls.integral_coeffs()
-    return (coeffs[0], *(-m for m in coeffs[1:]))
-
-
 def test_criterion_4_del_pezzo_enumeration():
     expected = {6: (27, 72), 7: (56, 126), 8: (240, 240)}
     for r, (n_minus_one, n_roots) in expected.items():
@@ -177,9 +138,9 @@ def test_criterion_4_del_pezzo_enumeration():
 
     for r in range(7):
         table = negative_classes(r)
-        oracle_m1, oracle_roots = wide_box_negative_classes(r)
-        assert {as_raw(c) for c in table.minus_one_classes} == oracle_m1
-        assert {as_raw(c) for c in table.minus_two_roots} == oracle_roots
+        oracle_m1, oracle_roots = widened_box_negative_classes(r, max_d=6)
+        assert {raw(c) for c in table.minus_one_classes} == oracle_m1
+        assert {raw(c) for c in table.minus_two_roots} == oracle_roots
 
     # Independent cross-path for r = 8: the enumerated roots, rewritten in
     # a basis of the orthogonal complement of K, must be exactly the roots

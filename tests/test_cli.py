@@ -265,6 +265,36 @@ def test_witness_unknown_example(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("request_text, field, example", [
+    ('{"example":"conic_c","n":2,"fibers":[[1,false]]}', "fibers", "conic_c"),
+    ('{"example":"conic_c","n":2,"extra_on_sigma":0}', "extra_on_sigma", "conic_c"),
+    ('{"example":"castravet_d","n":3}', "n", "castravet_d"),
+    ('{"example":"castravet_d","fibers":[],"n":3}', "fibers", "castravet_d"),
+    ('{"example":"castravet_d","model":"generic"}', "model", "castravet_d"),
+], ids=["conic_c.fibers", "conic_c.extra_on_sigma", "castravet_d.n",
+        "castravet_d.fibers", "castravet_d.model"])
+def test_witness_rejects_a_field_its_example_does_not_read(
+        capsys, request_text, field, example):
+    code, out, err = run_cli(capsys, "witness", "--json", request_text)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: field witness.{field} does not apply to {example}\n"
+
+
+@pytest.mark.parametrize("request_text, message", [
+    ('{"example":"conic_c","fibers":[]}', "conic_c requires n"),
+    ('{"example":"conic_c","n":0,"fibers":[]}', "n must satisfy n >= 1"),
+    ('{"example":"castravet_d","n":"x"}', "field witness.n must be an integer"),
+    ('{"example":"castravet_d","bad":1}', "unknown field: witness.bad"),
+    ('{"example":"pentagon_e","n":3}', "unknown witness example 'pentagon_e'"),
+], ids=["missing_n", "n_below_1", "n_not_int", "unknown_field", "unknown_example"])
+def test_witness_errors_ahead_of_the_field_check_keep_their_message(
+        capsys, request_text, message):
+    code, _, err = run_cli(capsys, "witness", "--json", request_text)
+    assert code == 1
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_small(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--max-a", "3", "--max-b", "3",
                            "--max-ai", "2")

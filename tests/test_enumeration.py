@@ -1,6 +1,3 @@
-import itertools
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,41 +5,11 @@ from hypothesis import strategies as st
 from bigsurf import DomainError
 from bigsurf.enumeration import negative_classes
 from bigsurf.picard import DivisorClass, blowup_p2
-from oracles import arithmetic_genus, cauchy_schwarz_negative_classes
+from oracles import (arithmetic_genus, cauchy_schwarz_negative_classes, raw,
+                     widened_box_negative_classes)
 
 MINUS_ONE_COUNTS = {0: 0, 1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 ROOT_COUNTS = {0: 0, 1: 0, 2: 2, 3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
-
-
-def naive_box_table(r, max_d=7):
-    """Brute-force oracle: scan a widened box of (d, m) vectors directly.
-
-    Every admissible solution has sum(m^2) = d^2 + 1 or d^2 + 2, so each
-    |m_i| <= isqrt(max_d^2 + 2); we deliberately scan degrees well past
-    the derived interval to catch any solution the search might clip.
-    """
-    from math import isqrt
-
-    bound = isqrt(max_d * max_d + 2)
-    if r == 0:
-        tails = np.zeros((1, 0), dtype=np.int64)
-    else:
-        axis = np.arange(-bound, bound + 1, dtype=np.int64)
-        tails = np.array(list(itertools.product(axis, repeat=r)), dtype=np.int64)
-    sums = tails.sum(axis=1)
-    squares = (tails * tails).sum(axis=1)
-    minus_one, roots = set(), set()
-    for d in range(-max_d, max_d + 1):
-        hit = (3 * d - sums == 1) & (d * d - squares == -1)
-        minus_one.update((d, *map(int, row)) for row in tails[hit])
-        hit = (3 * d - sums == 0) & (d * d - squares == -2)
-        roots.update((d, *map(int, row)) for row in tails[hit])
-    return minus_one, roots
-
-
-def raw(cls):
-    coeffs = cls.integral_coeffs()
-    return (coeffs[0], *(-m for m in coeffs[1:]))
 
 
 def test_rejects_out_of_range():
@@ -89,7 +56,7 @@ def test_counts(r):
 @pytest.mark.parametrize("r", range(5))
 def test_box_oracle_agreement(r):
     table = negative_classes(r)
-    oracle_m1, oracle_roots = naive_box_table(r)
+    oracle_m1, oracle_roots = widened_box_negative_classes(r, max_d=7)
     assert {raw(c) for c in table.minus_one_classes} == oracle_m1
     assert {raw(c) for c in table.minus_two_roots} == oracle_roots
 

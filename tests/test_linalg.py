@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsurf.errors import DomainError, NotNegativeDefiniteError
 from bigsurf.linalg import (
+    _bareiss_pivots,
     gram_restrict,
     integer_kernel,
     is_negative_definite,
     short_vectors,
 )
-from oracles import Inertia, box_short_vectors, inertia, solve_rational
+from oracles import Inertia, box_short_vectors, determinant, inertia, solve_rational
 
 
 def apply_congruence(g, u):
@@ -26,34 +27,12 @@ def apply_congruence(g, u):
 
 
 def minor_gcd(rows):
-    """gcd of all maximal minors of a k x n matrix (k <= n), by Laplace expansion."""
+    """gcd of all maximal minors of a k x n matrix (k <= n)."""
     k = len(rows)
     n = len(rows[0])
-
-    def det(sub):
-        m = [r[:] for r in sub]
-        size = len(m)
-        if size == 0:
-            return 1
-        total = Fraction(1)
-        for c in range(size):
-            piv = next((i for i in range(c, size) if m[i][c]), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                total = -total
-            total *= m[c][c]
-            inv = Fraction(1, m[c][c])
-            for i in range(c + 1, size):
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        assert total.denominator == 1
-        return int(total)
-
     g = 0
     for cols in itertools.combinations(range(n), k):
-        g = math.gcd(g, det([[row[c] for c in cols] for row in rows]))
+        g = math.gcd(g, determinant([[row[c] for c in cols] for row in rows]))
         if g == 1:
             return 1
     return g
@@ -83,8 +62,9 @@ def symmetric_matrix(draw, max_dim=4):
 
 @st.composite
 def sparse_symmetric_matrix(draw, max_dim=6):
-    """Symmetric matrices with many zeros; a zero diagonal makes the
-    elimination take its pivoting and off-diagonal branches."""
+    """Symmetric matrices with many zeros, so that some leading principal
+    minor often vanishes (always the first one under a zero diagonal) and
+    the elimination stops early."""
     n = draw(st.integers(1, max_dim))
     zero_diagonal = draw(st.booleans())
     entries = st.sampled_from([0, 0, 0, -2, -1, 1, 2])
@@ -319,6 +299,21 @@ def test_inertia_congruence_invariant(data):
 @given(symmetric_matrix())
 def test_is_negative_definite_matches_inertia(g):
     assert is_negative_definite(g) == inertia(g).is_negative_definite
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_symmetric_matrix())
+@example([[0, 1], [1, -1]])
+@example([[-1, 1], [1, -1]])
+@example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+def test_bareiss_pivots_are_the_leading_minors(g):
+    # Sylvester's criterion needs the k-th pivot to be the k-th leading
+    # principal minor, with the previous minor beside it, up to the first
+    # zero minor, where the elimination stops
+    minors = [determinant([row[:k] for row in g[:k]]) for k in range(1, len(g) + 1)]
+    stop = minors.index(0) if 0 in minors else len(minors)
+    steps = [(prev, p) for prev, p, _ in _bareiss_pivots([list(r) for r in g])]
+    assert steps == list(zip([1] + minors, minors))[:stop]
 
 
 def charpoly_inertia(sympy, g):

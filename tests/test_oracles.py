@@ -1,7 +1,8 @@
 from fractions import Fraction
 
-from oracles import (box_short_vectors, cauchy_schwarz_negative_classes, dot,
-                     invert_rational, solve_rational)
+from oracles import (box_short_vectors, cauchy_schwarz_negative_classes,
+                     determinant, dot, invert_rational, solve_rational,
+                     widened_box_negative_classes)
 
 
 def test_solve_rational_unique():
@@ -41,3 +42,17 @@ def test_cauchy_schwarz_negative_classes_two_points():
     minus_one, roots = cauchy_schwarz_negative_classes(2)
     assert minus_one == [(0, -1, 0), (0, 0, -1), (1, 1, 1)]
     assert roots == [(0, -1, 1), (0, 1, -1)]
+
+
+def test_widened_box_negative_classes_small_r():
+    assert widened_box_negative_classes(0, max_d=3) == (set(), set())
+    assert widened_box_negative_classes(1, max_d=3) == ({(0, -1)}, set())
+    assert widened_box_negative_classes(2, max_d=3) == (
+        {(0, -1, 0), (0, 0, -1), (1, 1, 1)}, {(0, -1, 1), (0, 1, -1)})
+
+
+def test_determinant():
+    assert determinant([]) == 1
+    assert determinant([[0, 1], [1, -1]]) == -1
+    assert determinant([[-2, 1, 0], [1, -2, 1], [0, 1, -2]]) == -4
+    assert determinant([[1, 2], [2, 4]]) == 0

@@ -451,3 +451,23 @@ def test_castravet_witness():
 def test_unknown_witness_rejected():
     with pytest.raises(DomainError):
         verify_witness("pentagon")
+
+
+@pytest.mark.parametrize("example, kwargs, field", [
+    ("conic_c", {"n": 2, "fibers": [(1, False)]}, "fibers"),
+    ("conic_c", {"n": 2, "extra_on_sigma": 1}, "extra_on_sigma"),
+    ("castravet_d", {"n": 3}, "n"),
+    ("castravet_d", {"fibers": []}, "fibers"),
+    ("castravet_d", {"extra_on_sigma": -1}, "extra_on_sigma"),
+], ids=["conic_c.fibers", "conic_c.extra_on_sigma", "castravet_d.n",
+        "castravet_d.fibers", "castravet_d.extra_on_sigma"])
+def test_witness_rejects_a_field_its_example_does_not_read(example, kwargs, field):
+    with pytest.raises(DomainError,
+                       match=f"^field witness.{field} does not apply to {example}$"):
+        verify_witness(example, **kwargs)
+
+
+def test_witness_extra_on_sigma_zero_is_the_default():
+    # extra_on_sigma = 0 is the default, so it reads as not given
+    assert verify_witness("conic_c", n=2, extra_on_sigma=0).holds
+    assert verify_witness("castravet_d", extra_on_sigma=0).holds
