@@ -15,12 +15,14 @@ be hashed and compared.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 
 Vec = tuple[int, ...]
 IntRows = Sequence[Sequence[int]]
+_INT = {int}
 
 
 def _copy_rows(m: IntRows) -> list[list[int]]:
@@ -40,12 +42,17 @@ def _symmetric_int_rows(g: IntRows) -> list[list[int]]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("gram matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
-    if not all(type(x) is int for r in rows for x in r):
-        raise DomainError("gram matrix entries must all be int")
+    ints = set(map(type, chain.from_iterable(rows))) <= _INT
+    # on ints, equality with the transpose is exact and the loop only names
+    # the first asymmetric position; on other entries it runs first, so
+    # asymmetry is reported ahead of the entry type
+    if not ints or rows != list(map(list, zip(*rows))):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise ValueError(f"gram matrix is not symmetric at ({i}, {j})")
+        if not ints:
+            raise DomainError("gram matrix entries must all be int")
     return rows
 
 
@@ -117,8 +124,11 @@ def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
     by exact division by the previous pivot.  The k-th pivot is the k-th
     leading principal minor Delta_k of a (Bareiss, Math. Comp. 22, 1968), so
     Sylvester's criterion reads definiteness off the pivots.  The generator
-    returns at the first zero pivot, where the form is not definite.  Row k
-    is never written after step k, so a consumer may keep it.
+    returns at the first zero pivot, where the form is not definite.  Only
+    the upper triangle is eliminated: the trailing block stays symmetric,
+    so a[i][k] is read as a[k][i] from the pivot row, and the entries left
+    of the diagonal are never updated.  Row k is never written after step
+    k, so a consumer may keep it; its entries j > k are exact.
     """
     n = len(a)
     prev = 1
@@ -126,15 +136,13 @@ def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
         p = a[k][k]
         if p == 0:
             return
-        yield prev, p, a[k]
         rowk = a[k]
+        yield prev, p, rowk
         for i in range(k + 1, n):
-            aik = a[i][k]
+            aik = rowk[i]
             rowi = a[i]
             for j in range(i, n):
                 rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
-            for j in range(i + 1, n):
-                a[j][i] = rowi[j]
         prev = p
 
 

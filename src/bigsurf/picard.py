@@ -216,12 +216,6 @@ def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
         vec[i] += times * c
 
 
-def pair_with_row(terms: Terms, row: dict[int, Rational]) -> Rational:
-    """u.v for the sparse class u, given the row {j: v.b_j} of v: the exact
-    sum, an int when every coefficient is one."""
-    return sum(c * row[i] for i, c in terms if i in row)
-
-
 class PicardLattice(Frozen):
     """Intersection lattice of a surface model, with labeled basis.
 
@@ -230,9 +224,10 @@ class PicardLattice(Frozen):
     of every later (exceptional) class, with no other nonzero entry.  The
     head is ((1,),) for plane blow-ups (the line class) and ((-n, 1), (1, 0))
     for blow-ups of a degree-n Hirzebruch surface (sigma and F).  Pairing
-    therefore costs O(rank), and the row G.v of a sparse class costs time
-    proportional to its support.  `gram` is a dense read-only view, built
-    on first read.
+    therefore costs O(rank), the row G.v of a sparse class costs time
+    proportional to its support, and so does the Gram of a few sparse
+    classes (`gram_of`).  `gram` is a dense read-only view, built on first
+    read.
     """
 
     _fields = ("head", "labels", "canonical", "model")
@@ -279,6 +274,36 @@ class PicardLattice(Frozen):
             else:
                 out[i] = out.get(i, 0) - c
         return out
+
+    def gram_of(self, classes: Sequence[Terms]) -> list[list[Rational]]:
+        """The Gram matrix [u.v] of the sparse classes, exact (all ints for
+        int coefficients), in O(k^2 h + sum of the term counts) for k
+        classes and a head of size h: the head coordinates of each class
+        pair through the head block, once per two distinct head parts, and
+        each tail index adds -c_u c_v to the entry of every two classes
+        u, v that carry it."""
+        head = self.head
+        h = len(head)
+        heads: list[tuple[Rational, ...]] = []
+        tails: dict[int, list[tuple[int, Rational]]] = {}
+        for u, terms in enumerate(classes):
+            x = [0] * h
+            for i, c in terms:
+                if i < h:
+                    x[i] += c
+                else:
+                    tails.setdefault(i, []).append((u, c))
+            heads.append(tuple(x))
+        hx = {x: [sum(map(operator.mul, row, x)) for row in head] for x in heads}
+        pairings = {x: {y: sum(map(operator.mul, x, hy)) for y, hy in hx.items()}
+                    for x in hx}
+        gram = [list(map(pairings[x].__getitem__, heads)) for x in heads]
+        for carriers in tails.values():
+            for u, c in carriers:
+                row = gram[u]
+                for v, d in carriers:
+                    row[v] -= c * d
+        return gram
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> Fraction:
         """Intersection pairing of two classes, in O(rank) through the
@@ -335,17 +360,26 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
     on named fibers and on the negative section.
 
     fiber_specs gives, per named fiber, the number of points on the fiber
-    away from the negative section and whether the intersection point of
-    fiber and section is also blown up.  extra_on_sigma counts additional
-    points on the section away from every named fiber.
+    away from the negative section (an int, by operator.index) and whether
+    the intersection point of fiber and section is also blown up (a bool);
+    any other count or flag raises DomainError.  extra_on_sigma counts
+    additional points on the section away from every named fiber.
     """
     if n < 1:
         raise DomainError("n must satisfy n >= 1")
     if extra_on_sigma < 0:
         raise DomainError("extra_on_sigma must be non-negative")
-    specs = tuple((int(off), bool(on)) for off, on in fiber_specs)
-    if any(off < 0 for off, _ in specs):
-        raise DomainError("points per fiber must be non-negative")
+    specs = []
+    for off, on in fiber_specs:
+        try:
+            off = operator.index(off)
+        except TypeError:
+            raise DomainError(f"points per fiber must be an int, not {off!r}") from None
+        if off < 0:
+            raise DomainError("points per fiber must be non-negative")
+        if type(on) is not bool:
+            raise DomainError(f"a fiber's on-section flag must be a bool, not {on!r}")
+        specs.append((off, on))
     labels = ["sigma", "F"]
     for i, (off, on) in enumerate(specs, start=1):
         labels.extend(f"e{i}_{j}" for j in range(1, off + 1))
@@ -354,7 +388,7 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
     labels.extend(f"s{j}" for j in range(1, extra_on_sigma + 1))
     canonical = DivisorClass.of([-2, -(n + 2)] + [1] * (len(labels) - 2))
     return PicardLattice(((-n, 1), (1, 0)), tuple(labels), canonical,
-                         HirzebruchBlowup(n, specs, extra_on_sigma))
+                         HirzebruchBlowup(n, tuple(specs), extra_on_sigma))
 
 
 def _hirzebruch_model(lattice: PicardLattice) -> HirzebruchBlowup:
@@ -560,7 +594,6 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
                         extra_on_sigma: int) -> WitnessReport:
     if fibers is None:
         fibers = [(1, False)] * (n + 1)
-    fibers = [(int(off), bool(on)) for off, on in fibers]
     if len(fibers) != n + 1:
         raise DomainError("exactly n + 1 named fibers are required")
     lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)

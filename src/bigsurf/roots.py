@@ -116,6 +116,11 @@ def _normalize(components: list[Component]) -> tuple[Component, ...]:
     return tuple(sorted(kept, key=lambda c: (-c[1], c[0])))
 
 
+def _combination(rows: Sequence[Sequence[int]], terms: Sequence[tuple[int, int]]) -> list[int]:
+    """sum(c * rows[i]) over the terms (i, c), of which there is at least one."""
+    return list(map(sum, zip(*[[c * x for x in rows[i]] for i, c in terms])))
+
+
 def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     """Classify a complete, negation-closed root list into Cartan types.
 
@@ -182,8 +187,11 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
             simple_codes.append(alpha)
     simple = [by_code[c] for c in simple_codes]
 
-    g_simple = [[sum(map(operator.mul, row, s)) for row in gram] for s in simple]
-    cartan = [[-sum(map(operator.mul, s, gs)) for gs in g_simple] for s in simple]
+    # pair over each simple root's nonzero coordinates: the columns of the
+    # G.s_j, combined along -s_i, give row i of the Cartan matrix, -s_i.G.s_j
+    supports = [[(i, c) for i, c in enumerate(s) if c] for s in simple]
+    columns = list(zip(*[_combination(gram, terms) for terms in supports]))
+    cartan = [_combination(columns, [(i, -c) for i, c in terms]) for terms in supports]
     k = len(simple)
     if any(cartan[i][i] != 2 for i in range(k)):
         raise DomainError("a simple root has square other than -2: not an even form's roots")

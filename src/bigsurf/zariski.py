@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
 from .picard import (DivisorClass, Frozen, _set, add_terms, blowup_hirzebruch,
-                     fiber_terms, pair_with_row, sparse_terms)
+                     fiber_terms, sparse_terms)
 
 __all__ = [
     "FamilyParams",
@@ -31,6 +31,12 @@ __all__ = [
     "log_canonical_test",
     "zariski_decompose",
 ]
+
+
+def _reciprocal_sum(a: Sequence[int]) -> Fraction:
+    """sum(1/a_j) as one Fraction over lcm(a)."""
+    m = math.lcm(*a)
+    return Fraction(sum(m // ai for ai in a), m)
 
 
 def _validate_shape(n: int, k: int, a: Sequence[int]) -> None:
@@ -59,7 +65,7 @@ class FamilyParams(Frozen):
 
     @property
     def reciprocal_sum(self) -> Fraction:
-        return sum(Fraction(1, ai) for ai in self.a)
+        return _reciprocal_sum(self.a)
 
 
 class ZariskiChecks(NamedTuple):
@@ -100,9 +106,10 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     The strict transforms stay sparse (their incidence terms): P and N are
     summed from them as integer numerators over one common denominator
     den = (denominator of c) * lcm(a), on which c and every c/a_i are
-    integers, and P pairs with sigma, the F_i and N through its row G.P,
-    computed once, so the work is linear in the rank and in k apart from
-    the (k+1)^2 support Gram entries, all of them ints.
+    integers.  One structured Gram of P, sigma and the F_i, all ints
+    (P's entries over den), gives P^2, P.sigma, every P.F_i and the
+    support block of N, so the work is linear in the rank and in k apart
+    from the (k+2)^2 Gram entries.
     """
     n, k, a = params.n, params.k, params.a
     lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
@@ -129,25 +136,21 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
         add_terms(neg_vec, fi, neg_coef)
     p, neg = DivisorClass(tuple(p_vec), den), DivisorClass(tuple(neg_vec), den)
 
-    p_squared = lattice.pair(p, p)
+    # rows and columns: P (numerators over den), sigma, F_1..F_k
+    gram = lattice.gram_of([sparse_terms(p_vec), sigma, *strict])
+    p_squared = Fraction(gram[0][0], den * den)
     if p_squared != Fraction((n + 2 - k) ** 2) / (n - s):
         raise InvariantError(f"P^2 = {p_squared} disagrees with the closed form "
                              f"for n={n} k={k} a={list(a)}")
 
-    support = []
-    if sigma_neg > 0:
-        support.append(sigma)
-    support.extend(fi for fi, neg_coef in zip(strict, fiber_neg) if neg_coef > 0)
-    support_rows = [lattice.row(v) for v in support]
-    support_gram = [[pair_with_row(u, row) for row in support_rows] for u in support]
-    p_row = lattice.row(sparse_terms(p.nums))
-
+    support = [j for j, coef in enumerate([sigma_neg, *fiber_neg], start=1) if coef > 0]
     checks = ZariskiChecks(
-        p_dot_sigma_zero=pair_with_row(sigma, p_row) == 0,
-        p_dot_fibers_zero=all(pair_with_row(fi, p_row) == 0 for fi in strict),
+        p_dot_sigma_zero=gram[0][1] == 0,
+        p_dot_fibers_zero=not any(gram[0][2:]),
         p_dot_n_zero=lattice.pair(p, neg) == 0,
         n_effective=sigma_neg >= 0 and all(x >= 0 for x in fiber_neg),
-        n_support_negative_definite=is_negative_definite(support_gram),
+        n_support_negative_definite=is_negative_definite(
+            [[gram[i][j] for j in support] for i in support]),
         sum_is_minus_canonical=(p + neg) == lattice.anticanonical,
     )
     return ZariskiReport(params, p, neg, p_squared, checks,
@@ -167,7 +170,7 @@ def log_canonical_test(n: int, k: int, a: Sequence[int]) -> LogCanonicalResult:
     inequality so that both outcomes are reachable."""
     a = tuple(a)
     _validate_shape(n, k, a)
-    s = sum(Fraction(1, ai) for ai in a)
+    s = _reciprocal_sum(a)
     lc = s >= k - 2
     coefficient = None if s == n else 2 - Fraction(n + 2 - k) / (n - s)
     return LogCanonicalResult(lc, coefficient)

@@ -316,6 +316,24 @@ def test_bareiss_pivots_are_the_leading_minors(g):
     assert steps == list(zip([1] + minors, minors))[:stop]
 
 
+@settings(max_examples=300, deadline=None)
+@given(sparse_symmetric_matrix())
+@example([[0, 1], [1, -1]])
+@example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+@example([[2, 3, -1, 4], [3, -1, 2, 0], [-1, 2, 5, 1], [4, 0, 1, -3]])
+def test_bareiss_pivot_rows_are_the_bordered_minors(g):
+    # short_vectors reads entry j > k of the k-th pivot row; only the upper
+    # triangle is eliminated, and each such entry must be the leading k x k
+    # block bordered by row k and column j: det(g[0..k; 0..k-1, j]).  The
+    # rows are read after the elimination ends, so none may be written
+    # after it is yielded
+    rows = [row for _, _, row in _bareiss_pivots([list(r) for r in g])]
+    for k, row in enumerate(rows):
+        for j in range(k + 1, len(g)):
+            bordered = [[g[i][c] for c in [*range(k), j]] for i in range(k + 1)]
+            assert row[j] == determinant(bordered), (k, j)
+
+
 def charpoly_inertia(sympy, g):
     """Signature from the characteristic polynomial, exactly: its roots are
     real, so Descartes' rule of signs counts the positive eigenvalues, and

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigsurf.errors import DomainError
+from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
     DivisorClass,
     Generic,
@@ -276,6 +277,85 @@ def test_structured_lattice_head_blocks():
     lat = blowup_hirzebruch(3, [(1, False)])
     assert lat.gram == ((-3, 1, 0), (1, 0, 0), (0, 0, -1))
     assert lat.gram is lat.gram  # built once
+
+
+@st.composite
+def lattice_and_sparse_classes(draw):
+    """A plane or Hirzebruch lattice of rank 1..30 and up to six sparse int
+    classes on it.  Indices come from a small pool as often as not, so the
+    classes share tail indices, and a class may repeat an index."""
+    rank = draw(st.integers(1, 30))
+    if rank >= 2 and draw(st.booleans()):
+        on_fiber = draw(st.integers(0, rank - 2))
+        meets_sigma = on_fiber > 0 and draw(st.booleans())
+        lat = blowup_hirzebruch(draw(st.integers(1, 6)),
+                                [(on_fiber - meets_sigma, meets_sigma)],
+                                extra_on_sigma=rank - 2 - on_fiber)
+    else:
+        lat = blowup_p2(rank - 1)
+    pool = draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=4))
+    index = st.one_of(st.sampled_from(pool), st.integers(0, rank - 1))
+    terms = st.lists(st.tuples(index, st.integers(-9, 9)), max_size=8)
+    return lat, draw(st.lists(terms, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_and_sparse_classes())
+def test_gram_of_matches_the_dense_restriction(lat_and_classes):
+    lat, classes = lat_and_classes
+    dense = []
+    for terms in classes:
+        v = [0] * lat.rank
+        for i, c in terms:
+            v[i] += c
+        dense.append(v)
+    gram = lat.gram_of(classes)
+    assert gram == gram_restrict(lat.gram, dense)
+    assert all(type(x) is int for row in gram for x in row)
+
+
+def test_gram_of_hirzebruch_strict_transforms():
+    # sigma, F~_1 = F - e1_1 - e1_2 and F~_2 = F - e2_1 - e2_s share only
+    # head classes; F and e2_s twice over meet through the tail
+    lat = blowup_hirzebruch(3, [(2, False), (1, True)])
+    index = lat.index
+    sigma = [(index["sigma"], 1)]
+    f1 = [(index["F"], 1), (index["e1_1"], -1), (index["e1_2"], -1)]
+    f2 = [(index["F"], 1), (index["e2_1"], -1), (index["e2_s"], -1)]
+    twice = [(index["e2_s"], 1), (index["F"], 2), (index["e2_s"], 1)]
+    assert lat.gram_of([sigma, f1, f2, twice]) == [
+        [-3, 1, 1, 2], [1, -2, 0, 0], [1, 0, -2, 2], [2, 0, 2, -4]]
+    assert lat.gram_of([]) == []
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("fibers, message", [
+    ([(1.7, "no"), (1, False)], "points per fiber must be an int, not 1.7"),
+    ([("2", False), (1, False)], "points per fiber must be an int, not '2'"),
+    ([(Fraction(2), False), (1, False)], "points per fiber must be an int"),
+    ([(1, False), (1, "no")], "on-section flag must be a bool, not 'no'"),
+    ([(1, 0), (1, False)], "on-section flag must be a bool, not 0"),
+    ([(1, False), (1, None)], "on-section flag must be a bool, not None"),
+])
+def test_fiber_specs_are_validated_not_coerced(fibers, message):
+    with pytest.raises(DomainError, match=message):
+        blowup_hirzebruch(1, fibers)
+    with pytest.raises(DomainError, match=message):
+        verify_witness("hirzebruch_b", n=1, fibers=fibers)
+
+
+def test_fiber_count_by_operator_index():
+    lat = blowup_hirzebruch(1, [(_Index(2), True), (0, False)])
+    assert lat.model.fiber_specs == ((2, True), (0, False))
+    assert type(lat.model.fiber_specs[0][0]) is int
+    assert verify_witness("hirzebruch_b", n=1, fibers=[(_Index(1), False), (1, False)]).holds
 
 
 def test_pair_rejects_coordinates_beyond_the_rank():

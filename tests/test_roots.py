@@ -260,6 +260,21 @@ def test_d_ladder_from_line_conic(n):
     assert report.rank == n
 
 
+@pytest.mark.parametrize("config", [
+    *(LineConic(1, n) for n in (12, 16, 20, 24, 28)),
+    LineConic(2, 5), LineConic(3, 5), LineConic(2, 6), LineConic(4, 5), LineConic(2, 7),
+    ThreeLines(3, 3, 2), ThreeLines(4, 3, 2), ThreeLines(5, 3, 2),
+], ids=repr)
+def test_cartan_is_minus_the_simple_root_gram(config):
+    # classify pairs over each simple root's nonzero coordinates; the dense
+    # pairing of the oracle must give the same ints
+    _, gram = root_lattice_of_config(config)
+    report = classify(extract_roots(gram), gram)
+    simple = report.simple_roots
+    assert report.cartan == tuple(tuple(-dot(gram, s, t) for t in simple) for s in simple)
+    assert all(type(x) is int for row in report.cartan for x in row)
+
+
 def test_classify_rejects_incomplete_list():
     roots = [r for r in extract_roots(A2) if abs(r[0]) + abs(r[1]) != 2]
     with pytest.raises(InvariantError):

@@ -11,6 +11,7 @@ from bigsurf.zariski import (
     log_canonical_test,
     zariski_decompose,
 )
+from oracles import inertia
 
 
 def test_params_validation_messages():
@@ -129,3 +130,30 @@ def test_lc_characterizations_agree(nka):
         s = sum(Fraction(1, ai) for ai in a)
         assume(n > s)
         assert (result.coefficient <= 1) == result.log_canonical
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_params)
+def test_structured_certificates_match_the_dense_pairing(nka):
+    # zariski_decompose reads P^2, P.sigma, P.F_i and N's support block
+    # from one structured Gram; the dense classes and pairing agree
+    n, k, a = nka
+    assume(sum(Fraction(1, ai) for ai in a) < k - 2)
+    params = FamilyParams(n, k, a)
+    assert params.reciprocal_sum == sum(Fraction(1, ai) for ai in a)
+    report = zariski_decompose(params)
+    lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
+    p, neg = report.positive_part, report.negative_part
+    sigma = lattice.basis_class("sigma")
+    fibers = [fiber_strict(lattice, i) for i in range(1, k + 1)]
+    assert report.p_squared == lattice.pair(p, p)
+    assert lattice.pair(p, sigma) == 0
+    assert all(lattice.pair(p, f) == 0 for f in fibers)
+    # N = (2 - c) sigma + sum (1 - c/a_i) F_i, with c the sigma coefficient of P
+    c = p.coeffs[0]
+    support = ([sigma] if 2 - c > 0 else []) + [
+        f for f, ai in zip(fibers, a) if 1 - c / ai > 0]
+    assert neg == (2 - c) * sigma + sum(((1 - c / ai) * f for f, ai in zip(fibers, a)),
+                                        0 * sigma)
+    gram = [[lattice.pair(u, v) for v in support] for u in support]
+    assert inertia(gram).is_negative_definite
