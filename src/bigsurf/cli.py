@@ -19,12 +19,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import serialize as ser
-from .bigness import (agreement_sweep, classify_anticanonical, cross_check,
-                      orthogonal_complement)
+from .bigness import agreement_sweep, classify_anticanonical, cross_check
 from .enumeration import negative_classes
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 from .picard import (Generic, LineConic, PointConfiguration, ThreeLines,
-                     blowup_p2, check_witness_fields, verify_witness)
+                     check_witness_fields, verify_witness)
 from .roots import (classify as classify_roots, coxeter_dot, extract_roots,
                     predicted_type, root_lattice_of_config, type_string)
 from .zariski import FamilyParams, zariski_decompose
@@ -183,13 +182,13 @@ def _check(request: Any, fmt: str) -> Outcome:
 
 
 def _roots(request: Any, fmt: str) -> Outcome:
-    config = _point_config(request, "roots")
-    if isinstance(config, Generic):
-        lattice = blowup_p2(config.r)
-        basis, gram = orthogonal_complement(lattice, [lattice.anticanonical])
-    else:
-        basis, gram = root_lattice_of_config(config)
-    report = classify_roots(extract_roots(gram), gram)
+    basis, gram = root_lattice_of_config(_point_config(request, "roots"))
+    try:
+        roots = extract_roots(gram)
+    except NotNegativeDefiniteError:
+        raise DomainError("the anticanonical class is not big here: the component "
+                          "complement is not negative definite") from None
+    report = classify_roots(roots, gram)
     if fmt == "dot":
         return coxeter_dot(report), None
     return ser.roots_to_dict(report, basis), None

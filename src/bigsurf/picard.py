@@ -347,6 +347,21 @@ def _plane_lattice(labels: Sequence[str]) -> PicardLattice:
     return PicardLattice(((1,),), tuple(labels), canonical, PlaneBlowup(rank - 1))
 
 
+def _count(name: str, value: object) -> int:
+    """value as an int, by operator.index; DomainError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an int, not {value!r}") from None
+
+
+def _flag(name: str, value: object) -> bool:
+    """value itself if it is a bool; DomainError naming it otherwise."""
+    if type(value) is not bool:
+        raise DomainError(f"{name} must be a bool, not {value!r}")
+    return value
+
+
 def blowup_p2(r: int) -> PicardLattice:
     """Picard lattice of the plane blown up at r points."""
     if r < 0:
@@ -371,15 +386,10 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
         raise DomainError("extra_on_sigma must be non-negative")
     specs = []
     for off, on in fiber_specs:
-        try:
-            off = operator.index(off)
-        except TypeError:
-            raise DomainError(f"points per fiber must be an int, not {off!r}") from None
+        off = _count("points per fiber", off)
         if off < 0:
             raise DomainError("points per fiber must be non-negative")
-        if type(on) is not bool:
-            raise DomainError(f"a fiber's on-section flag must be a bool, not {on!r}")
-        specs.append((off, on))
+        specs.append((off, _flag("a fiber's on-section flag", on)))
     labels = ["sigma", "F"]
     for i, (off, on) in enumerate(specs, start=1):
         labels.extend(f"e{i}_{j}" for j in range(1, off + 1))
@@ -407,37 +417,39 @@ def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
             + [(index[p], -1) for p in points])
 
 
-def fiber_terms(lattice: PicardLattice, i: int) -> list[tuple[int, int]]:
-    """Sparse strict transform of the i-th named fiber (1-based)."""
+def strict_terms(lattice: PicardLattice) -> tuple[list[tuple[int, int]],
+                                                  list[list[tuple[int, int]]]]:
+    """Sparse strict transforms of the negative section and of every named
+    fiber, from basis positions: sigma and F come first, then each fiber's
+    points in order, then the extra points on sigma, so one running offset
+    over the fiber specs places them all in O(rank), with no label built or
+    looked up."""
     model = _hirzebruch_model(lattice)
-    if not 1 <= i <= len(model.fiber_specs):
-        raise DomainError(f"fiber index {i} out of range")
-    off, on = model.fiber_specs[i - 1]
-    points = [f"e{i}_{j}" for j in range(1, off + 1)]
-    if on:
-        points.append(f"e{i}_s")
-    return incidence_terms(lattice, [("F", 1)], points)
-
-
-def sigma_terms(lattice: PicardLattice) -> list[tuple[int, int]]:
-    """Sparse strict transform of the negative section."""
-    model = _hirzebruch_model(lattice)
-    points = [f"e{i}_s" for i, (_, on) in enumerate(model.fiber_specs, start=1) if on]
-    points.extend(f"s{j}" for j in range(1, model.extra_on_sigma + 1))
-    return incidence_terms(lattice, [("sigma", 1)], points)
+    minus = [(j, -1) for j in range(lattice.rank)]  # -1 on basis class j
+    sigma, fibers, pos = [(0, 1)], [], 2
+    for off, on in model.fiber_specs:
+        terms = [(1, 1)] + minus[pos:pos + off]
+        pos += off
+        if on:
+            terms.append(minus[pos])
+            sigma.append(minus[pos])
+            pos += 1
+        fibers.append(terms)
+    return sigma + minus[pos:], fibers
 
 
 def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
     """Strict transform of the i-th named fiber (1-based): F minus the
-    exceptional classes of the points on it, built from its sparse
-    incidence terms in O(rank)."""
-    return lattice.class_of(fiber_terms(lattice, i))
+    exceptional classes of the points on it, in O(rank)."""
+    fibers = strict_terms(lattice)[1]
+    if not 1 <= i <= len(fibers):
+        raise DomainError(f"fiber index {i} out of range")
+    return lattice.class_of(fibers[i - 1])
 
 
 def sigma_strict(lattice: PicardLattice) -> DivisorClass:
-    """Strict transform of the negative section, built from its sparse
-    incidence terms in O(rank)."""
-    return lattice.class_of(sigma_terms(lattice))
+    """Strict transform of the negative section, in O(rank)."""
+    return lattice.class_of(strict_terms(lattice)[0])
 
 
 # point configurations --------------------------------------------------------
@@ -449,6 +461,7 @@ class Generic(Frozen):
     _fields = __slots__ = ("r",)
 
     def __init__(self, r: int):
+        r = _count("r", r)
         if r < 0:
             raise DomainError("r must be a non-negative integer")
         _set(self, "r", r)
@@ -462,6 +475,7 @@ class LineConic(Frozen):
     case = "ii"
 
     def __init__(self, a: int, b: int, both: int = 0):
+        a, b, both = _count("a", a), _count("b", b), _count("both", both)
         if a < 0 or b < 0:
             raise DomainError("point counts must be non-negative")
         if not 0 <= both <= 2:
@@ -488,14 +502,12 @@ class ThreeLines(Frozen):
 
     def __init__(self, a1: int, a2: int, a3: int,
                  p12: bool = False, p13: bool = False, p23: bool = False):
-        if min(a1, a2, a3) < 0:
+        counts = [_count(name, x) for name, x in (("a1", a1), ("a2", a2), ("a3", a3))]
+        if min(counts) < 0:
             raise DomainError("point counts must be non-negative")
-        _set(self, "a1", a1)
-        _set(self, "a2", a2)
-        _set(self, "a3", a3)
-        _set(self, "p12", p12)
-        _set(self, "p13", p13)
-        _set(self, "p23", p23)
+        flags = [_flag(name, x) for name, x in (("p12", p12), ("p13", p13), ("p23", p23))]
+        for name, value in zip(self._fields, counts + flags):
+            _set(self, name, value)
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -598,15 +610,16 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
         raise DomainError("exactly n + 1 named fibers are required")
     lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)
     rank = lattice.rank
-    sigma, fiber = lattice.index["sigma"], lattice.index["F"]
     lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
+    # sigma and F are the first two basis classes
     big = [0] * rank
-    big[sigma], big[fiber] = 1, n
+    big[0], big[1] = 1, n
     eff = [0] * rank
-    eff[sigma] = n - 1
-    add_terms(eff, sigma_terms(lattice), n)
-    for i in range(1, n + 2):
-        add_terms(eff, fiber_terms(lattice, i), n)
+    eff[0] = n - 1
+    sigma_terms, fiber_terms = strict_terms(lattice)
+    add_terms(eff, sigma_terms, n)
+    for terms in fiber_terms:
+        add_terms(eff, terms, n)
     return _report("hirzebruch_b", lhs, big, eff, n)
 
 

@@ -17,8 +17,8 @@ from itertools import chain
 from typing import Sequence
 
 from .bigness import orthogonal_complement
-from .errors import DomainError, InvariantError, NotNegativeDefiniteError
-from .linalg import _symmetric_int_rows, is_negative_definite, short_vectors
+from .errors import DomainError, InvariantError
+from .linalg import _symmetric_int_rows, short_vectors
 from .picard import (
     Generic,
     LineConic,
@@ -273,15 +273,13 @@ def type_string(components: Sequence[Component]) -> str:
 
 
 def root_lattice_of_config(config: PointConfiguration) -> tuple[list[Vec], list[list[int]]]:
-    """Orthogonal complement of the anticanonical components, as
-    (basis, gram); defined exactly when the configuration is big."""
+    """Orthogonal complement of the anticanonical components (of -K itself
+    for points in general position), as (basis, gram): negative definite
+    exactly when the configuration is big, which extract_roots decides."""
     lattice = config_lattice(config)
-    basis, gram = orthogonal_complement(lattice, list(_components(lattice, config)))
-    if not is_negative_definite(gram):
-        raise NotNegativeDefiniteError(
-            "the anticanonical class is not big here: the component complement "
-            "is not negative definite")
-    return basis, gram
+    components = ([lattice.anticanonical] if isinstance(config, Generic)
+                  else list(_components(lattice, config)))
+    return orthogonal_complement(lattice, components)
 
 
 def coxeter_dot(report: RootSystemReport) -> str:

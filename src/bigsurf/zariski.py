@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
-from .picard import (DivisorClass, Frozen, _set, add_terms, blowup_hirzebruch,
-                     fiber_terms, sparse_terms)
+from .picard import (DivisorClass, Frozen, _count, _set, add_terms,
+                     blowup_hirzebruch, sparse_terms, strict_terms)
 
 __all__ = [
     "FamilyParams",
@@ -39,7 +39,10 @@ def _reciprocal_sum(a: Sequence[int]) -> Fraction:
     return Fraction(sum(m // ai for ai in a), m)
 
 
-def _validate_shape(n: int, k: int, a: Sequence[int]) -> None:
+def _validate_shape(n: int, k: int, a: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+    """n, k and a as ints (by operator.index), once they fit the family."""
+    n, k = _count("n", n), _count("k", k)
+    a = tuple(_count("a_j", ai) for ai in a)
     if n < 2:
         raise DomainError("n must satisfy n >= 2")
     if not 3 <= k <= n + 1:
@@ -48,6 +51,7 @@ def _validate_shape(n: int, k: int, a: Sequence[int]) -> None:
         raise DomainError("a must list exactly k multiplicities")
     if any(ai < 1 for ai in a):
         raise DomainError("every a_j must satisfy a_j >= 1")
+    return n, k, a
 
 
 class FamilyParams(Frozen):
@@ -55,8 +59,7 @@ class FamilyParams(Frozen):
 
     _fields = __slots__ = ("n", "k", "a")
     def __init__(self, n: int, k: int, a: Sequence[int]):
-        a = tuple(a)
-        _validate_shape(n, k, a)
+        n, k, a = _validate_shape(n, k, a)
         _set(self, "n", n)
         _set(self, "k", k)
         _set(self, "a", a)
@@ -116,7 +119,7 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     rank = lattice.rank
     fiber = lattice.index["F"]
     sigma = [(lattice.index["sigma"], 1)]
-    strict = [fiber_terms(lattice, i) for i in range(1, k + 1)]
+    strict = strict_terms(lattice)[1]
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)
@@ -168,8 +171,7 @@ class LogCanonicalResult(NamedTuple):
 def log_canonical_test(n: int, k: int, a: Sequence[int]) -> LogCanonicalResult:
     """Log-canonicity criterion, available outside the family's defining
     inequality so that both outcomes are reachable."""
-    a = tuple(a)
-    _validate_shape(n, k, a)
+    n, k, a = _validate_shape(n, k, a)
     s = _reciprocal_sum(a)
     lc = s >= k - 2
     coefficient = None if s == n else 2 - Fraction(n + 2 - k) / (n - s)

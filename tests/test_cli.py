@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigsurf import cli
+from bigsurf import cli, linalg
 from bigsurf.bigness import SweepReport
 
 
@@ -167,6 +167,43 @@ def test_roots_not_big_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "not negative definite" in err or "not big" in err
+
+
+NOT_BIG = ("error: the anticanonical class is not big here: the component "
+           "complement is not negative definite\n")
+
+
+@pytest.mark.parametrize("request_json", [
+    '{"model":"line_conic","a":3,"b":7}',
+    '{"model":"three_lines","a":[2,3,6]}',
+    '{"model":"generic","r":9}',
+    '{"model":"generic","r":12}',
+])
+def test_roots_not_big_message(capsys, request_json):
+    """Every point configuration, generic ones included, reports a non-big
+    complement with the same one line."""
+    assert run_cli(capsys, "roots", "--json", request_json) == (1, "", NOT_BIG)
+
+
+@pytest.mark.parametrize("request_json", [
+    '{"model":"line_conic","a":2,"b":5}',
+    '{"model":"generic","r":8}',
+    '{"model":"line_conic","a":3,"b":7}',
+    '{"model":"generic","r":12}',
+])
+def test_roots_eliminates_the_complement_once(capsys, monkeypatch, request_json):
+    """The Fincke-Pohst search's own elimination decides definiteness: one
+    Bareiss run per roots request, big or not."""
+    calls = []
+    bareiss = linalg._bareiss_pivots
+
+    def counted(a):
+        calls.append(len(a))
+        return bareiss(a)
+
+    monkeypatch.setattr(linalg, "_bareiss_pivots", counted)
+    run_cli(capsys, "roots", "--json", request_json)
+    assert len(calls) == 1
 
 
 def test_roots_dot_output(capsys):

@@ -18,9 +18,12 @@ from bigsurf.picard import (
     blowup_p2,
     config_lattice,
     fiber_strict,
+    incidence_terms,
     sigma_strict,
+    strict_terms,
     verify_witness,
 )
+from bigsurf.zariski import FamilyParams
 from oracles import FractionClass, arithmetic_genus, dot, k_squared, riemann_roch_nef
 
 
@@ -356,6 +359,50 @@ def test_fiber_count_by_operator_index():
     assert lat.model.fiber_specs == ((2, True), (0, False))
     assert type(lat.model.fiber_specs[0][0]) is int
     assert verify_witness("hirzebruch_b", n=1, fibers=[(_Index(1), False), (1, False)]).holds
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Generic(2.0), "r must be an int, not 2.0"),
+    (lambda: Generic("3"), "r must be an int, not '3'"),
+    (lambda: LineConic(1.5, 2), "a must be an int, not 1.5"),
+    (lambda: LineConic(1, Fraction(2)), "b must be an int, not Fraction"),
+    (lambda: LineConic(1, 2, 1.0), "both must be an int, not 1.0"),
+    (lambda: ThreeLines(2, 3.0, 2), "a2 must be an int, not 3.0"),
+    (lambda: ThreeLines(2, 3, 2, p12="no"), "p12 must be a bool, not 'no'"),
+    (lambda: ThreeLines(2, 3, 2, p23=1), "p23 must be a bool, not 1"),
+    (lambda: FamilyParams(2.0, 3, (2, 3, 7)), "n must be an int, not 2.0"),
+    (lambda: FamilyParams(2, 3, (2, 3, 7.0)), "a_j must be an int, not 7.0"),
+])
+def test_constructors_reject_non_integral_counts_and_non_bool_flags(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_constructors_store_counts_by_operator_index():
+    assert Generic(_Index(3)) == Generic(3)
+    config = LineConic(_Index(2), _Index(5), _Index(1))
+    assert config == LineConic(2, 5, 1) and type(config.a) is int
+    assert ThreeLines(_Index(2), 3, 2, p12=True).counts == (2, 3, 2)
+    assert FamilyParams(_Index(2), 3, (2, _Index(3), 7)).a == (2, 3, 7)
+
+
+@pytest.mark.parametrize("specs, extra", [
+    ([], 0), ([(0, False)], 2), ([(2, False), (1, True)], 1),
+    ([(3, True), (0, True), (0, False), (2, False)], 0), ([(1, False)] * 5, 3),
+])
+def test_strict_terms_match_the_labelled_incidences(specs, extra):
+    """The positional strict transforms are the label-built incidences."""
+    lat = blowup_hirzebruch(2, specs, extra)
+    fibers = [incidence_terms(lat, [("F", 1)], [f"e{i}_{j}" for j in range(1, off + 1)]
+                              + ([f"e{i}_s"] if on else []))
+              for i, (off, on) in enumerate(specs, start=1)]
+    sigma = incidence_terms(lat, [("sigma", 1)],
+                            [f"e{i}_s" for i, (_, on) in enumerate(specs, start=1) if on]
+                            + [f"s{j}" for j in range(1, extra + 1)])
+    assert strict_terms(lat) == (sigma, fibers)
+    assert [fiber_strict(lat, i) for i in range(1, len(specs) + 1)] == [
+        lat.class_of(terms) for terms in fibers]
+    assert sigma_strict(lat) == lat.class_of(sigma)
 
 
 def test_pair_rejects_coordinates_beyond_the_rank():

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bigsurf.bigness import classify_anticanonical, orthogonal_complement
+from bigsurf.bigness import classify_anticanonical
 from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
-from bigsurf.picard import (Generic, LineConic, ThreeLines, anticanonical_components,
-                            blowup_p2, config_lattice)
+from bigsurf.picard import Generic, LineConic, ThreeLines, config_lattice
 from bigsurf.roots import (
     classify,
     coxeter_dot,
@@ -189,25 +188,14 @@ def test_simple_roots_match_pairwise_sum_oracle_non_simply_laced(name):
     ThreeLines(5, 3, 2), Generic(8),
 ])
 def test_simple_roots_match_pairwise_sum_oracle_on_config_lattices(config):
-    if isinstance(config, Generic):
-        lattice = blowup_p2(config.r)
-        _, gram = orthogonal_complement(lattice, [lattice.anticanonical])
-    else:
-        _, gram = root_lattice_of_config(config)
+    _, gram = root_lattice_of_config(config)
     roots = extract_roots(gram)
     assert classify(roots, gram).simple_roots == pairwise_sum_simple_roots(roots)
 
 
-def complement_gram(config):
-    if isinstance(config, Generic):
-        lattice = blowup_p2(config.r)
-        return orthogonal_complement(lattice, [lattice.anticanonical])[1]
-    return root_lattice_of_config(config)[1]
-
-
 ENUMERATED_GRAMS = {
-    **{f"D{n}": complement_gram(LineConic(1, n)) for n in (4, 5, 6, 8, 12)},
-    **{f"E{r}": complement_gram(Generic(r)) for r in (6, 7, 8)},
+    **{f"D{n}": root_lattice_of_config(LineConic(1, n))[1] for n in (4, 5, 6, 8, 12)},
+    **{f"E{r}": root_lattice_of_config(Generic(r))[1] for r in (6, 7, 8)},
 }
 # gram and its complete root list
 BASIS_CHANGE_CASES = {name: (gram, extract_roots(gram)) for name, gram in ENUMERATED_GRAMS.items()}
@@ -355,13 +343,7 @@ def test_complements_are_even_lattices(config):
     anticanonical components has K.x = 0, so adjunction, x^2 + K.x =
     2 p_a(x) - 2, makes x^2 even: an int Gram with an even diagonal, since
     x^2 = sum_i g_ii x_i^2 + 2 sum_{i<j} g_ij x_i x_j."""
-    if isinstance(config, Generic):
-        lattice = blowup_p2(config.r)
-        components = [lattice.anticanonical]
-    else:
-        lattice = config_lattice(config)
-        components = list(anticanonical_components(config))
-    _, gram = orthogonal_complement(lattice, components)
+    _, gram = root_lattice_of_config(config)
     assert all(type(x) is int for row in gram for x in row)
     assert all(gram[i][i] % 2 == 0 for i in range(len(gram)))
 
@@ -376,12 +358,13 @@ def test_root_lattice_e6():
 
 
 def test_root_lattice_rejects_non_big():
-    with pytest.raises(NotNegativeDefiniteError):
-        root_lattice_of_config(LineConic(3, 7))
-    with pytest.raises(NotNegativeDefiniteError):
-        root_lattice_of_config(ThreeLines(2, 3, 6))
-    with pytest.raises(DomainError):
-        root_lattice_of_config(Generic(3))
+    """The complement is built for every configuration; the elimination
+    inside extract_roots rejects a non-big one."""
+    for config in (LineConic(3, 7), ThreeLines(2, 3, 6)):
+        with pytest.raises(NotNegativeDefiniteError):
+            extract_roots(root_lattice_of_config(config)[1])
+    _, gram = root_lattice_of_config(Generic(3))
+    assert classify(extract_roots(gram), gram).components == (("A", 2), ("A", 1))
 
 
 @pytest.mark.parametrize("config,expected", [
