@@ -50,7 +50,7 @@ def orthogonal_complement(lattice: PicardLattice,
     """
     n = lattice.rank
     if not classes:
-        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        basis = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
         return basis, [list(row) for row in lattice.gram]
     rows = []
     for c in classes:

@@ -9,7 +9,10 @@ enumeration on symmetric forms whose entries are exact ints (a Fraction,
 bool or numpy entry raises DomainError).
 
 Matrices are plain sequences of rows; vectors come back as tuples so they can
-be hashed and compared.
+be hashed and compared.  Those tuples are built from lists, whose length
+CPython knows, so it allocates them at their own size: a tuple built from a
+generator starts at length 10 and is realloced, which leaves its block in
+another length's free list (see `picard.DivisorClass`).
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def _sign_normalized(v: Vec) -> Vec:
         if c > 0:
             return v
         if c < 0:
-            return tuple(-x for x in v)
+            return tuple([-x for x in v])
     return v
 
 
@@ -220,7 +223,7 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
         raise NotNegativeDefiniteError("the Gram matrix is not negative definite")
     if n == 0 or bound <= 0:
         return []
-    scale = math.lcm(*(minor[k] * minor[k + 1] for k in range(n)))
+    scale = math.lcm(*[minor[k] * minor[k + 1] for k in range(n)])
     weight = [scale // (minor[k] * minor[k + 1]) for k in range(n)]
 
     found: list[Vec] = []

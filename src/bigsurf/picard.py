@@ -91,6 +91,12 @@ class DivisorClass(Frozen):
     integral class has den == 1 and never builds a Fraction: its sums,
     differences and multiples are int arithmetic, and a least common
     multiple is taken only when a denominator exceeds 1.
+
+    Every numerator tuple (and every star-argument) is built from a list,
+    never from a generator or a map: CPython allocates a tuple of unknown
+    length at length 10 and reallocs it, so each such call moves a block
+    from the length-10 free list to the length-rank one, and a long run
+    parks 2000 blocks in the free list of every other length below 20.
     """
 
     _fields = __slots__ = ("nums", "den")
@@ -117,14 +123,14 @@ class DivisorClass(Frozen):
                 raise TypeError(f"coefficient {v!r} is not an int or Fraction")
         exact = [Fraction(v) for v in values]
         # over the lcm of reduced denominators the numerators stay coprime to it
-        den = math.lcm(*(int(f.denominator) for f in exact))
-        return _new(tuple(int(f.numerator) * (den // int(f.denominator)) for f in exact), den)
+        den = math.lcm(*[int(f.denominator) for f in exact])
+        return _new(tuple([int(f.numerator) * (den // int(f.denominator)) for f in exact]), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions (derived, read-only)."""
         den = self.den
-        return tuple(Fraction(x, den) for x in self.nums)
+        return tuple([Fraction(x, den) for x in self.nums])
 
     def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
         a, b = self.nums, other.nums
@@ -132,10 +138,10 @@ class DivisorClass(Frozen):
             raise ValueError("classes have different lengths")
         da, db = self.den, other.den
         if da == db:
-            return _new(*_lowest(tuple(map(op, a, b)), da))
+            return _new(*_lowest(tuple(list(map(op, a, b))), da))
         den = math.lcm(da, db)
         fa, fb = den // da, den // db
-        return _new(*_lowest(tuple(op(x * fa, y * fb) for x, y in zip(a, b)), den))
+        return _new(*_lowest(tuple([op(x * fa, y * fb) for x, y in zip(a, b)]), den))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return self._combine(other, operator.add)
@@ -144,7 +150,7 @@ class DivisorClass(Frozen):
         return self._combine(other, operator.sub)
 
     def __neg__(self) -> "DivisorClass":
-        return _new(tuple(map(operator.neg, self.nums)), self.den)
+        return _new(tuple([-x for x in self.nums]), self.den)
 
     def __mul__(self, scalar: Rational) -> "DivisorClass":
         if isinstance(scalar, int):
@@ -153,7 +159,7 @@ class DivisorClass(Frozen):
             num, den = scalar.numerator, self.den * scalar.denominator
         else:
             return NotImplemented
-        return _new(*_lowest(tuple(x * num for x in self.nums), den))
+        return _new(*_lowest(tuple([x * num for x in self.nums]), den))
 
     __rmul__ = __mul__
 
@@ -187,7 +193,7 @@ def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     if den != 1:
         g = math.gcd(den, *nums)
         if g != 1:
-            return tuple(x // g for x in nums), den // g
+            return tuple([x // g for x in nums]), den // g
     return nums, den
 
 
@@ -247,11 +253,15 @@ class PicardLattice(Frozen):
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Dense Gram matrix of the form; O(rank^2), so only the dense
-        consumers (Gram restriction, root extraction) read it."""
+        consumers read it: the Gram restriction of
+        `bigness.orthogonal_complement` and the form it returns as is for
+        an empty collection of classes (the whole lattice), and the lift
+        G - 2kk^T that `enumeration.negative_classes` hands to
+        short_vectors."""
         h, rank = len(self.head), self.rank
-        return tuple(tuple(self.head[i][j] if i < h and j < h else -int(i == j)
-                           for j in range(rank))
-                     for i in range(rank))
+        return tuple([tuple([self.head[i][j] if i < h and j < h else -int(i == j)
+                             for j in range(rank)])
+                      for i in range(rank)])
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -363,7 +373,9 @@ def _flag(name: str, value: object) -> bool:
 
 
 def blowup_p2(r: int) -> PicardLattice:
-    """Picard lattice of the plane blown up at r points."""
+    """Picard lattice of the plane blown up at r points; r is an int, by
+    operator.index (anything else raises DomainError)."""
+    r = _count("r", r)
     if r < 0:
         raise DomainError("r must be a non-negative integer")
     return _plane_lattice(["l"] + [f"e{i}" for i in range(1, r + 1)])
@@ -378,8 +390,10 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
     away from the negative section (an int, by operator.index) and whether
     the intersection point of fiber and section is also blown up (a bool);
     any other count or flag raises DomainError.  extra_on_sigma counts
-    additional points on the section away from every named fiber.
+    additional points on the section away from every named fiber; it and
+    n are ints by operator.index too.
     """
+    n, extra_on_sigma = _count("n", n), _count("extra_on_sigma", extra_on_sigma)
     if n < 1:
         raise DomainError("n must satisfy n >= 1")
     if extra_on_sigma < 0:
@@ -490,7 +504,7 @@ class LineConic(Frozen):
 
     @property
     def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        return tuple((f"g{k}", (0, 1)) for k in range(1, self.both + 1))
+        return tuple([(f"g{k}", (0, 1)) for k in range(1, self.both + 1)])
 
 
 class ThreeLines(Frozen):
@@ -519,12 +533,12 @@ class ThreeLines(Frozen):
 
     @property
     def curves(self) -> tuple[tuple[int, str, int], ...]:
-        return tuple((1, f"e{i}_", count) for i, count in enumerate(self.counts, start=1))
+        return tuple([(1, f"e{i}_", count) for i, count in enumerate(self.counts, start=1)])
 
     @property
     def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
         points = (("g12", (0, 1)), ("g13", (0, 2)), ("g23", (1, 2)))
-        return tuple(point for point, flag in zip(points, self.flags) if flag)
+        return tuple([point for point, flag in zip(points, self.flags) if flag])
 
 
 PointConfiguration = Generic | LineConic | ThreeLines

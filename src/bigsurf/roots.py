@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bigness import orthogonal_complement
 from .errors import DomainError, InvariantError
-from .linalg import _symmetric_int_rows, short_vectors
+from .linalg import _INT, _symmetric_int_rows, short_vectors
 from .picard import (
     Generic,
     LineConic,
@@ -147,9 +147,12 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     closure under negation, positivity and the simple-root test are
     therefore each one integer operation and one set lookup.
 
-    Root coordinates are integers (a Fraction or float raises TypeError);
-    a root of the wrong dimension, a duplicate, the zero vector or a list
-    not closed under negation raises ValueError.
+    Root coordinates are integers (a Fraction or float raises TypeError).
+    Roots given as tuples of exact ints, as extract_roots returns them,
+    are kept as they are, so the report holds the same objects; anything
+    else (a list, bool or numpy int coordinates) is converted to an int
+    tuple by operator.index.  A root of the wrong dimension, a duplicate,
+    the zero vector or a list not closed under negation raises ValueError.
 
     The gram is an int matrix, as for short_vectors.  With every simple
     root of square -2 the Cartan matrix, 2 (s_i, s_j) / (s_j, s_j), is minus
@@ -162,7 +165,11 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     legitimately disagree with the enumeration.
     """
     gram = _symmetric_int_rows(gram)
-    vecs = [tuple(map(operator.index, v)) for v in roots]
+    vecs = list(roots)
+    # one pass over the types decides whether any root needs converting
+    if not (set(map(type, vecs)) <= {tuple}
+            and set(map(type, chain.from_iterable(vecs))) <= _INT):
+        vecs = [tuple([*map(operator.index, v)]) for v in vecs]
     n = len(gram)
     if any(len(v) != n for v in vecs):
         raise ValueError(f"every root must have the Gram's dimension {n}")

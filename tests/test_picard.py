@@ -384,6 +384,19 @@ def test_constructors_store_counts_by_operator_index():
     assert config == LineConic(2, 5, 1) and type(config.a) is int
     assert ThreeLines(_Index(2), 3, 2, p12=True).counts == (2, 3, 2)
     assert FamilyParams(_Index(2), 3, (2, _Index(3), 7)).a == (2, 3, 7)
+    # the lattice constructors take their counts the same way
+    assert blowup_p2(_Index(2)) == blowup_p2(2)
+    assert type(blowup_p2(True).model.points) is int
+    lat = blowup_hirzebruch(True, [(1, False)], _Index(1))
+    assert lat.model == (1, ((1, False),), 1)
+    assert type(lat.model.n) is int and type(lat.model.extra_on_sigma) is int
+    for build, message in [
+            (lambda: blowup_p2(2.0), "r must be an int, not 2.0"),
+            (lambda: blowup_hirzebruch(2.0, [(1, False)]), "n must be an int, not 2.0"),
+            (lambda: blowup_hirzebruch(2, [(1, False)], 1.0),
+             "extra_on_sigma must be an int, not 1.0")]:
+        with pytest.raises(DomainError, match=message):
+            build()
 
 
 @pytest.mark.parametrize("specs, extra", [

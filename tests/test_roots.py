@@ -274,9 +274,10 @@ def test_classify_rejects_unbalanced_signs():
         classify([(1, 0), (0, 1), (-1, 0)], A2)
 
 
-@pytest.mark.parametrize("coordinate", [Fraction(3, 2), 1.7])
+@pytest.mark.parametrize("coordinate", [Fraction(3, 2), 1.7, Fraction(1), 1.0])
 def test_classify_rejects_non_integer_coordinates(coordinate):
-    # truncating to an int would silently classify different vectors
+    # truncating to an int would silently classify different vectors, and
+    # an integral Fraction or float is no int either
     with pytest.raises(TypeError):
         classify([(coordinate,), (-coordinate,)], [[-2]])
 
@@ -285,6 +286,26 @@ def test_classify_accepts_numpy_integer_coordinates():
     roots = extract_roots(A2)
     as_numpy = [tuple(np.int64(x) for x in r) for r in roots]
     assert classify(as_numpy, A2) == classify(roots, A2)
+
+
+def test_classify_keeps_int_tuples_and_converts_the_rest():
+    roots = extract_roots(A2)
+    report = classify(roots, A2)
+    # int-tuple roots come back as the very objects given, not copies
+    given = {id(r) for r in roots}
+    assert {id(r) for r in report.roots} == given
+    assert {id(r) for r in report.simple_roots} <= given
+    # bool and numpy coordinates, and roots given as lists, come back as
+    # int tuples
+    for converted in ([tuple(np.int64(x) for x in r) for r in roots],
+                      [list(r) for r in roots]):
+        other = classify(converted, A2)
+        assert other == report
+        assert all(type(r) is tuple and all(type(x) is int for x in r)
+                   for r in other.roots + other.simple_roots)
+    by_bool = classify([(True, False), (-1, 0)], [[-2, 0], [0, -2]])
+    assert by_bool.roots == ((-1, 0), (1, 0))
+    assert all(type(x) is int for r in by_bool.roots for x in r)
 
 
 def test_classify_rejects_the_zero_vector():
