@@ -265,7 +265,7 @@ class PicardLattice(Frozen):
 
     @cached_property
     def index(self) -> dict[str, int]:
-        """Basis position of each label."""
+        """Basis position of each label, read only by `basis_class`."""
         return {label: i for i, label in enumerate(self.labels)}
 
     def row(self, terms: Terms) -> dict[int, Rational]:
@@ -421,16 +421,6 @@ def _hirzebruch_model(lattice: PicardLattice) -> HirzebruchBlowup:
     return lattice.model
 
 
-def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
-                    points: Iterable[str]) -> list[tuple[int, int]]:
-    """Sparse strict transform of a curve of class sum(m * label) passing
-    once through each of the named blown-up points: the curve's terms, and
-    -1 on the exceptional class of every point.  O(number of terms)."""
-    index = lattice.index
-    return ([(index[label], m) for label, m in curve]
-            + [(index[p], -1) for p in points])
-
-
 def strict_terms(lattice: PicardLattice) -> tuple[list[tuple[int, int]],
                                                   list[list[tuple[int, int]]]]:
     """Sparse strict transforms of the negative section and of every named
@@ -544,15 +534,25 @@ class ThreeLines(Frozen):
 PointConfiguration = Generic | LineConic | ThreeLines
 
 
+def _layout(curves: Sequence[tuple[int, str, int]]) -> tuple[list[range], int]:
+    """Basis positions of config_lattice: each curve's own points as one run,
+    in curve order after l at 0, and the first shared point, which follow."""
+    runs, start = [], 1
+    for _, _, count in curves:
+        runs.append(range(start, start + count))
+        start += count
+    return runs, start
+
+
 def config_lattice(config: PointConfiguration) -> PicardLattice:
     """Picard lattice of the plane blown up along the configuration, with
     basis labels reflecting the incidence roles of the points: l, then each
     curve's own points in curve order, then the shared points."""
     if isinstance(config, Generic):
         return blowup_p2(config.r)
-    labels = ["l"]
-    for _, prefix, count in config.curves:
-        labels.extend(f"{prefix}{j}" for j in range(1, count + 1))
+    curves, labels = config.curves, ["l"]
+    for (_, prefix, _), run in zip(curves, _layout(curves)[0]):
+        labels.extend(f"{prefix}{j}" for j in range(1, len(run) + 1))
     labels.extend(label for label, _ in config.shared)
     return _plane_lattice(labels)
 
@@ -571,9 +571,8 @@ def incidence_class(config: LineConic | ThreeLines, line: int,
 def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, ...]:
     """Classes of the components of the distinguished anticanonical member:
     the strict transform of each curve, then the exceptional curve over
-    each shared point.  Each strict transform comes from its sparse
-    incidence terms, so a configuration costs O(rank) per component.  The
-    classes always sum to the anticanonical class.
+    each shared point, from sparse terms at the `_layout` positions with no
+    label looked up, in O(rank) per component.  They sum to -K.
     """
     return _components(config_lattice(config), config)
 
@@ -582,12 +581,12 @@ def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[Div
     """anticanonical_components on the already built config_lattice(config)."""
     if isinstance(config, Generic):
         raise DomainError("generic configurations carry no distinguished anticanonical member")
-    parts = [lattice.class_of(incidence_terms(
-                 lattice, [("l", degree)],
-                 [f"{prefix}{j}" for j in range(1, count + 1)]
-                 + [label for label, on in config.shared if i in on]))
-             for i, (degree, prefix, count) in enumerate(config.curves)]
-    parts += [lattice.basis_class(label) for label, _ in config.shared]
+    curves, shared = config.curves, config.shared
+    runs, first = _layout(curves)
+    parts = [lattice.class_of([(0, degree)] + [(j, -1) for j in run]
+                              + [(j, -1) for j, (_, on) in enumerate(shared, first) if i in on])
+             for i, ((degree, _, _), run) in enumerate(zip(curves, runs))]
+    parts += [lattice.class_of([(j, 1)]) for j in range(first, first + len(shared))]
     if sum(parts[1:], parts[0]) != lattice.anticanonical:
         raise InvariantError("anticanonical components fail to sum to -K")
     return tuple(parts)
@@ -638,30 +637,30 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
 
 
 def _witness_conic(n: int) -> WitnessReport:
-    # e0 is the point off the conic, e1..en lie on it
+    # basis (l, e0, e1..en): e0 is the point off the conic, e1..en lie on it
     lattice = _plane_lattice(["l"] + [f"e{i}" for i in range(n + 1)])
     rank = lattice.rank
     lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
     big = [2] + [0] * (rank - 1)
     eff = [0] * rank
-    on_conic = [f"e{i}" for i in range(1, n + 1)]
-    add_terms(eff, incidence_terms(lattice, [("l", 2)], on_conic), n - 1)
-    for point in on_conic:
-        add_terms(eff, incidence_terms(lattice, [("l", 1)], ["e0", point]))
+    on_conic = [(j, -1) for j in range(2, rank)]
+    add_terms(eff, [(0, 2)] + on_conic, n - 1)  # the conic 2l - e1 - ... - en
+    for point in on_conic:  # the line l - e0 - ei
+        add_terms(eff, [(0, 1), (1, -1), point])
     return _report("conic_c", lhs, big, eff, n)
 
 
 def _witness_castravet() -> WitnessReport:
-    # ten points, one for each pairwise intersection of five general lines
+    # ten points where five general lines meet: pair (i, j) at 1 + its index in pairs
     pairs = list(combinations(range(1, 6), 2))
     lattice = _plane_lattice(["l"] + [f"e{i}{j}" for i, j in pairs])
     rank = lattice.rank
     lhs = [-2 * c for c in lattice.canonical.integral_coeffs()]
     big = [1] + [0] * (rank - 1)
     eff = [0] * rank
-    for k in range(1, 6):
-        add_terms(eff, incidence_terms(
-            lattice, [("l", 1)], [f"e{i}{j}" for i, j in pairs if k in (i, j)]))
+    for k in range(1, 6):  # line k, through the four points on it
+        add_terms(eff, [(0, 1)] + [(j, -1) for j, pair in enumerate(pairs, start=1)
+                                   if k in pair])
     return _report("castravet_d", lhs, big, eff)
 
 
@@ -670,19 +669,21 @@ _WITNESS_FIELDS = {"hirzebruch_b": ("n", "fibers", "extra_on_sigma"),
                    "conic_c": ("n",), "castravet_d": ()}
 
 
-def check_witness_fields(example: str, n: int | None, given: Iterable[str]) -> None:
-    """DomainError for an unknown example, a missing or nonpositive n where
-    the example reads n, or else the first given field it does not read."""
+def check_witness_fields(example: str, n: int | None, given: Iterable[str]) -> int | None:
+    """DomainError for an unknown example, a missing, non-int or nonpositive
+    n where the example reads n, or else the first given field it does not
+    read.  Returns n, as an int by operator.index where the example reads it."""
     fields = _WITNESS_FIELDS.get(example)
     if fields is None:
         raise DomainError(f"unknown witness example {example!r}")
     if "n" in fields and n is None:
         raise DomainError(f"{example} requires n")
-    if "n" in fields and n < 1:
+    if "n" in fields and (n := _count("n", n)) < 1:
         raise DomainError("n must satisfy n >= 1")
     for name in given:
         if name not in fields:
             raise DomainError(f"field witness.{name} does not apply to {example}")
+    return n
 
 
 def verify_witness(example: str, n: int | None = None,
@@ -700,7 +701,7 @@ def verify_witness(example: str, n: int | None = None,
     nonzero residual class rather than rejected.  An n, fibers or nonzero
     extra_on_sigma that the example does not read raises DomainError.
     """
-    check_witness_fields(example, n, [
+    n = check_witness_fields(example, n, [
         name for name, value in (("n", n), ("fibers", fibers),
                                  ("extra_on_sigma", extra_on_sigma or None))
         if value is not None])

@@ -117,8 +117,7 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     n, k, a = params.n, params.k, params.a
     lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
     rank = lattice.rank
-    fiber = lattice.index["F"]
-    sigma = [(lattice.index["sigma"], 1)]
+    fiber, sigma = 1, [(0, 1)]  # F and sigma head the basis of blowup_hirzebruch
     strict = strict_terms(lattice)[1]
 
     s = params.reciprocal_sum

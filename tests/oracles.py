@@ -19,8 +19,11 @@ the Diophantine searches that `negative_classes` is checked against, and
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
-verdict is checked against; `FractionClass`, the coefficient-by-coefficient
-Fraction vector that `DivisorClass` is checked against; the adjunction and
+verdict is checked against; `incidence_terms` and `labelled_components`,
+the strict transforms and anticanonical components built by looking up
+basis labels, which the positional layouts are checked against;
+`FractionClass`, the coefficient-by-coefficient Fraction vector that
+`DivisorClass` is checked against; the adjunction and
 Riemann-Roch counts that the parity tests read off a lattice; and the
 ``*_from_dict`` readers that invert `bigsurf.serialize` for the round-trip
 tests.
@@ -39,7 +42,7 @@ import numpy as np
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
 from bigsurf.picard import (DivisorClass, LineConic, PicardLattice, ThreeLines,
-                            WitnessReport)
+                            WitnessReport, config_lattice)
 from bigsurf.roots import RootSystemReport, type_string
 from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
 
@@ -433,6 +436,35 @@ def three_lines_layout(config: ThreeLines) -> tuple[list[str], list[list[int]]]:
 
     return labels, [line(i) for i in (1, 2, 3)] + [[int(x == g) for x in labels]
                                                     for g in shared]
+
+
+# label-built incidences ---------------------------------------------------
+
+
+def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
+                    points: Iterable[str]) -> list[tuple[int, int]]:
+    """Sparse strict transform of a curve of class sum(m * label) passing
+    once through each of the named blown-up points: the curve's terms, and
+    -1 on the exceptional class of every point, each basis position looked
+    up by its label.  The package lays these terms out from basis
+    positions; this is the reference they are checked against."""
+    index = lattice.index
+    return ([(index[label], m) for label, m in curve]
+            + [(index[p], -1) for p in points])
+
+
+def labelled_components(config: LineConic | ThreeLines) -> tuple[DivisorClass, ...]:
+    """The anticanonical components of a cubic configuration, built from
+    label strings: each curve's strict transform from `incidence_terms` over
+    the labels of its own and its shared points, then the basis class of
+    each shared point."""
+    lattice = config_lattice(config)
+    parts = [lattice.class_of(incidence_terms(
+                 lattice, [("l", degree)],
+                 [f"{prefix}{j}" for j in range(1, count + 1)]
+                 + [label for label, on in config.shared if i in on]))
+             for i, (degree, prefix, count) in enumerate(config.curves)]
+    return tuple(parts + [lattice.basis_class(label) for label, _ in config.shared])
 
 
 # report readers -----------------------------------------------------------

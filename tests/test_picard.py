@@ -1,9 +1,12 @@
 import math
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigsurf.bigness import cross_check
 from bigsurf.errors import DomainError
 from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
@@ -11,20 +14,23 @@ from bigsurf.picard import (
     Generic,
     HirzebruchBlowup,
     LineConic,
+    PicardLattice,
     PlaneBlowup,
     ThreeLines,
+    WitnessReport,
     anticanonical_components,
     blowup_hirzebruch,
     blowup_p2,
     config_lattice,
     fiber_strict,
-    incidence_terms,
     sigma_strict,
     strict_terms,
     verify_witness,
 )
-from bigsurf.zariski import FamilyParams
-from oracles import FractionClass, arithmetic_genus, dot, k_squared, riemann_roch_nef
+from bigsurf.roots import root_lattice_of_config
+from bigsurf.zariski import FamilyParams, zariski_decompose
+from oracles import (FractionClass, arithmetic_genus, dot, incidence_terms, k_squared,
+                     labelled_components, riemann_roch_nef)
 
 
 def test_divisor_class_arithmetic():
@@ -611,3 +617,95 @@ def test_witness_extra_on_sigma_zero_is_the_default():
     # extra_on_sigma = 0 is the default, so it reads as not given
     assert verify_witness("conic_c", n=2, extra_on_sigma=0).holds
     assert verify_witness("castravet_d", extra_on_sigma=0).holds
+
+
+@pytest.mark.parametrize("example, n, message", [
+    ("conic_c", 2.0, "n must be an int, not 2.0"),
+    ("hirzebruch_b", 2.0, "n must be an int, not 2.0"),
+    ("conic_c", "3", "n must be an int, not '3'"),
+    ("conic_c", 0.5, "n must be an int, not 0.5"),
+    # a missing n comes first, n < 1 after the int check, and an n the
+    # example does not read is reported as such, whatever its type
+    ("conic_c", None, "conic_c requires n"),
+    ("conic_c", 0, "n must satisfy n >= 1"),
+    ("hirzebruch_b", False, "n must satisfy n >= 1"),
+    ("castravet_d", 2.0, "field witness.n does not apply to castravet_d"),
+])
+def test_witness_n_errors(example, n, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        verify_witness(example, n)
+
+
+def test_witness_stores_n_by_operator_index():
+    for example in ("conic_c", "hirzebruch_b"):
+        report = verify_witness(example, True)
+        assert type(report.n) is int and report.n == 1
+        assert report == verify_witness(example, 1)
+
+
+def _labelled_witness(example: str, labels: list[str], multiple: int,
+                      big: list[tuple[str, int]],
+                      curves: list[tuple[list[tuple[str, int]], list[str], int]],
+                      n: int | None = None) -> WitnessReport:
+    """multiple * (-K) = big + sum of times * (curve through the named
+    points), each class from the label-built incidences."""
+    rank = len(labels)
+    lattice = PicardLattice(((1,),), tuple(labels), DivisorClass.of([-3] + [1] * (rank - 1)),
+                            PlaneBlowup(rank - 1))
+    eff = [0] * rank
+    for curve, points, times in curves:
+        for i, c in incidence_terms(lattice, curve, points):
+            eff[i] += times * c
+    lhs, big_class, eff_class = (multiple * lattice.anticanonical,
+                                 lattice.class_of(incidence_terms(lattice, big, [])),
+                                 DivisorClass.of(eff))
+    residual = lhs - big_class - eff_class
+    return WitnessReport(example, residual.is_zero, lhs, big_class, eff_class, residual, n)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_conic_witness_matches_the_labelled_incidences(n):
+    on_conic = [f"e{i}" for i in range(1, n + 1)]
+    curves = [([("l", 2)], on_conic, n - 1)] + [([("l", 1)], ["e0", p], 1) for p in on_conic]
+    expected = _labelled_witness("conic_c", ["l", "e0", *on_conic], n, [("l", 2)],
+                                 curves, n)
+    assert verify_witness("conic_c", n) == expected
+    assert expected.holds
+
+
+def test_castravet_witness_matches_the_labelled_incidences():
+    points = [f"e{i}{j}" for i in range(1, 6) for j in range(i + 1, 6)]
+    curves = [([("l", 1)], [p for p in points if str(k) in p], 1) for k in range(1, 6)]
+    expected = _labelled_witness("castravet_d", ["l", *points], 2, [("l", 1)], curves)
+    assert verify_witness("castravet_d") == expected
+    assert expected.holds
+
+
+@pytest.mark.parametrize("configs", [
+    [LineConic(a, b, both) for a in range(7) for b in range(7) for both in range(3)],
+    [ThreeLines(*counts, *flags) for counts in product(range(4), repeat=3)
+     for flags in product((False, True), repeat=3)],
+], ids=["line_conic", "three_lines"])
+def test_components_match_the_labelled_incidences(configs):
+    for config in configs:
+        assert anticanonical_components(config) == labelled_components(config), config
+
+
+def test_no_label_lookup_on_a_computation_path(monkeypatch):
+    reads = []
+
+    def index(lattice: PicardLattice) -> dict[str, int]:
+        reads.append(lattice.labels)
+        return {label: i for i, label in enumerate(lattice.labels)}
+
+    monkeypatch.setattr(PicardLattice, "index", property(index))
+    verify_witness("conic_c", 50)
+    verify_witness("castravet_d")
+    zariski_decompose(FamilyParams(5, 6, (2, 3, 3, 4, 5, 6)))
+    cross_check(LineConic(2, 5, 2))
+    cross_check(ThreeLines(3, 3, 2, True, False, True))
+    root_lattice_of_config(LineConic(1, 12))
+    assert reads == []
+    # basis_class stays the index's reader, and the wrapper sees it
+    assert blowup_p2(2).basis_class("e1") == DivisorClass.of([0, 1, 0])
+    assert reads == [("l", "e1", "e2")]
