@@ -17,7 +17,8 @@ incidence data (which curves each point lies on), which is all the lattice
 computations see.  A configuration on a cubic (`LineConic`, `ThreeLines`)
 states that data once: `curves` lists each component curve as (degree,
 label prefix, number of points on it alone), and `shared` lists each
-blown-up point on two components with the indices of those curves.  The
+blown-up point on two components with the indices of those curves; the
+constructor sets both tuples once, with no label formatted.  The
 configuration lattice, its basis order (l, then each curve's own points in
 curve order, then the shared points) and the anticanonical components are
 all derived from that description here, and nowhere else.
@@ -29,8 +30,8 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
@@ -222,6 +223,23 @@ def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
         vec[i] += times * c
 
 
+# a basis label, or a run (prefix, first, count) naming the count classes
+# prefix + str(j) for j = first, first + 1, ...
+LabelPart = str | tuple[str, int, int]
+
+
+def _expand(parts: Sequence[LabelPart]) -> list[str]:
+    """The labels that the parts stand for, in order."""
+    out: list[str] = []
+    for part in parts:
+        if type(part) is str:
+            out.append(part)
+        else:
+            prefix, first, count = part
+            out += [f"{prefix}{j}" for j in range(first, first + count)]
+    return out
+
+
 class PicardLattice(Frozen):
     """Intersection lattice of a surface model, with labeled basis.
 
@@ -234,21 +252,38 @@ class PicardLattice(Frozen):
     proportional to its support, and so does the Gram of a few sparse
     classes (`gram_of`).  `gram` is a dense read-only view, built on first
     read.
+
+    The basis is named by `labels`, given as a sequence of parts: a label
+    string, or a run (prefix, first, count) standing for the count labels
+    prefix + str(j), j = first, first + 1, ...  The builders pass runs, so
+    a build formats no string per basis class; `rank` is counted from the
+    parts, and the `labels` tuple is formatted on first read, which no
+    computation makes.  Equality, hash, repr and pickling go by that
+    expanded tuple, so a lattice built from runs equals the one built
+    from its labels one by one.
     """
 
     _fields = ("head", "labels", "canonical", "model")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached gram and index
+    # __dict__ holds the cached labels, gram and index
+    __slots__ = ("head", "_parts", "rank", "canonical", "model", "__dict__")
 
-    def __init__(self, head: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+    def __init__(self, head: tuple[tuple[int, ...], ...], labels: Sequence[LabelPart],
                  canonical: DivisorClass, model: PlaneBlowup | HirzebruchBlowup):
+        parts = tuple(labels)
+        counts = [1 if type(part) is str else part[2] for part in parts]
+        if min(counts, default=0) < 0:
+            raise ValueError("a label run has a negative count")
         _set(self, "head", head)
-        _set(self, "labels", labels)
+        _set(self, "_parts", parts)
+        _set(self, "rank", sum(counts))
         _set(self, "canonical", canonical)
         _set(self, "model", model)
 
-    @property
-    def rank(self) -> int:
-        return len(self.labels)
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The basis labels, in basis order, formatted on first read; read
+        by equality, hash, repr and pickling, and by no computation."""
+        return tuple(_expand(self._parts))
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -266,7 +301,7 @@ class PicardLattice(Frozen):
     @cached_property
     def index(self) -> dict[str, int]:
         """Basis position of each label, read only by `basis_class`."""
-        return {label: i for i, label in enumerate(self.labels)}
+        return {label: i for i, label in enumerate(_expand(self._parts))}
 
     def row(self, terms: Terms) -> dict[int, Rational]:
         """G.v for the sparse class v: {j: v.b_j} over the basis classes b_j
@@ -351,10 +386,11 @@ class PicardLattice(Frozen):
         return -self.canonical
 
 
-def _plane_lattice(labels: Sequence[str]) -> PicardLattice:
-    rank = len(labels)
-    canonical = DivisorClass.of([-3] + [1] * (rank - 1))
-    return PicardLattice(((1,),), tuple(labels), canonical, PlaneBlowup(rank - 1))
+def _plane_lattice(labels: Sequence[LabelPart], points: int) -> PicardLattice:
+    """The plane blown up at the points, with basis l and then the points,
+    named by the label parts."""
+    return PicardLattice(((1,),), labels, _new(tuple([-3] + [1] * points), 1),
+                         PlaneBlowup(points))
 
 
 def _count(name: str, value: object) -> int:
@@ -378,7 +414,7 @@ def blowup_p2(r: int) -> PicardLattice:
     r = _count("r", r)
     if r < 0:
         raise DomainError("r must be a non-negative integer")
-    return _plane_lattice(["l"] + [f"e{i}" for i in range(1, r + 1)])
+    return _plane_lattice(("l", ("e", 1, r)), r)
 
 
 def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
@@ -404,14 +440,16 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
         if off < 0:
             raise DomainError("points per fiber must be non-negative")
         specs.append((off, _flag("a fiber's on-section flag", on)))
-    labels = ["sigma", "F"]
+    labels: list[LabelPart] = ["sigma", "F"]
+    points = extra_on_sigma
     for i, (off, on) in enumerate(specs, start=1):
-        labels.extend(f"e{i}_{j}" for j in range(1, off + 1))
+        labels.append((f"e{i}_", 1, off))
         if on:
             labels.append(f"e{i}_s")
-    labels.extend(f"s{j}" for j in range(1, extra_on_sigma + 1))
-    canonical = DivisorClass.of([-2, -(n + 2)] + [1] * (len(labels) - 2))
-    return PicardLattice(((-n, 1), (1, 0)), tuple(labels), canonical,
+        points += off + on
+    labels.append(("s", 1, extra_on_sigma))
+    canonical = _new(tuple([-2, -(n + 2)] + [1] * points), 1)
+    return PicardLattice(((-n, 1), (1, 0)), labels, canonical,
                          HirzebruchBlowup(n, tuple(specs), extra_on_sigma))
 
 
@@ -471,12 +509,42 @@ class Generic(Frozen):
         _set(self, "r", r)
 
 
+# A configuration's incidence tuples are shared, not built per instance: a
+# sweep holds thousands of configurations, and its own curves tuple would
+# cost each about 300 bytes.  The shared points come from constant tables,
+# the curves from caches keyed by the counts.
+
+# the shared points of the line-conic family, indexed by `both`
+_LINE_CONIC_SHARED = ((), (("g1", (0, 1)),), (("g1", (0, 1)), ("g2", (0, 1))))
+
+# the pairwise intersections of three lines, for each pattern of flags
+_THREE_LINES_SHARED = {
+    flags: tuple([point for point, on in zip(
+        (("g12", (0, 1)), ("g13", (0, 2)), ("g23", (1, 2))), flags) if on])
+    for flags in product((False, True), repeat=3)}
+
+
+@lru_cache(maxsize=1024)
+def _line_conic_curves(a: int, b: int) -> tuple[tuple[int, str, int], ...]:
+    return ((1, "e", a), (2, "f", b))
+
+
+@lru_cache(maxsize=1024)
+def _three_lines_curves(a1: int, a2: int, a3: int) -> tuple[tuple[int, str, int], ...]:
+    return ((1, "e1_", a1), (1, "e2_", a2), (1, "e3_", a3))
+
+
 class LineConic(Frozen):
     """Points on a line and a conic: a exclusively on the line, b exclusively
     on the conic, and `both` of the (at most two) intersection points."""
 
-    _fields = __slots__ = ("a", "b", "both")
+    _fields = ("a", "b", "both")
+    # the incidence tuples, set once by the constructor and kept outside
+    # _fields, so equality, hash, repr and pickling go by the counts alone
+    __slots__ = (*_fields, "curves", "shared")
     case = "ii"
+    curves: tuple[tuple[int, str, int], ...]
+    shared: tuple[tuple[str, tuple[int, int]], ...]
 
     def __init__(self, a: int, b: int, both: int = 0):
         a, b, both = _count("a", a), _count("b", b), _count("both", both)
@@ -487,22 +555,19 @@ class LineConic(Frozen):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "both", both)
-
-    @property
-    def curves(self) -> tuple[tuple[int, str, int], ...]:
-        return ((1, "e", self.a), (2, "f", self.b))
-
-    @property
-    def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        return tuple([(f"g{k}", (0, 1)) for k in range(1, self.both + 1)])
+        _set(self, "curves", _line_conic_curves(a, b))
+        _set(self, "shared", _LINE_CONIC_SHARED[both])
 
 
 class ThreeLines(Frozen):
     """Points on three pairwise distinct, non-concurrent lines: a_i points
     exclusively on line i, plus optionally the pairwise intersections."""
 
-    _fields = __slots__ = ("a1", "a2", "a3", "p12", "p13", "p23")
+    _fields = ("a1", "a2", "a3", "p12", "p13", "p23")
+    __slots__ = (*_fields, "curves", "shared")  # as for LineConic
     case = "iii"
+    curves: tuple[tuple[int, str, int], ...]
+    shared: tuple[tuple[str, tuple[int, int]], ...]
 
     def __init__(self, a1: int, a2: int, a3: int,
                  p12: bool = False, p13: bool = False, p23: bool = False):
@@ -512,6 +577,8 @@ class ThreeLines(Frozen):
         flags = [_flag(name, x) for name, x in (("p12", p12), ("p13", p13), ("p23", p23))]
         for name, value in zip(self._fields, counts + flags):
             _set(self, name, value)
+        _set(self, "curves", _three_lines_curves(*counts))
+        _set(self, "shared", _THREE_LINES_SHARED[tuple(flags)])
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -520,15 +587,6 @@ class ThreeLines(Frozen):
     @property
     def flags(self) -> tuple[bool, bool, bool]:
         return (self.p12, self.p13, self.p23)
-
-    @property
-    def curves(self) -> tuple[tuple[int, str, int], ...]:
-        return tuple([(1, f"e{i}_", count) for i, count in enumerate(self.counts, start=1)])
-
-    @property
-    def shared(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        points = (("g12", (0, 1)), ("g13", (0, 2)), ("g23", (1, 2)))
-        return tuple([point for point, flag in zip(points, self.flags) if flag])
 
 
 PointConfiguration = Generic | LineConic | ThreeLines
@@ -547,14 +605,14 @@ def _layout(curves: Sequence[tuple[int, str, int]]) -> tuple[list[range], int]:
 def config_lattice(config: PointConfiguration) -> PicardLattice:
     """Picard lattice of the plane blown up along the configuration, with
     basis labels reflecting the incidence roles of the points: l, then each
-    curve's own points in curve order, then the shared points."""
+    curve's own points in curve order (one label run per curve), then the
+    shared points."""
     if isinstance(config, Generic):
         return blowup_p2(config.r)
-    curves, labels = config.curves, ["l"]
-    for (_, prefix, _), run in zip(curves, _layout(curves)[0]):
-        labels.extend(f"{prefix}{j}" for j in range(1, len(run) + 1))
-    labels.extend(label for label, _ in config.shared)
-    return _plane_lattice(labels)
+    curves, shared = config.curves, config.shared
+    labels = ["l", *[(prefix, 1, count) for _, prefix, count in curves],
+              *[label for label, _ in shared]]
+    return _plane_lattice(labels, sum([count for _, _, count in curves]) + len(shared))
 
 
 def incidence_class(config: LineConic | ThreeLines, line: int,
@@ -638,7 +696,7 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
 
 def _witness_conic(n: int) -> WitnessReport:
     # basis (l, e0, e1..en): e0 is the point off the conic, e1..en lie on it
-    lattice = _plane_lattice(["l"] + [f"e{i}" for i in range(n + 1)])
+    lattice = _plane_lattice(("l", ("e", 0, n + 1)), n + 1)
     rank = lattice.rank
     lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
     big = [2] + [0] * (rank - 1)
@@ -650,10 +708,14 @@ def _witness_conic(n: int) -> WitnessReport:
     return _report("conic_c", lhs, big, eff, n)
 
 
+_CASTRAVET_PAIRS = tuple(combinations(range(1, 6), 2))
+_CASTRAVET_LABELS = ("l", *[f"e{i}{j}" for i, j in _CASTRAVET_PAIRS])
+
+
 def _witness_castravet() -> WitnessReport:
     # ten points where five general lines meet: pair (i, j) at 1 + its index in pairs
-    pairs = list(combinations(range(1, 6), 2))
-    lattice = _plane_lattice(["l"] + [f"e{i}{j}" for i, j in pairs])
+    pairs = _CASTRAVET_PAIRS
+    lattice = _plane_lattice(_CASTRAVET_LABELS, len(pairs))
     rank = lattice.rank
     lhs = [-2 * c for c in lattice.canonical.integral_coeffs()]
     big = [1] + [0] * (rank - 1)

@@ -35,7 +35,12 @@ def _opt_frac_str(value: int | Fraction | None) -> str | None:
 
 
 def divisor_to_list(divisor: DivisorClass) -> list[str]:
-    return [frac_str(c) for c in divisor.coeffs]
+    """Each coordinate as frac_str writes it: an integral class's int
+    numerators by str, and any other coordinate from one Fraction."""
+    den = divisor.den
+    if den == 1:
+        return [str(x) for x in divisor.nums]
+    return [str(Fraction(x, den)) for x in divisor.nums]
 
 
 def _closed_form_items(verdict: BignessVerdict) -> dict[str, Any]:

@@ -19,7 +19,9 @@ the Diophantine searches that `negative_classes` is checked against, and
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
-verdict is checked against; `incidence_terms` and `labelled_components`,
+verdict is checked against; the reference basis labels of every lattice
+builder, one f-string per basis class, which the label runs are checked
+against; `incidence_terms` and `labelled_components`,
 the strict transforms and anticanonical components built by looking up
 basis labels, which the positional layouts are checked against;
 `FractionClass`, the coefficient-by-coefficient Fraction vector that
@@ -41,7 +43,7 @@ import numpy as np
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
-from bigsurf.picard import (DivisorClass, LineConic, PicardLattice, ThreeLines,
+from bigsurf.picard import (DivisorClass, Generic, LineConic, PicardLattice, ThreeLines,
                             WitnessReport, config_lattice)
 from bigsurf.roots import RootSystemReport, type_string
 from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
@@ -436,6 +438,57 @@ def three_lines_layout(config: ThreeLines) -> tuple[list[str], list[list[int]]]:
 
     return labels, [line(i) for i in (1, 2, 3)] + [[int(x == g) for x in labels]
                                                     for g in shared]
+
+
+# reference basis labels --------------------------------------------------
+#
+# The package's builders name the basis by label runs, formatted only when
+# `PicardLattice.labels` is read; these build every label with its own
+# f-string, as the builders once did, and are the reference the runs are
+# checked against.
+
+
+def blowup_p2_labels(r: int) -> tuple[str, ...]:
+    """Basis labels of blowup_p2(r): l, e1..er."""
+    return tuple(["l"] + [f"e{i}" for i in range(1, r + 1)])
+
+
+def config_labels(config: Generic | LineConic | ThreeLines) -> tuple[str, ...]:
+    """Basis labels of config_lattice(config): l, then each curve's own
+    points in curve order, then the shared points."""
+    if isinstance(config, Generic):
+        return blowup_p2_labels(config.r)
+    labels = ["l"]
+    for _, prefix, count in config.curves:
+        labels.extend(f"{prefix}{j}" for j in range(1, count + 1))
+    labels.extend(label for label, _ in config.shared)
+    return tuple(labels)
+
+
+def hirzebruch_labels(fiber_specs: Sequence[tuple[int, bool]],
+                      extra_on_sigma: int = 0) -> tuple[str, ...]:
+    """Basis labels of blowup_hirzebruch(n, fiber_specs, extra_on_sigma):
+    sigma, F, each fiber's points off the section and then its point on
+    the section, then the extra points on the section."""
+    labels = ["sigma", "F"]
+    for i, (off, on) in enumerate(fiber_specs, start=1):
+        labels.extend(f"e{i}_{j}" for j in range(1, off + 1))
+        if on:
+            labels.append(f"e{i}_s")
+    labels.extend(f"s{j}" for j in range(1, extra_on_sigma + 1))
+    return tuple(labels)
+
+
+def conic_witness_labels(n: int) -> tuple[str, ...]:
+    """Basis labels of the conic_c witness lattice: l, the point e0 off the
+    conic, and e1..en on it."""
+    return tuple(["l"] + [f"e{i}" for i in range(n + 1)])
+
+
+def castravet_witness_labels() -> tuple[str, ...]:
+    """Basis labels of the castravet_d witness lattice: l, and e_ij for the
+    point where lines i < j of five general lines meet."""
+    return tuple(["l"] + [f"e{i}{j}" for i, j in itertools.combinations(range(1, 6), 2)])
 
 
 # label-built incidences ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigsurf.bigness import cross_check
+from bigsurf import picard
+from bigsurf.bigness import classify_anticanonical, cross_check
+from bigsurf.enumeration import negative_classes
 from bigsurf.errors import DomainError
 from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
@@ -29,8 +32,10 @@ from bigsurf.picard import (
 )
 from bigsurf.roots import root_lattice_of_config
 from bigsurf.zariski import FamilyParams, zariski_decompose
-from oracles import (FractionClass, arithmetic_genus, dot, incidence_terms, k_squared,
-                     labelled_components, riemann_roch_nef)
+from oracles import (FractionClass, arithmetic_genus, blowup_p2_labels,
+                     castravet_witness_labels, config_labels, conic_witness_labels, dot,
+                     hirzebruch_labels, incidence_terms, k_squared, labelled_components,
+                     riemann_roch_nef)
 
 
 def test_divisor_class_arithmetic():
@@ -694,18 +699,139 @@ def test_components_match_the_labelled_incidences(configs):
 def test_no_label_lookup_on_a_computation_path(monkeypatch):
     reads = []
 
-    def index(lattice: PicardLattice) -> dict[str, int]:
-        reads.append(lattice.labels)
-        return {label: i for i, label in enumerate(lattice.labels)}
+    def counting(name: str):
+        compute = vars(PicardLattice)[name].func
 
-    monkeypatch.setattr(PicardLattice, "index", property(index))
-    verify_witness("conic_c", 50)
-    verify_witness("castravet_d")
-    zariski_decompose(FamilyParams(5, 6, (2, 3, 3, 4, 5, 6)))
+        def read(lattice: PicardLattice):
+            reads.append(name)
+            return compute(lattice)
+
+        return property(read)
+
+    # equality and hash read labels through the same attribute, so a
+    # comparison of lattices on the way would be counted as well
+    monkeypatch.setattr(PicardLattice, "labels", counting("labels"))
+    monkeypatch.setattr(PicardLattice, "index", counting("index"))
     cross_check(LineConic(2, 5, 2))
     cross_check(ThreeLines(3, 3, 2, True, False, True))
+    classify_anticanonical(ThreeLines(30, 3, 2, True, True, False))
+    classify_anticanonical(LineConic(40, 20, 1))
+    zariski_decompose(FamilyParams(5, 6, (2, 3, 3, 4, 5, 6)))
+    verify_witness("conic_c", 50)
+    verify_witness("castravet_d")
+    verify_witness("hirzebruch_b", 4)
     root_lattice_of_config(LineConic(1, 12))
+    negative_classes(6)
     assert reads == []
-    # basis_class stays the index's reader, and the wrapper sees it
+    # basis_class stays the index's reader, and the wrappers see both reads
     assert blowup_p2(2).basis_class("e1") == DivisorClass.of([0, 1, 0])
-    assert reads == [("l", "e1", "e2")]
+    assert reads == ["index"]
+    assert blowup_p2(2).labels == ("l", "e1", "e2")
+    assert reads == ["index", "labels"]
+
+
+# label runs ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 8, 9, 10, 11, 99, 100, 101, 1000])
+def test_blowup_p2_labels_match_the_reference(r):
+    lattice = blowup_p2(r)
+    assert lattice.rank == r + 1
+    assert lattice.labels == blowup_p2_labels(r)
+
+
+def test_config_lattice_labels_match_the_reference():
+    configs = ([Generic(r) for r in (0, 3, 9, 12)]
+               + [LineConic(a, b, both) for a in (0, 1, 9, 10, 37) for b in (0, 1, 11, 40)
+                  for both in range(3)]
+               + [ThreeLines(*counts, *flags)
+                  for counts in ((0, 0, 0), (1, 2, 3), (10, 0, 11), (25, 9, 100))
+                  for flags in product((False, True), repeat=3)])
+    for config in configs:
+        lattice = config_lattice(config)
+        assert lattice.labels == config_labels(config), config
+        assert lattice.rank == len(lattice.labels)
+
+
+@pytest.mark.parametrize("n, fiber_specs, extra_on_sigma", [
+    (1, [], 0),
+    (1, [(0, False)], 0),
+    (2, [(1, True), (0, True)], 2),
+    (3, [(2, False), (0, True), (12, True)], 0),
+    (4, [(1, False)] * 5, 11),
+    (2, [(i, i % 2 == 0) for i in range(12)], 3),
+    (7, [(100, True), (0, False), (9, True)], 10),
+])
+def test_hirzebruch_labels_match_the_reference(n, fiber_specs, extra_on_sigma):
+    lattice = blowup_hirzebruch(n, fiber_specs, extra_on_sigma)
+    assert lattice.labels == hirzebruch_labels(fiber_specs, extra_on_sigma)
+    assert lattice.rank == len(lattice.labels)
+
+
+def test_witness_labels_match_the_reference(monkeypatch):
+    built = []
+
+    def plane_lattice(labels, points):
+        built.append(plane(labels, points))
+        return built[-1]
+
+    plane = picard._plane_lattice
+    monkeypatch.setattr(picard, "_plane_lattice", plane_lattice)
+    for n in (1, 2, 9, 10, 11, 150):
+        verify_witness("conic_c", n)
+        assert built.pop().labels == conic_witness_labels(n)
+    verify_witness("castravet_d")
+    assert built.pop().labels == castravet_witness_labels()
+    assert built == []
+
+
+K13 = DivisorClass.of([-3] + [1] * 13)
+
+
+def _from_runs() -> PicardLattice:
+    return PicardLattice(((1,),), ["l", ("e", 1, 10), ("x", 5, 0), "g1", ("f", 7, 2)],
+                         K13, PlaneBlowup(13))
+
+
+def _from_labels() -> PicardLattice:
+    labels = ("l", *[f"e{i}" for i in range(1, 11)], "g1", "f7", "f8")
+    return PicardLattice(((1,),), labels, K13, PlaneBlowup(13))
+
+
+def test_label_runs_and_labels_build_equal_lattices():
+    runs, flat = _from_runs(), _from_labels()
+    assert runs.rank == flat.rank == 14
+    assert "labels" not in vars(runs)
+    assert runs == flat and flat == runs
+    assert hash(_from_runs()) == hash(flat)  # hash before any other read
+    assert repr(_from_runs()) == repr(flat)
+    assert runs.labels == flat.labels and type(runs.labels) is tuple
+    assert _from_runs() != PicardLattice(((1,),), ("l", *flat.labels[2:]), K13, PlaneBlowup(13))
+    for lattice in (_from_runs(), flat):
+        copy = pickle.loads(pickle.dumps(lattice))
+        assert copy == runs and hash(copy) == hash(runs) and repr(copy) == repr(runs)
+        assert copy.rank == 14 and copy.labels == flat.labels
+    assert blowup_p2(30) == PicardLattice(((1,),), blowup_p2_labels(30),
+                                          DivisorClass.of([-3] + [1] * 30), PlaneBlowup(30))
+
+
+def test_a_label_run_with_a_negative_count_raises():
+    with pytest.raises(ValueError, match="a label run has a negative count"):
+        PicardLattice(((1,),), ["l", ("e", 1, -1)], DivisorClass.of([-3]), PlaneBlowup(0))
+
+
+@pytest.mark.parametrize("cls, args", [(LineConic, (2, 5)), (LineConic, (3, 4, 2)),
+                                       (ThreeLines, (1, 2, 3)),
+                                       (ThreeLines, (3, 3, 2, True, False, True))])
+def test_configuration_incidences_are_built_once(cls, args):
+    config = cls(*args)
+    assert config.curves is config.curves
+    assert config.shared is config.shared
+    # kept outside the fields: equality, hash, repr and pickling are the
+    # counts'; equal configurations share their incidence tuples
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and hash(copy) == hash(config)
+    assert copy.curves is config.curves and copy.shared is config.shared
+    assert "curves" not in repr(config) and "shared" not in repr(config)
+    with pytest.raises(AttributeError):
+        config.curves = ()

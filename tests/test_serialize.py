@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bigsurf.bigness import classify_anticanonical, cross_check, agreement_sweep
 from bigsurf.enumeration import negative_classes
@@ -30,6 +31,26 @@ def test_divisor_round_trip():
     listed = ser.divisor_to_list(d)
     assert listed == ["1", "-42/43", "0"]
     assert oracles.divisor_from_list(listed) == d
+
+
+_coordinate = st.one_of(st.just(0), st.integers(-60, 60), st.integers(-10**40, 10**40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_coordinate, max_size=14),
+       st.one_of(st.just(1), st.integers(2, 60), st.integers(2, 10**25)))
+@example([], 1)
+@example([0, 0, 0], 1)
+@example([0, 0, 0], 7)
+@example([-3, 1, 1, 0], 1)
+@example([-42, 0, 43, 86], 43)
+def test_divisor_to_list_matches_the_fraction_formula(nums, den):
+    """Byte-identical to formatting each Fraction coordinate with frac_str,
+    for integral, negative, zero and den > 1 classes."""
+    from bigsurf.picard import DivisorClass
+
+    divisor = DivisorClass(nums, den)
+    assert ser.divisor_to_list(divisor) == [ser.frac_str(c) for c in divisor.coeffs]
 
 
 @pytest.mark.parametrize("config", [
