@@ -26,12 +26,12 @@ from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
 from .picard import (
     DivisorClass,
-    Generic,
     LineConic,
     PicardLattice,
     PointConfiguration,
     ThreeLines,
     _components,
+    _count,
     config_lattice,
     incidence_class,
     sparse_terms,
@@ -77,9 +77,8 @@ class BignessVerdict:
 
     inequality_lhs, v and v_squared are absent when a degenerate point
     count makes the product vanish (the criterion is then unconditional).
-    effective records whether the verdict also certifies an effective
-    anticanonical member; it is left undecided for nine or more points in
-    general position.
+    effective is the configuration's `effective`: whether its cubic
+    certifies an effective anticanonical member (None: undecided).
     """
 
     big: bool
@@ -90,33 +89,27 @@ class BignessVerdict:
     effective: bool | None
 
 
-def _closed_form(config: LineConic | ThreeLines, lattice: PicardLattice) -> BignessVerdict:
+def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessVerdict:
     """The verdict from the curve degrees d_i and own point counts a_i: with
     P = prod a_i, v = P*l - sum_i d_i (P/a_i) (the points on curve i alone)
     has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config)."""
     prod = math.prod(count for _, _, count in config.curves)
     if prod == 0:
-        return BignessVerdict(True, config.case, None, None, None, True)
+        return BignessVerdict(True, config.case, None, None, None, config.effective)
     lhs = sum(Fraction(d * d, count) for d, _, count in config.curves)
     v = incidence_class(config, prod, [-d * (prod // count) for d, _, count in config.curves])
     v_sq = lattice.pair(v, v)
     if v_sq != prod ** 2 * (1 - lhs):
         raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")
-    return BignessVerdict(lhs > 1, config.case, lhs, v, v_sq, True)
+    return BignessVerdict(lhs > 1, config.case, lhs, v, v_sq, config.effective)
 
 
 def classify_anticanonical(config: PointConfiguration) -> BignessVerdict:
-    """Closed-form bigness verdict for the anticanonical class.
-
-    Points in general position: big exactly for at most eight of them.
-    Points on a line and a conic with nonzero exclusive counts a, b: big
-    exactly when 1/a + 4/b > 1.  Points on three lines with nonzero
-    exclusive counts: big exactly when 1/a1 + 1/a2 + 1/a3 > 1.  A zero
-    count always yields big.
-    """
-    if isinstance(config, Generic):
-        big = config.r <= 8
-        return BignessVerdict(big, "i", None, None, None, True if big else None)
+    """Closed-form bigness verdict for the anticanonical class: big exactly
+    when a curve has no point of its own or sum d_i^2/a_i > 1 over the
+    curve degrees d_i and own counts a_i, that is 9/r > 1 for r general
+    points, 1/a + 4/b > 1 on a line and a conic, 1/a1 + 1/a2 + 1/a3 > 1 on
+    three lines."""
     return _closed_form(config, config_lattice(config))
 
 
@@ -139,21 +132,16 @@ def cross_check(config: PointConfiguration) -> CrossCheckReport:
     distinguished anticanonical member and that the sign of v^2 matches the
     inequality (both vacuous when v is degenerate).
     """
-    if isinstance(config, Generic):
-        raise DomainError("cross-checking needs a line/conic or three-lines configuration")
     lattice = config_lattice(config)
     verdict = _closed_form(config, lattice)
     components = list(_components(lattice, config))
     lattice_big = is_big_supported(lattice, components)
     agrees = verdict.big == lattice_big
-    if verdict.v is None:
-        v_orthogonal = True
-        sign_consistent = True
-    else:
+    v_orthogonal = sign_consistent = True
+    if verdict.v is not None:
         v_orthogonal = all(lattice.pair(verdict.v, c) == 0 for c in components)
         diff = 1 - verdict.inequality_lhs
-        sign_consistent = ((verdict.v_squared > 0) == (diff > 0)
-                           and (verdict.v_squared == 0) == (diff == 0))
+        sign_consistent = (verdict.v_squared > 0, verdict.v_squared == 0) == (diff > 0, diff == 0)
     return CrossCheckReport(verdict, lattice_big, agrees, v_orthogonal, sign_consistent)
 
 
@@ -177,9 +165,10 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
     configurations with counts up to max_ai and every intersection flag
     pattern.  Records any disagreement between the two criteria, and any
     configuration whose verdict is not invariant under the intersection
-    flags (which never carry mathematical weight).  A negative bound raises
-    DomainError.
+    flags (which never carry mathematical weight).  The bounds are ints, by
+    operator.index; anything else, or a negative bound, raises DomainError.
     """
+    max_a, max_b, max_ai = map(_count, ("max_a", "max_b", "max_ai"), (max_a, max_b, max_ai))
     for name, value in (("max_a", max_a), ("max_b", max_b), ("max_ai", max_ai)):
         if value < 0:
             raise DomainError(f"sweep bound {name} must be nonnegative, got {value}")

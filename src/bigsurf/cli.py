@@ -148,8 +148,6 @@ def _point_config(request: Any, command: str) -> PointConfiguration:
 
 
 def _type_label(config: PointConfiguration) -> str | None:
-    if isinstance(config, Generic):
-        return None
     components = predicted_type(config)
     return None if components is None else type_string(components)
 

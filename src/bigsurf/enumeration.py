@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import short_vectors
-from .picard import DivisorClass, blowup_p2, sparse_terms
+from .picard import DivisorClass, _count, blowup_p2, sparse_terms
 
 __all__ = ["NegativeClassTable", "negative_classes"]
 
@@ -48,7 +48,8 @@ def negative_classes(r: int) -> NegativeClassTable:
     With k = G K the search runs on the Gram G - 2 k k^T of -Q.  A vector
     with K.x = 0 is a root (x^2 = K.x mod 2 forces x^2 = -2); one with
     K.x = -1 is a minus-one class when x^2 = -1, which leaves out -K at
-    r = 8."""
+    r = 8.  r is an int by operator.index, or DomainError."""
+    r = _count("r", r)
     if not 0 <= r <= 8:
         raise DomainError(
             "r must satisfy 0 <= r <= 8; beyond that the complement of the "

@@ -14,14 +14,16 @@ on a fixed basis together with the canonical class:
 
 Points carry no coordinates; a configuration records only the combinatorial
 incidence data (which curves each point lies on), which is all the lattice
-computations see.  A configuration on a cubic (`LineConic`, `ThreeLines`)
-states that data once: `curves` lists each component curve as (degree,
-label prefix, number of points on it alone), and `shared` lists each
-blown-up point on two components with the indices of those curves; the
-constructor sets both tuples once, with no label formatted.  The
-configuration lattice, its basis order (l, then each curve's own points in
-curve order, then the shared points) and the anticanonical components are
-all derived from that description here, and nowhere else.
+computations see.  Every configuration lies on a cubic: a smooth one
+(`Generic`, case i), a line and a conic (`LineConic`, ii) or three lines
+(`ThreeLines`, iii).  Each states that data once: `curves` lists each
+component curve as (degree, label prefix, number of points on it alone),
+`shared` lists each blown-up point on two components with the indices of
+those curves, and `effective` whether the cubic certifies an effective
+anticanonical member (None: undecided).  The configuration lattice, its
+basis order (l, then each curve's own points in curve order, then the
+shared points) and the anticanonical components are all derived from that
+description here, and nowhere else.
 """
 
 from __future__ import annotations
@@ -498,15 +500,22 @@ def sigma_strict(lattice: PicardLattice) -> DivisorClass:
 
 
 class Generic(Frozen):
-    """r points in general position in the plane."""
+    """r points in general position in the plane, all on one smooth cubic:
+    one degree-3 curve and nothing shared, so -K is the cubic's strict
+    transform, an effective member for r <= 8 and undecided (None) beyond."""
 
-    _fields = __slots__ = ("r",)
+    _fields = ("r",)
+    __slots__ = (*_fields, "curves", "effective")  # as for LineConic
+    case = "i"
+    shared = ()
 
     def __init__(self, r: int):
         r = _count("r", r)
         if r < 0:
             raise DomainError("r must be a non-negative integer")
         _set(self, "r", r)
+        _set(self, "curves", ((3, "e", r),))
+        _set(self, "effective", True if r <= 8 else None)
 
 
 # A configuration's incidence tuples are shared, not built per instance: a
@@ -543,6 +552,7 @@ class LineConic(Frozen):
     # _fields, so equality, hash, repr and pickling go by the counts alone
     __slots__ = (*_fields, "curves", "shared")
     case = "ii"
+    effective = True  # a class attribute: a sweep holds thousands of instances
     curves: tuple[tuple[int, str, int], ...]
     shared: tuple[tuple[str, tuple[int, int]], ...]
 
@@ -566,6 +576,7 @@ class ThreeLines(Frozen):
     _fields = ("a1", "a2", "a3", "p12", "p13", "p23")
     __slots__ = (*_fields, "curves", "shared")  # as for LineConic
     case = "iii"
+    effective = True
     curves: tuple[tuple[int, str, int], ...]
     shared: tuple[tuple[str, tuple[int, int]], ...]
 
@@ -607,15 +618,13 @@ def config_lattice(config: PointConfiguration) -> PicardLattice:
     basis labels reflecting the incidence roles of the points: l, then each
     curve's own points in curve order (one label run per curve), then the
     shared points."""
-    if isinstance(config, Generic):
-        return blowup_p2(config.r)
     curves, shared = config.curves, config.shared
     labels = ["l", *[(prefix, 1, count) for _, prefix, count in curves],
               *[label for label, _ in shared]]
     return _plane_lattice(labels, sum([count for _, _, count in curves]) + len(shared))
 
 
-def incidence_class(config: LineConic | ThreeLines, line: int,
+def incidence_class(config: PointConfiguration, line: int,
                     own: Sequence[int]) -> DivisorClass:
     """The class line*l + sum_i own[i] * (the points on curve i alone) in the
     basis of config_lattice(config), zero on the shared points.  Reads only
@@ -630,15 +639,14 @@ def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, 
     """Classes of the components of the distinguished anticanonical member:
     the strict transform of each curve, then the exceptional curve over
     each shared point, from sparse terms at the `_layout` positions with no
-    label looked up, in O(rank) per component.  They sum to -K.
+    label looked up, in O(rank) per component.  They sum to -K; for
+    `Generic` the one component is -K itself.
     """
     return _components(config_lattice(config), config)
 
 
 def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[DivisorClass, ...]:
     """anticanonical_components on the already built config_lattice(config)."""
-    if isinstance(config, Generic):
-        raise DomainError("generic configurations carry no distinguished anticanonical member")
     curves, shared = config.curves, config.shared
     runs, first = _layout(curves)
     parts = [lattice.class_of([(0, degree)] + [(j, -1) for j in run]

@@ -233,15 +233,20 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
                             _normalize(components), graph)
 
 
+# the del Pezzo types of r <= 8 general points (the complement of -K), by r
+_GENERIC_TYPES = ((), (), (("A", 1),), (("A", 2), ("A", 1)), (("A", 4),), (("D", 5),),
+                  (("E", 6),), (("E", 7),), (("E", 8),))
+
+
 def predicted_type(config: PointConfiguration) -> tuple[Component, ...] | None:
     """Tabulated root-system type of the configuration's complement lattice.
 
-    Returns None for configurations the table does not cover (those whose
-    roots fail to span the complement).  Three-line counts are considered
-    in weakly decreasing order; intersection flags never matter.
+    Returns None for configurations the table does not cover: those whose
+    roots fail to span the complement, and r >= 9 general points (not big).
+    Three-line counts are considered in weakly decreasing order.
     """
     if isinstance(config, Generic):
-        raise DomainError("no table prediction for points in general position")
+        return _GENERIC_TYPES[config.r] if config.r <= 8 else None
     if isinstance(config, LineConic):
         a, b = config.a, config.b
         if a * b == 0:
@@ -280,13 +285,11 @@ def type_string(components: Sequence[Component]) -> str:
 
 
 def root_lattice_of_config(config: PointConfiguration) -> tuple[list[Vec], list[list[int]]]:
-    """Orthogonal complement of the anticanonical components (of -K itself
-    for points in general position), as (basis, gram): negative definite
-    exactly when the configuration is big, which extract_roots decides."""
+    """Orthogonal complement of the anticanonical components (-K alone for
+    general points), as (basis, gram): negative definite exactly when the
+    configuration is big, which extract_roots decides."""
     lattice = config_lattice(config)
-    components = ([lattice.anticanonical] if isinstance(config, Generic)
-                  else list(_components(lattice, config)))
-    return orthogonal_complement(lattice, components)
+    return orthogonal_complement(lattice, list(_components(lattice, config)))
 
 
 def coxeter_dot(report: RootSystemReport) -> str:

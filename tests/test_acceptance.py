@@ -17,7 +17,7 @@ import numpy as np
 from bigsurf.bigness import (agreement_sweep, classify_anticanonical,
                              cross_check, orthogonal_complement)
 from bigsurf.enumeration import negative_classes
-from bigsurf.picard import (DivisorClass, LineConic, ThreeLines,
+from bigsurf.picard import (DivisorClass, Generic, LineConic, ThreeLines,
                             anticanonical_components, blowup_hirzebruch,
                             blowup_p2, config_lattice, verify_witness)
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
@@ -100,9 +100,20 @@ def test_criterion_2_type_table_reproduction():
             ThreeLines(4, 3, 2, p12=flags[0], p13=flags[1], p23=flags[2]))
         assert type_string(components) == "E7"
 
+    # the generic rows: the del Pezzo types for r <= 8, none beyond
+    for r in range(13):
+        config = Generic(r)
+        if r <= 8:
+            assert predicted_type(config) == computed_type(config)[1], r
+        else:
+            assert predicted_type(config) is None
+    assert [type_string(predicted_type(Generic(r))) for r in range(9)] == [
+        "0", "0", "A1", "A2+A1", "A4", "D5", "E6", "E7", "E8"]
+
     assert {"E6", "E7", "E8"} <= seen
     print(f"\n[criterion 2] PASS: {checked} in-table cases of rank <= 12 "
-          "match, including all six exceptional entries")
+          "match, including all six exceptional entries, and the generic "
+          "rows r = 0..8")
 
 
 def test_criterion_3_root_counts_against_box_search():

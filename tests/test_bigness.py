@@ -24,6 +24,7 @@ from bigsurf.picard import (
     blowup_p2,
     config_lattice,
 )
+from bigsurf.roots import root_lattice_of_config
 from oracles import (
     dot,
     inertia,
@@ -117,7 +118,6 @@ def test_generic_verdicts():
     assert not v.big
     assert v.case == "i"
     assert v.effective is None
-    assert v.v is None
     assert classify_anticanonical(Generic(8)).effective is True
 
 
@@ -238,8 +238,40 @@ def test_cross_check_agreement_cases():
 
 
 def test_cross_check_rejects_generic():
-    with pytest.raises(DomainError):
-        cross_check(Generic(5))
+    # from nine general points on, the lattice and the closed form both
+    # refuse bigness: v^2 = r^2 - 9r >= 0, and the complement of -K is not
+    # negative definite
+    for r in (9, 10, 12):
+        report = cross_check(Generic(r))
+        assert report.ok
+        assert not report.lattice_big
+        assert not report.verdict.big
+        assert report.verdict.v_squared == r * r - 9 * r >= 0
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_generic_is_a_cubic_configuration(r):
+    """r general points are one smooth cubic through them, case (i): the
+    plane blown up at r points, -K its one anticanonical component, and the
+    closed form 9/r with v = r*l - 3*sum(e_i)."""
+    config = Generic(r)
+    lattice = blowup_p2(r)
+    minus_k = lattice.anticanonical
+    assert config_lattice(config) == lattice
+    assert anticanonical_components(config) == (minus_k,)
+    assert root_lattice_of_config(config) == orthogonal_complement(lattice, [minus_k])
+    report = cross_check(config)
+    assert report.ok
+    assert report.lattice_big == (r <= 8) == report.verdict.big
+    verdict = report.verdict
+    if r == 0:
+        assert (verdict.inequality_lhs, verdict.v, verdict.v_squared) == (None, None, None)
+    else:
+        assert verdict.inequality_lhs == Fraction(9, r)
+        assert verdict.v == DivisorClass.of([r] + [-3] * r)
+        assert verdict.v_squared == r * r - 9 * r
+    assert verdict.effective is config.effective is (True if r <= 8 else None)
+    assert classify_anticanonical(config) == verdict
 
 
 def test_boundary_has_semidefinite_complement_with_kernel():
@@ -280,6 +312,26 @@ def test_cross_check_random_three_lines(a1, a2, a3, p12, p13, p23):
 def test_sweep_rejects_negative_bounds(bounds):
     with pytest.raises(DomainError):
         agreement_sweep(*bounds)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((1.5,), "max_a must be an int, not 1.5"),
+    ((0, "2"), "max_b must be an int, not '2'"),
+    ((0, 0, Fraction(1)), "max_ai must be an int, not Fraction"),
+])
+def test_sweep_rejects_non_integral_bounds(bounds, message):
+    with pytest.raises(DomainError, match=message):
+        agreement_sweep(*bounds)
+
+
+def test_sweep_takes_its_bounds_by_operator_index():
+    # as every constructor does: an __index__ object or a bool counts as its int
+    class One:
+        def __index__(self):
+            return 1
+
+    assert agreement_sweep(One(), 0, One()) == agreement_sweep(1, 0, 1)
+    assert agreement_sweep(True, 0, 0) == agreement_sweep(1, 0, 0)
 
 
 def test_small_sweep_is_clean():

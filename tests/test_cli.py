@@ -56,6 +56,9 @@ def test_classify_generic_nine_points(capsys):
     data = json.loads(out)
     assert data["big"] is False
     assert data["case"] == "i"
+    assert data["inequality"] == "1"
+    assert data["v"] == ["9"] + ["-3"] * 9
+    assert data["v_squared"] == "0"
     assert data["type"] is None
     assert data["effective"] is None
 

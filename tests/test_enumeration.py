@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from bigsurf import DomainError
 from bigsurf.enumeration import negative_classes
 from bigsurf.picard import DivisorClass, blowup_p2
+from bigsurf.serialize import class_table_to_dict
 from oracles import (arithmetic_genus, cauchy_schwarz_negative_classes, raw,
                      widened_box_negative_classes)
 
@@ -17,6 +18,20 @@ def test_rejects_out_of_range():
         negative_classes(9)
     with pytest.raises(DomainError):
         negative_classes(-1)
+
+
+@pytest.mark.parametrize("r, message", [(1.5, "r must be an int, not 1.5"),
+                                        ("3", "r must be an int, not '3'")])
+def test_rejects_non_integral_r(r, message):
+    with pytest.raises(DomainError, match=message):
+        negative_classes(r)
+
+
+def test_r_by_operator_index():
+    # a bool counts as its int value, so the table's r serializes as 1
+    table = negative_classes(True)
+    assert type(table.r) is int and table == negative_classes(1)
+    assert class_table_to_dict(table)["r"] == 1
 
 
 def test_no_points():

@@ -389,6 +389,13 @@ def test_constructors_reject_non_integral_counts_and_non_bool_flags(build, messa
         build()
 
 
+def test_sweep_models_keep_effective_off_the_instance():
+    # a sweep holds thousands of these, so a constant takes no slot
+    assert LineConic.__slots__ == ("a", "b", "both", "curves", "shared")
+    assert ThreeLines.__slots__ == ("a1", "a2", "a3", "p12", "p13", "p23", "curves", "shared")
+    assert LineConic(1, 2).effective is ThreeLines(1, 2, 3).effective is True
+
+
 def test_constructors_store_counts_by_operator_index():
     assert Generic(_Index(3)) == Generic(3)
     config = LineConic(_Index(2), _Index(5), _Index(1))
@@ -514,8 +521,13 @@ def test_three_lines_components():
 
 
 def test_generic_has_no_distinguished_member():
-    with pytest.raises(DomainError):
-        anticanonical_components(Generic(5))
+    # r general points lie on no named line or conic: the one smooth cubic
+    # through them is the whole anticanonical cycle, its class -K itself
+    for r in (0, 5, 9, 12):
+        config = Generic(r)
+        assert config.curves == ((3, "e", r),)
+        assert config.shared == ()
+        assert anticanonical_components(config) == (config_lattice(config).anticanonical,)
 
 
 # witness decompositions --------------------------------------------------
