@@ -33,7 +33,7 @@ import numbers
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
@@ -675,10 +675,13 @@ class WitnessReport(NamedTuple):
 
 def _report(example: str, lhs: list[int], big: list[int], eff: list[int],
             n: int | None = None) -> WitnessReport:
-    residual = [x - y - z for x, y, z in zip(lhs, big, eff, strict=True)]
-    return WitnessReport(example, not any(residual), DivisorClass.of(lhs),
-                         DivisorClass.of(big), DivisorClass.of(eff),
-                         DivisorClass.of(residual), n)
+    # int lists over den 1: each class is in lowest terms as it stands
+    if not len(lhs) == len(big) == len(eff):
+        raise ValueError("classes have different lengths")
+    residual = list(map(operator.sub, map(operator.sub, lhs, big), eff))
+    return WitnessReport(example, not any(residual), _new(tuple(lhs), 1),
+                         _new(tuple(big), 1), _new(tuple(eff), 1),
+                         _new(tuple(residual), 1), n)
 
 
 def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
@@ -689,16 +692,14 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
         raise DomainError("exactly n + 1 named fibers are required")
     lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)
     rank = lattice.rank
-    lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
+    lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     # sigma and F are the first two basis classes
     big = [0] * rank
     big[0], big[1] = 1, n
     eff = [0] * rank
     eff[0] = n - 1
     sigma_terms, fiber_terms = strict_terms(lattice)
-    add_terms(eff, sigma_terms, n)
-    for terms in fiber_terms:
-        add_terms(eff, terms, n)
+    add_terms(eff, chain(sigma_terms, *fiber_terms), n)  # n * (sigma + every fiber)
     return _report("hirzebruch_b", lhs, big, eff, n)
 
 
@@ -706,13 +707,14 @@ def _witness_conic(n: int) -> WitnessReport:
     # basis (l, e0, e1..en): e0 is the point off the conic, e1..en lie on it
     lattice = _plane_lattice(("l", ("e", 0, n + 1)), n + 1)
     rank = lattice.rank
-    lhs = [-n * c for c in lattice.canonical.integral_coeffs()]
+    lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     big = [2] + [0] * (rank - 1)
     eff = [0] * rank
     on_conic = [(j, -1) for j in range(2, rank)]
     add_terms(eff, [(0, 2)] + on_conic, n - 1)  # the conic 2l - e1 - ... - en
-    for point in on_conic:  # the line l - e0 - ei
-        add_terms(eff, [(0, 1), (1, -1), point])
+    # the n lines l - e0 - ei: their common part n(l - e0), then each ei once
+    add_terms(eff, [(0, 1), (1, -1)], n)
+    add_terms(eff, on_conic)
     return _report("conic_c", lhs, big, eff, n)
 
 
@@ -725,7 +727,7 @@ def _witness_castravet() -> WitnessReport:
     pairs = _CASTRAVET_PAIRS
     lattice = _plane_lattice(_CASTRAVET_LABELS, len(pairs))
     rank = lattice.rank
-    lhs = [-2 * c for c in lattice.canonical.integral_coeffs()]
+    lhs = list(map((-2).__mul__, lattice.canonical.integral_coeffs()))
     big = [1] + [0] * (rank - 1)
     eff = [0] * rank
     for k in range(1, 6):  # line k, through the four points on it
@@ -764,7 +766,9 @@ def verify_witness(example: str, n: int | None = None,
 
     The effective part is summed from the sparse incidence terms of the
     strict transforms, in integers, so a check costs time linear in the
-    rank; only the four reported classes are built as DivisorClass.
+    rank; only the four reported classes are built as DivisorClass.  Each
+    curve family (conic_c's lines, hirzebruch_b's section and fibers) enters
+    it in one pass.
 
     Placements that break the identity (for instance a point at the meeting
     of the negative section and a named fiber) are reported with the

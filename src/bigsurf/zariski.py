@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
-from .picard import (DivisorClass, Frozen, _count, _set, add_terms,
+from .picard import (DivisorClass, Frozen, _count, _lowest, _new, _set, add_terms,
                      blowup_hirzebruch, sparse_terms, strict_terms)
 
 __all__ = [
@@ -136,7 +136,7 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     for fi, pos, neg_coef in zip(strict, fiber_pos, fiber_neg):
         add_terms(p_vec, fi, pos)
         add_terms(neg_vec, fi, neg_coef)
-    p, neg = DivisorClass(tuple(p_vec), den), DivisorClass(tuple(neg_vec), den)
+    p, neg = _new(*_lowest(tuple(p_vec), den)), _new(*_lowest(tuple(neg_vec), den))
 
     # rows and columns: P (numerators over den), sigma, F_1..F_k
     gram = lattice.gram_of([sparse_terms(p_vec), sigma, *strict])

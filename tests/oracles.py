@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -316,6 +316,16 @@ def raw(cls: DivisorClass) -> tuple[int, ...]:
     """(d, m_1..m_r) of the integral class d l - sum(m_i e_i) on blowup_p2(r)."""
     coeffs = cls.integral_coeffs()
     return (coeffs[0], *(-m for m in coeffs[1:]))
+
+
+def is_canonical(cls: DivisorClass) -> bool:
+    """Whether cls is stored as `DivisorClass.of` stores its coefficients:
+    an int den >= 1 and int numerators (no bool or other int subclass),
+    coprime, equal to and hashing like the class rebuilt from them."""
+    nums, den = cls.nums, cls.den
+    rebuilt = DivisorClass.of(cls.coeffs)
+    return (type(den) is int and den >= 1 and all(type(x) is int for x in nums)
+            and gcd(den, *nums) == 1 and cls == rebuilt and hash(cls) == hash(rebuilt))
 
 
 # reference class arithmetic ----------------------------------------------

@@ -34,8 +34,8 @@ from bigsurf.roots import root_lattice_of_config
 from bigsurf.zariski import FamilyParams, zariski_decompose
 from oracles import (FractionClass, arithmetic_genus, blowup_p2_labels,
                      castravet_witness_labels, config_labels, conic_witness_labels, dot,
-                     hirzebruch_labels, incidence_terms, k_squared, labelled_components,
-                     riemann_roch_nef)
+                     hirzebruch_labels, incidence_terms, is_canonical, k_squared,
+                     labelled_components, riemann_roch_nef)
 
 
 def test_divisor_class_arithmetic():
@@ -557,11 +557,15 @@ def test_hirzebruch_witness_breaks_on_section_point():
     assert report.residual == expected
 
 
-@pytest.mark.parametrize("n, fibers, extra", [
+# the fiber placements with a point where sigma meets a named fiber
+ON_SECTION = [
     (2, [(0, True), (1, False), (2, True)], 0),
     (3, [(2, True), (1, False), (0, True), (3, True)], 2),
     (4, [(1, False)] * 4 + [(1, True)], 1),
-])
+]
+
+
+@pytest.mark.parametrize("n, fibers, extra", ON_SECTION)
 def test_hirzebruch_witness_residual_on_section_points(n, fibers, extra):
     # each blown-up meeting point of sigma and a named fiber enters the
     # effective part once through sigma and once through the fiber, so the
@@ -660,42 +664,89 @@ def test_witness_stores_n_by_operator_index():
         assert report == verify_witness(example, 1)
 
 
-def _labelled_witness(example: str, labels: list[str], multiple: int,
+def _labelled_witness(example: str, lattice: PicardLattice, multiple: int,
                       big: list[tuple[str, int]],
                       curves: list[tuple[list[tuple[str, int]], list[str], int]],
                       n: int | None = None) -> WitnessReport:
     """multiple * (-K) = big + sum of times * (curve through the named
-    points), each class from the label-built incidences."""
-    rank = len(labels)
-    lattice = PicardLattice(((1,),), tuple(labels), DivisorClass.of([-3] + [1] * (rank - 1)),
-                            PlaneBlowup(rank - 1))
-    eff = [0] * rank
+    points): each curve a class of its own, built from the label-built
+    incidences, and the classes summed with DivisorClass arithmetic."""
+    eff = DivisorClass.of([0] * lattice.rank)
     for curve, points, times in curves:
-        for i, c in incidence_terms(lattice, curve, points):
-            eff[i] += times * c
-    lhs, big_class, eff_class = (multiple * lattice.anticanonical,
-                                 lattice.class_of(incidence_terms(lattice, big, [])),
-                                 DivisorClass.of(eff))
-    residual = lhs - big_class - eff_class
-    return WitnessReport(example, residual.is_zero, lhs, big_class, eff_class, residual, n)
+        eff = eff + times * lattice.class_of(incidence_terms(lattice, curve, points))
+    lhs = multiple * lattice.anticanonical
+    big_class = lattice.class_of(incidence_terms(lattice, big, []))
+    residual = lhs - big_class - eff
+    return WitnessReport(example, residual.is_zero, lhs, big_class, eff, residual, n)
 
 
-@pytest.mark.parametrize("n", range(1, 41))
+def _plane(labels: tuple[str, ...]) -> PicardLattice:
+    rank = len(labels)
+    return PicardLattice(((1,),), labels, DivisorClass.of([-3] + [1] * (rank - 1)),
+                         PlaneBlowup(rank - 1))
+
+
+def _labelled_hirzebruch(n: int, fibers: list[tuple[int, bool]],
+                         extra: int) -> WitnessReport:
+    # n(-K) = (sigma + nF) + ((n - 1) sigma + n sigma~ + n sum F~_i)
+    lattice = blowup_hirzebruch(n, fibers, extra)
+    on_sigma = ([f"e{i}_s" for i, (_, on) in enumerate(fibers, start=1) if on]
+                + [f"s{j}" for j in range(1, extra + 1)])
+    curves = [([("sigma", 1)], [], n - 1), ([("sigma", 1)], on_sigma, n)]
+    curves += [([("F", 1)], [f"e{i}_{j}" for j in range(1, off + 1)]
+                + ([f"e{i}_s"] if on else []), n)
+               for i, (off, on) in enumerate(fibers, start=1)]
+    return _labelled_witness("hirzebruch_b", lattice, n, [("sigma", 1), ("F", n)],
+                             curves, n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 500])
 def test_conic_witness_matches_the_labelled_incidences(n):
     on_conic = [f"e{i}" for i in range(1, n + 1)]
     curves = [([("l", 2)], on_conic, n - 1)] + [([("l", 1)], ["e0", p], 1) for p in on_conic]
-    expected = _labelled_witness("conic_c", ["l", "e0", *on_conic], n, [("l", 2)],
+    expected = _labelled_witness("conic_c", _plane(conic_witness_labels(n)), n, [("l", 2)],
                                  curves, n)
     assert verify_witness("conic_c", n) == expected
     assert expected.holds
 
 
 def test_castravet_witness_matches_the_labelled_incidences():
-    points = [f"e{i}{j}" for i in range(1, 6) for j in range(i + 1, 6)]
+    points = list(castravet_witness_labels()[1:])
     curves = [([("l", 1)], [p for p in points if str(k) in p], 1) for k in range(1, 6)]
-    expected = _labelled_witness("castravet_d", ["l", *points], 2, [("l", 1)], curves)
+    expected = _labelled_witness("castravet_d", _plane(castravet_witness_labels()), 2,
+                                 [("l", 1)], curves)
     assert verify_witness("castravet_d") == expected
     assert expected.holds
+
+
+@pytest.mark.parametrize("n, fibers, extra",
+                         [(n, None, 0) for n in range(1, 7)] + ON_SECTION)
+def test_hirzebruch_witness_matches_the_labelled_incidences(n, fibers, extra):
+    # fibers None: the default, n + 1 fibers with one point each, off sigma
+    expected = _labelled_hirzebruch(n, fibers or [(1, False)] * (n + 1), extra)
+    assert verify_witness("hirzebruch_b", n, fibers, extra) == expected
+    assert expected.holds == (fibers is None)
+
+
+def _witness_reports() -> list[WitnessReport]:
+    return ([verify_witness("conic_c", n) for n in [*range(1, 13), 500]]
+            + [verify_witness("hirzebruch_b", n) for n in range(1, 7)]
+            + [verify_witness("hirzebruch_b", *case) for case in ON_SECTION]
+            + [verify_witness("castravet_d")])
+
+
+def test_witness_classes_are_canonical():
+    # _report builds its classes without DivisorClass.of's type scan
+    for report in _witness_reports():
+        for cls in (report.lhs, report.big_part, report.effective_part, report.residual):
+            assert is_canonical(cls), report
+
+
+@pytest.mark.parametrize("lengths", [(2, 2, 1), (2, 1, 2), (1, 2, 2), (3, 2, 1)])
+def test_witness_report_rejects_unequal_lengths(lengths):
+    lhs, big, eff = ([0] * k for k in lengths)
+    with pytest.raises(ValueError):
+        picard._report("conic_c", lhs, big, eff)
 
 
 @pytest.mark.parametrize("configs", [

@@ -11,7 +11,7 @@ from bigsurf.zariski import (
     log_canonical_test,
     zariski_decompose,
 )
-from oracles import inertia
+from oracles import inertia, is_canonical
 
 
 def test_params_validation_messages():
@@ -157,3 +157,26 @@ def test_structured_certificates_match_the_dense_pairing(nka):
                                         0 * sigma)
     gram = [[lattice.pair(u, v) for v in support] for u in support]
     assert inertia(gram).is_negative_definite
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_params)
+def test_zariski_parts_are_canonical(nka):
+    # P and N are built from their numerators without DivisorClass's type scan
+    n, k, a = nka
+    assume(sum(Fraction(1, ai) for ai in a) < k - 2)
+    report = zariski_decompose(FamilyParams(n, k, a))
+    assert is_canonical(report.positive_part)
+    assert is_canonical(report.negative_part)
+
+
+@pytest.mark.parametrize("params", [
+    FamilyParams(2, 3, (2, 3, 7)),
+    FamilyParams(5, 4, (2, 2, 3, 3)),
+    FamilyParams(6, 7, (2, 2, 2, 2, 2, 2, 2)),
+    FamilyParams(20, 21, tuple(3 + i % 7 for i in range(21))),
+])
+def test_zariski_parts_are_canonical_on_fixed_members(params):
+    report = zariski_decompose(params)
+    assert is_canonical(report.positive_part) and is_canonical(report.negative_part)
+    assert report.positive_part.den > 1
