@@ -36,8 +36,6 @@ from .picard import (
     blowup_hirzebruch,
     blowup_p2,
     config_lattice,
-    fiber_strict,
-    sigma_strict,
     verify_witness,
 )
 from .roots import (
@@ -75,8 +73,6 @@ __all__ = [
     "WitnessReport",
     "blowup_p2",
     "blowup_hirzebruch",
-    "fiber_strict",
-    "sigma_strict",
     "config_lattice",
     "anticanonical_components",
     "verify_witness",

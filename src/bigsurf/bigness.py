@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
@@ -157,6 +157,27 @@ class SweepReport:
         return not self.disagreements and not self.flag_violations
 
 
+# the flag-invariance groups of one family: each group's label and its
+# members (configurations that differ only in their intersection flags),
+# each member with its own label
+Groups = Iterator[tuple[str, list[tuple[str, PointConfiguration]]]]
+
+# the intersection flag patterns of three lines, each with its label
+_FLAG_PATTERNS = [(f"flags={flags}", flags) for flags in product((False, True), repeat=3)]
+
+
+def _line_conic_groups(max_a: int, max_b: int) -> Groups:
+    for a, b in product(range(max_a + 1), range(max_b + 1)):
+        yield (f"line_conic a={a} b={b}",
+               [(f"both={both}", LineConic(a, b, both)) for both in (0, 1, 2)])
+
+
+def _three_lines_groups(max_ai: int) -> Groups:
+    for a1, a2, a3 in product(range(max_ai + 1), repeat=3):
+        yield (f"three_lines a=({a1},{a2},{a3})",
+               [(label, ThreeLines(a1, a2, a3, *flags)) for label, flags in _FLAG_PATTERNS])
+
+
 def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> SweepReport:
     """Cross-check every configuration up to the given bounds.
 
@@ -164,9 +185,10 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
     every choice of blown-up intersection points, and all three-line
     configurations with counts up to max_ai and every intersection flag
     pattern.  Records any disagreement between the two criteria, and any
-    configuration whose verdict is not invariant under the intersection
-    flags (which never carry mathematical weight).  The bounds are ints, by
-    operator.index; anything else, or a negative bound, raises DomainError.
+    group of configurations that differ only in their intersection flags
+    (which never carry mathematical weight) whose verdicts differ.  The
+    bounds are ints, by operator.index; anything else, or a negative bound,
+    raises DomainError.
     """
     max_a, max_b, max_ai = map(_count, ("max_a", "max_b", "max_ai"), (max_a, max_b, max_ai))
     for name, value in (("max_a", max_a), ("max_b", max_b), ("max_ai", max_ai)):
@@ -174,29 +196,18 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
             raise DomainError(f"sweep bound {name} must be nonnegative, got {value}")
     disagreements: list[str] = []
     flag_violations: list[str] = []
-    lc_count = tl_count = 0
-    for a in range(max_a + 1):
-        for b in range(max_b + 1):
-            verdicts = []
-            for both in (0, 1, 2):
-                config = LineConic(a, b, both)
+    counts = {"line_conic_count": 0, "three_lines_count": 0}
+    for key, groups in (("line_conic_count", _line_conic_groups(max_a, max_b)),
+                        ("three_lines_count", _three_lines_groups(max_ai))):
+        for label, members in groups:
+            verdicts = set()
+            for member, config in members:
                 report = cross_check(config)
-                lc_count += 1
                 if not report.ok:
-                    disagreements.append(f"line_conic a={a} b={b} both={both}")
-                verdicts.append(report.verdict.big)
-            if len(set(verdicts)) != 1:
-                flag_violations.append(f"line_conic a={a} b={b}")
-    for a1, a2, a3 in product(range(max_ai + 1), repeat=3):
-        verdicts = []
-        for flags in product((False, True), repeat=3):
-            config = ThreeLines(a1, a2, a3, *flags)
-            report = cross_check(config)
-            tl_count += 1
-            if not report.ok:
-                disagreements.append(
-                    f"three_lines a=({a1},{a2},{a3}) flags={flags}")
-            verdicts.append(report.verdict.big)
-        if len(set(verdicts)) != 1:
-            flag_violations.append(f"three_lines a=({a1},{a2},{a3})")
-    return SweepReport(lc_count, tl_count, tuple(disagreements), tuple(flag_violations))
+                    disagreements.append(f"{label} {member}")
+                verdicts.add(report.verdict.big)
+            counts[key] += len(members)
+            if len(verdicts) != 1:
+                flag_violations.append(label)
+    return SweepReport(**counts, disagreements=tuple(disagreements),
+                       flag_violations=tuple(flag_violations))

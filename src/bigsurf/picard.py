@@ -200,16 +200,6 @@ def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     return nums, den
 
 
-class PlaneBlowup(NamedTuple):
-    points: int
-
-
-class HirzebruchBlowup(NamedTuple):
-    n: int
-    fiber_specs: tuple[tuple[int, bool], ...]
-    extra_on_sigma: int
-
-
 # a sparse class: (basis index, coefficient) pairs, zero coefficients left out
 Terms = Sequence[tuple[int, Rational]]
 
@@ -228,18 +218,6 @@ def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
 # a basis label, or a run (prefix, first, count) naming the count classes
 # prefix + str(j) for j = first, first + 1, ...
 LabelPart = str | tuple[str, int, int]
-
-
-def _expand(parts: Sequence[LabelPart]) -> list[str]:
-    """The labels that the parts stand for, in order."""
-    out: list[str] = []
-    for part in parts:
-        if type(part) is str:
-            out.append(part)
-        else:
-            prefix, first, count = part
-            out += [f"{prefix}{j}" for j in range(first, first + count)]
-    return out
 
 
 class PicardLattice(Frozen):
@@ -265,12 +243,12 @@ class PicardLattice(Frozen):
     from its labels one by one.
     """
 
-    _fields = ("head", "labels", "canonical", "model")
-    # __dict__ holds the cached labels, gram and index
-    __slots__ = ("head", "_parts", "rank", "canonical", "model", "__dict__")
+    _fields = ("head", "labels", "canonical")
+    # __dict__ holds the cached labels and gram
+    __slots__ = ("head", "_parts", "rank", "canonical", "__dict__")
 
     def __init__(self, head: tuple[tuple[int, ...], ...], labels: Sequence[LabelPart],
-                 canonical: DivisorClass, model: PlaneBlowup | HirzebruchBlowup):
+                 canonical: DivisorClass):
         parts = tuple(labels)
         counts = [1 if type(part) is str else part[2] for part in parts]
         if min(counts, default=0) < 0:
@@ -279,13 +257,19 @@ class PicardLattice(Frozen):
         _set(self, "_parts", parts)
         _set(self, "rank", sum(counts))
         _set(self, "canonical", canonical)
-        _set(self, "model", model)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """The basis labels, in basis order, formatted on first read; read
         by equality, hash, repr and pickling, and by no computation."""
-        return tuple(_expand(self._parts))
+        out: list[str] = []
+        for part in self._parts:
+            if type(part) is str:
+                out.append(part)
+            else:
+                prefix, first, count = part
+                out += [f"{prefix}{j}" for j in range(first, first + count)]
+        return tuple(out)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -299,11 +283,6 @@ class PicardLattice(Frozen):
         return tuple([tuple([self.head[i][j] if i < h and j < h else -int(i == j)
                              for j in range(rank)])
                       for i in range(rank)])
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Basis position of each label, read only by `basis_class`."""
-        return {label: i for i, label in enumerate(_expand(self._parts))}
 
     def row(self, terms: Terms) -> dict[int, Rational]:
         """G.v for the sparse class v: {j: v.b_j} over the basis classes b_j
@@ -368,15 +347,6 @@ class PicardLattice(Frozen):
                 total += xi * sum(map(operator.mul, row, y))
         return Fraction(total, a.den * b.den)
 
-    def basis_class(self, label: str) -> DivisorClass:
-        try:
-            i = self.index[label]
-        except KeyError:
-            raise ValueError(f"{label!r} is not a basis label") from None
-        coeffs = [0] * self.rank
-        coeffs[i] = 1
-        return _new(tuple(coeffs), 1)
-
     def class_of(self, terms: Terms) -> DivisorClass:
         """The dense class of a sparse one."""
         coeffs: list[Rational] = [0] * self.rank
@@ -391,8 +361,7 @@ class PicardLattice(Frozen):
 def _plane_lattice(labels: Sequence[LabelPart], points: int) -> PicardLattice:
     """The plane blown up at the points, with basis l and then the points,
     named by the label parts."""
-    return PicardLattice(((1,),), labels, _new(tuple([-3] + [1] * points), 1),
-                         PlaneBlowup(points))
+    return PicardLattice(((1,),), labels, _new(tuple([-3] + [1] * points), 1))
 
 
 def _count(name: str, value: object) -> int:
@@ -408,15 +377,6 @@ def _flag(name: str, value: object) -> bool:
     if type(value) is not bool:
         raise DomainError(f"{name} must be a bool, not {value!r}")
     return value
-
-
-def blowup_p2(r: int) -> PicardLattice:
-    """Picard lattice of the plane blown up at r points; r is an int, by
-    operator.index (anything else raises DomainError)."""
-    r = _count("r", r)
-    if r < 0:
-        raise DomainError("r must be a non-negative integer")
-    return _plane_lattice(("l", ("e", 1, r)), r)
 
 
 def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
@@ -451,27 +411,20 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
         points += off + on
     labels.append(("s", 1, extra_on_sigma))
     canonical = _new(tuple([-2, -(n + 2)] + [1] * points), 1)
-    return PicardLattice(((-n, 1), (1, 0)), labels, canonical,
-                         HirzebruchBlowup(n, tuple(specs), extra_on_sigma))
+    return PicardLattice(((-n, 1), (1, 0)), labels, canonical)
 
 
-def _hirzebruch_model(lattice: PicardLattice) -> HirzebruchBlowup:
-    if not isinstance(lattice.model, HirzebruchBlowup):
-        raise DomainError("lattice is not a Hirzebruch blow-up model")
-    return lattice.model
-
-
-def strict_terms(lattice: PicardLattice) -> tuple[list[tuple[int, int]],
-                                                  list[list[tuple[int, int]]]]:
+def strict_terms(rank: int, fiber_specs: Sequence[tuple[int, bool]]
+                 ) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
     """Sparse strict transforms of the negative section and of every named
-    fiber, from basis positions: sigma and F come first, then each fiber's
-    points in order, then the extra points on sigma, so one running offset
-    over the fiber specs places them all in O(rank), with no label built or
-    looked up."""
-    model = _hirzebruch_model(lattice)
-    minus = [(j, -1) for j in range(lattice.rank)]  # -1 on basis class j
+    fiber in the rank-`rank` lattice of blowup_hirzebruch on the fiber
+    specs (int counts and bool flags, as it checked them), from basis
+    positions: sigma and F come first, then each fiber's points in order,
+    then the extra points on sigma, so one running offset over the fiber
+    specs places them all in O(rank), with no label built or looked up."""
+    minus = [(j, -1) for j in range(rank)]  # -1 on basis class j
     sigma, fibers, pos = [(0, 1)], [], 2
-    for off, on in model.fiber_specs:
+    for off, on in fiber_specs:
         terms = [(1, 1)] + minus[pos:pos + off]
         pos += off
         if on:
@@ -480,20 +433,6 @@ def strict_terms(lattice: PicardLattice) -> tuple[list[tuple[int, int]],
             pos += 1
         fibers.append(terms)
     return sigma + minus[pos:], fibers
-
-
-def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
-    """Strict transform of the i-th named fiber (1-based): F minus the
-    exceptional classes of the points on it, in O(rank)."""
-    fibers = strict_terms(lattice)[1]
-    if not 1 <= i <= len(fibers):
-        raise DomainError(f"fiber index {i} out of range")
-    return lattice.class_of(fibers[i - 1])
-
-
-def sigma_strict(lattice: PicardLattice) -> DivisorClass:
-    """Strict transform of the negative section, in O(rank)."""
-    return lattice.class_of(strict_terms(lattice)[0])
 
 
 # point configurations --------------------------------------------------------
@@ -624,6 +563,13 @@ def config_lattice(config: PointConfiguration) -> PicardLattice:
     return _plane_lattice(labels, sum([count for _, _, count in curves]) + len(shared))
 
 
+def blowup_p2(r: int) -> PicardLattice:
+    """Picard lattice of the plane blown up at r points: the lattice of
+    Generic(r), so r is an int by operator.index (anything else, or a
+    negative r, raises DomainError)."""
+    return config_lattice(Generic(r))
+
+
 def incidence_class(config: PointConfiguration, line: int,
                     own: Sequence[int]) -> DivisorClass:
     """The class line*l + sum_i own[i] * (the points on curve i alone) in the
@@ -692,13 +638,15 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
         raise DomainError("exactly n + 1 named fibers are required")
     lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)
     rank = lattice.rank
+    # the build has checked every count and flag
+    specs = [(operator.index(off), on) for off, on in fibers]
     lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     # sigma and F are the first two basis classes
     big = [0] * rank
     big[0], big[1] = 1, n
     eff = [0] * rank
     eff[0] = n - 1
-    sigma_terms, fiber_terms = strict_terms(lattice)
+    sigma_terms, fiber_terms = strict_terms(rank, specs)
     add_terms(eff, chain(sigma_terms, *fiber_terms), n)  # n * (sigma + every fiber)
     return _report("hirzebruch_b", lhs, big, eff, n)
 

@@ -115,10 +115,11 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     from the (k+2)^2 Gram entries.
     """
     n, k, a = params.n, params.k, params.a
-    lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
+    specs = [(ai, False) for ai in a]
+    lattice = blowup_hirzebruch(n, specs)
     rank = lattice.rank
     fiber, sigma = 1, [(0, 1)]  # F and sigma head the basis of blowup_hirzebruch
-    strict = strict_terms(lattice)[1]
+    strict = strict_terms(rank, specs)[1]
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)

@@ -21,9 +21,10 @@ Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
 verdict is checked against; the reference basis labels of every lattice
 builder, one f-string per basis class, which the label runs are checked
-against; `incidence_terms` and `labelled_components`,
-the strict transforms and anticanonical components built by looking up
-basis labels, which the positional layouts are checked against;
+against; `basis_class`, `incidence_terms`,
+`fiber_strict`, `sigma_strict` and `labelled_components`, the basis
+classes, strict transforms and anticanonical components built by looking
+up basis labels, which the positional layouts are checked against;
 `FractionClass`, the coefficient-by-coefficient Fraction vector that
 `DivisorClass` is checked against; the adjunction and
 Riemann-Roch counts that the parity tests read off a lattice; and the
@@ -504,6 +505,14 @@ def castravet_witness_labels() -> tuple[str, ...]:
 # label-built incidences ---------------------------------------------------
 
 
+def basis_class(lattice: PicardLattice, label: str) -> DivisorClass:
+    """The basis class named label, found in lattice.labels; ValueError for
+    a label outside the basis."""
+    if label not in lattice.labels:
+        raise ValueError(f"{label!r} is not a basis label")
+    return DivisorClass.of([int(x == label) for x in lattice.labels])
+
+
 def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
                     points: Iterable[str]) -> list[tuple[int, int]]:
     """Sparse strict transform of a curve of class sum(m * label) passing
@@ -511,9 +520,25 @@ def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
     -1 on the exceptional class of every point, each basis position looked
     up by its label.  The package lays these terms out from basis
     positions; this is the reference they are checked against."""
-    index = lattice.index
+    index = {label: i for i, label in enumerate(lattice.labels)}
     return ([(index[label], m) for label, m in curve]
             + [(index[p], -1) for p in points])
+
+
+def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
+    """Strict transform of the i-th named fiber (1-based) of a
+    blowup_hirzebruch lattice: F minus every point labelled e{i}_j (off the
+    section) or e{i}_s (on it)."""
+    return lattice.class_of(incidence_terms(
+        lattice, [("F", 1)], [x for x in lattice.labels if x.startswith(f"e{i}_")]))
+
+
+def sigma_strict(lattice: PicardLattice) -> DivisorClass:
+    """Strict transform of the negative section of a blowup_hirzebruch
+    lattice: sigma minus every point on it, the e{i}_s and the s{j}."""
+    return lattice.class_of(incidence_terms(
+        lattice, [("sigma", 1)],
+        [x for x in lattice.labels if x.endswith("_s") or x[0] == "s" and x[1:].isdigit()]))
 
 
 def labelled_components(config: LineConic | ThreeLines) -> tuple[DivisorClass, ...]:
@@ -527,7 +552,7 @@ def labelled_components(config: LineConic | ThreeLines) -> tuple[DivisorClass, .
                  [f"{prefix}{j}" for j in range(1, count + 1)]
                  + [label for label, on in config.shared if i in on]))
              for i, (degree, prefix, count) in enumerate(config.curves)]
-    return tuple(parts + [lattice.basis_class(label) for label, _ in config.shared])
+    return tuple(parts + [basis_class(lattice, label) for label, _ in config.shared])
 
 
 # report readers -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +28,7 @@ from bigsurf.picard import (
 )
 from bigsurf.roots import root_lattice_of_config
 from oracles import (
+    basis_class,
     dot,
     inertia,
     line_conic_closed_form,
@@ -44,7 +47,7 @@ def test_complement_of_nothing_is_everything():
 
 def test_complement_of_line():
     lat = blowup_p2(2)
-    basis, gram = orthogonal_complement(lat, [lat.basis_class("l")])
+    basis, gram = orthogonal_complement(lat, [basis_class(lat, "l")])
     assert basis == [(0, 0, 1), (0, 1, 0)] or basis == [(0, 1, 0), (0, 0, 1)]
     assert gram == [[-1, 0], [0, -1]]
 
@@ -92,7 +95,7 @@ def test_complement_rejects_non_integral():
 
 def test_big_supported_rank_zero_complement():
     lat = blowup_p2(1)
-    classes = [lat.basis_class("l") - lat.basis_class("e1"), lat.basis_class("e1")]
+    classes = [basis_class(lat, "l") - basis_class(lat, "e1"), basis_class(lat, "e1")]
     assert is_big_supported(lat, classes)
 
 
@@ -221,6 +224,36 @@ def test_sweep_calls_cross_check_through_the_module_global():
     assert check.call_count == report.line_conic_count + report.three_lines_count == 12 + 64
 
 
+def test_sweep_labels_disagreements_and_flag_violations(monkeypatch):
+    # a clean sweep prints no label, so the labels are pinned on a sweep
+    # whose cross-check fails one member and flips one verdict per family
+    failing = {LineConic(1, 2, 0), ThreeLines(1, 0, 2, True, False, False)}
+    flipped = {LineConic(1, 2, 2), ThreeLines(1, 0, 2, False, True, True)}
+    inner = bigness.cross_check
+    calls = []
+
+    def patched(config):
+        calls.append(config)
+        report = inner(config)
+        if config in failing:
+            report = report._replace(agrees=False)
+        if config in flipped:
+            report = report._replace(
+                verdict=dataclasses.replace(report.verdict, big=not report.verdict.big))
+        return report
+
+    monkeypatch.setattr(bigness, "cross_check", patched)
+    a, b, ai = 2, 3, 2
+    report = agreement_sweep(a, b, ai)
+    assert report.disagreements == ("line_conic a=1 b=2 both=0",
+                                    "three_lines a=(1,0,2) flags=(True, False, False)")
+    assert report.flag_violations == ("line_conic a=1 b=2", "three_lines a=(1,0,2)")
+    assert report.line_conic_count == 3 * (a + 1) * (b + 1)
+    assert report.three_lines_count == 8 * (ai + 1) ** 3
+    assert len(calls) == 3 * (a + 1) * (b + 1) + 8 * (ai + 1) ** 3
+    assert len(set(calls)) == len(calls)
+
+
 def test_cross_check_agreement_cases():
     for config in [
         LineConic(3, 5, 1),
@@ -247,6 +280,23 @@ def test_cross_check_rejects_generic():
         assert not report.lattice_big
         assert not report.verdict.big
         assert report.verdict.v_squared == r * r - 9 * r >= 0
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_blowup_p2_is_the_generic_configuration_lattice(r):
+    lattice, built = blowup_p2(r), config_lattice(Generic(r))
+    assert lattice == built
+    assert repr(lattice) == repr(built)
+    assert pickle.loads(pickle.dumps(lattice)) == pickle.loads(pickle.dumps(built)) == built
+
+
+@pytest.mark.parametrize("r", [-1, 2.5, "3"])
+def test_blowup_p2_rejects_what_generic_rejects(r):
+    with pytest.raises(DomainError) as plane:
+        blowup_p2(r)
+    with pytest.raises(DomainError) as generic:
+        config_lattice(Generic(r))
+    assert str(plane.value) == str(generic.value)
 
 
 @pytest.mark.parametrize("r", range(13))

@@ -17,7 +17,7 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
-from oracles import box_short_vectors, dot, solve_rational
+from oracles import basis_class, box_short_vectors, dot, solve_rational
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -474,11 +474,11 @@ def test_listed_roots_are_members_line_conic():
     roots = set(extract_roots(gram))
     listed = []
     for i in (1, 2):
-        listed.append(lat.basis_class(f"e{i}") - lat.basis_class(f"e{i + 1}"))
+        listed.append(basis_class(lat, f"e{i}") - basis_class(lat, f"e{i + 1}"))
     for j in (1, 2, 3):
-        listed.append(lat.basis_class(f"f{j}") - lat.basis_class(f"f{j + 1}"))
-    listed.append(lat.basis_class("l") - lat.basis_class("e3")
-                  - lat.basis_class("f1") - lat.basis_class("f2"))
+        listed.append(basis_class(lat, f"f{j}") - basis_class(lat, f"f{j + 1}"))
+    listed.append(basis_class(lat, "l") - basis_class(lat, "e3")
+                  - basis_class(lat, "f1") - basis_class(lat, "f2"))
     for cls in listed:
         assert coords_in(basis, cls.integral_coeffs()) in roots
 
@@ -488,9 +488,9 @@ def test_listed_roots_are_members_three_lines():
     lat = config_lattice(config)
     basis, gram = root_lattice_of_config(config)
     roots = set(extract_roots(gram))
-    listed = [lat.basis_class(f"e{i}_1") - lat.basis_class(f"e{i}_2") for i in (1, 2, 3)]
-    listed.append(lat.basis_class("l") - lat.basis_class("e1_2")
-                  - lat.basis_class("e2_2") - lat.basis_class("e3_2"))
+    listed = [basis_class(lat, f"e{i}_1") - basis_class(lat, f"e{i}_2") for i in (1, 2, 3)]
+    listed.append(basis_class(lat, "l") - basis_class(lat, "e1_2")
+                  - basis_class(lat, "e2_2") - basis_class(lat, "e3_2"))
     for cls in listed:
         assert coords_in(basis, cls.integral_coeffs()) in roots
 

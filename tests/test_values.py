@@ -20,8 +20,7 @@ import bigsurf
 from bigsurf import (CrossCheckReport, DivisorClass, DomainError, FamilyParams, Generic,
                      LineConic, LogCanonicalResult, NegativeClassTable,
                      PicardLattice, ThreeLines, WitnessReport, ZariskiChecks,
-                     blowup_p2, classify_anticanonical)
-from bigsurf.picard import HirzebruchBlowup, PlaneBlowup
+                     blowup_hirzebruch, blowup_p2, classify_anticanonical)
 
 D = DivisorClass.of([-3, 1])
 VERDICT = classify_anticanonical(LineConic(2, 5))
@@ -30,18 +29,14 @@ VERDICT = classify_anticanonical(LineConic(2, 5))
 # the arguments give (in constructor order), and the parameter defaults
 SPECS = [
     (DivisorClass, ([2, 4], 6), ((1, 2), 1), {"nums": (1, 2), "den": 3}, {"den": 1}),
-    (PicardLattice, (((1,),), ("l", "e1"), D, PlaneBlowup(1)),
-     (((1,),), ("l", "e2"), D, PlaneBlowup(1)),
-     {"head": ((1,),), "labels": ("l", "e1"), "canonical": D, "model": PlaneBlowup(1)}, {}),
+    (PicardLattice, (((1,),), ("l", "e1"), D), (((1,),), ("l", "e2"), D),
+     {"head": ((1,),), "labels": ("l", "e1"), "canonical": D}, {}),
     (Generic, (3,), (4,), {"r": 3}, {}),
     (LineConic, (2, 5), (2, 5, 1), {"a": 2, "b": 5, "both": 0}, {"both": 0}),
     (ThreeLines, (1, 2, 3, True), (1, 2, 3),
      {"a1": 1, "a2": 2, "a3": 3, "p12": True, "p13": False, "p23": False},
      {"p12": False, "p13": False, "p23": False}),
     (FamilyParams, (2, 3, [2, 3, 7]), (2, 3, (2, 3, 8)), {"n": 2, "k": 3, "a": (2, 3, 7)}, {}),
-    (PlaneBlowup, (2,), (3,), {"points": 2}, {}),
-    (HirzebruchBlowup, (2, ((1, True),), 1), (2, ((1, False),), 1),
-     {"n": 2, "fiber_specs": ((1, True),), "extra_on_sigma": 1}, {}),
     (WitnessReport, ("conic_c", True, D, D, D, D), ("conic_c", False, D, D, D, D),
      {"example": "conic_c", "holds": True, "lhs": D, "big_part": D, "effective_part": D,
       "residual": D, "n": None}, {"n": None}),
@@ -120,10 +115,24 @@ def test_pickle_round_trip(cls, args, other, fields, defaults):
 
 def test_pickled_lattice_rebuilds_its_cache():
     lattice = blowup_p2(3)
-    gram, index = lattice.gram, lattice.index
+    gram = lattice.gram
     back = pickle.loads(pickle.dumps(lattice))
     assert back == lattice
-    assert back.gram == gram and back.index == index
+    assert back.gram == gram
+
+
+@pytest.mark.parametrize("build, plain", [
+    (lambda: blowup_p2(True), lambda: blowup_p2(1)),
+    (lambda: blowup_hirzebruch(True, [(True, True)], True),
+     lambda: blowup_hirzebruch(1, [(1, True)], 1)),
+], ids=["blowup_p2", "blowup_hirzebruch"])
+def test_lattice_builders_store_plain_ints(build, plain):
+    # a lattice carries no model tag: its counts live in its rank and labels
+    lattice = build()
+    assert type(lattice.rank) is int and lattice == plain()
+    assert repr(lattice) == repr(plain())
+    back = pickle.loads(pickle.dumps(lattice))
+    assert back == plain() and type(back.rank) is int
 
 
 INVALID = [
@@ -183,8 +192,8 @@ def test_traced_methods_stay_on_their_classes():
     assert {"__add__", "__sub__", "__mul__", "__rmul__"} <= set(vars(DivisorClass))
     assert "pair" in vars(PicardLattice)
     lattice = blowup_p2(2)
-    assert lattice.gram is lattice.gram and lattice.index is lattice.index
-    assert set(vars(lattice)) == {"gram", "index"}
+    assert lattice.gram is lattice.gram
+    assert set(vars(lattice)) == {"gram"}
     for cls in VALUE_TYPES - {PicardLattice}:
         assert not hasattr(cls(*next(s[1] for s in SPECS if s[0] is cls)), "__dict__")
 
