@@ -93,11 +93,11 @@ def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessV
     """The verdict from the curve degrees d_i and own point counts a_i: with
     P = prod a_i, v = P*l - sum_i d_i (P/a_i) (the points on curve i alone)
     has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config)."""
-    prod = math.prod(count for _, _, count in config.curves)
+    prod = math.prod(count for _, count in config.curves)
     if prod == 0:
         return BignessVerdict(True, config.case, None, None, None, config.effective)
-    lhs = sum(Fraction(d * d, count) for d, _, count in config.curves)
-    v = incidence_class(config, prod, [-d * (prod // count) for d, _, count in config.curves])
+    lhs = sum(Fraction(d * d, count) for d, count in config.curves)
+    v = incidence_class(config, prod, [-d * (prod // count) for d, count in config.curves])
     v_sq = lattice.pair(v, v)
     if v_sq != prod ** 2 * (1 - lhs):
         raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")

@@ -17,13 +17,16 @@ incidence data (which curves each point lies on), which is all the lattice
 computations see.  Every configuration lies on a cubic: a smooth one
 (`Generic`, case i), a line and a conic (`LineConic`, ii) or three lines
 (`ThreeLines`, iii).  Each states that data once: `curves` lists each
-component curve as (degree, label prefix, number of points on it alone),
-`shared` lists each blown-up point on two components with the indices of
-those curves, and `effective` whether the cubic certifies an effective
+component curve as (degree, number of points on it alone), `shared` lists
+each blown-up point on two components as the pair of those curves'
+indices, and `effective` says whether the cubic certifies an effective
 anticanonical member (None: undecided).  The configuration lattice, its
 basis order (l, then each curve's own points in curve order, then the
 shared points) and the anticanonical components are all derived from that
 description here, and nowhere else.
+
+A lattice is its form: a basis is fixed by its order, which the builders
+below state, and no basis class carries a name.
 """
 
 from __future__ import annotations
@@ -166,14 +169,6 @@ class DivisorClass(Frozen):
 
     __rmul__ = __mul__
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def integral_coeffs(self) -> tuple[int, ...]:
         if self.den != 1:
             raise ValueError(f"class {self.coeffs} is not integral")
@@ -215,13 +210,9 @@ def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
         vec[i] += times * c
 
 
-# a basis label, or a run (prefix, first, count) naming the count classes
-# prefix + str(j) for j = first, first + 1, ...
-LabelPart = str | tuple[str, int, int]
-
-
 class PicardLattice(Frozen):
-    """Intersection lattice of a surface model, with labeled basis.
+    """Intersection lattice of a surface model: its form on `rank` basis
+    classes and its canonical class.
 
     The form is stored by its structure, not as a dense matrix: a small
     symmetric head block on the first basis classes, and -1 on the diagonal
@@ -233,43 +224,27 @@ class PicardLattice(Frozen):
     classes (`gram_of`).  `gram` is a dense read-only view, built on first
     read.
 
-    The basis is named by `labels`, given as a sequence of parts: a label
-    string, or a run (prefix, first, count) standing for the count labels
-    prefix + str(j), j = first, first + 1, ...  The builders pass runs, so
-    a build formats no string per basis class; `rank` is counted from the
-    parts, and the `labels` tuple is formatted on first read, which no
-    computation makes.  Equality, hash, repr and pickling go by that
-    expanded tuple, so a lattice built from runs equals the one built
-    from its labels one by one.
+    Equality, hash, repr and pickling go by (head, rank, canonical), so two
+    models with the same form and canonical class build equal lattices.
+    The constructor raises ValueError for a rank that is not a
+    non-negative int, a head that is not a square block of at most rank
+    classes, or a canonical class of any length but rank.
     """
 
-    _fields = ("head", "labels", "canonical")
-    # __dict__ holds the cached labels and gram
-    __slots__ = ("head", "_parts", "rank", "canonical", "__dict__")
+    _fields = ("head", "rank", "canonical")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached gram
 
-    def __init__(self, head: tuple[tuple[int, ...], ...], labels: Sequence[LabelPart],
+    def __init__(self, head: tuple[tuple[int, ...], ...], rank: int,
                  canonical: DivisorClass):
-        parts = tuple(labels)
-        counts = [1 if type(part) is str else part[2] for part in parts]
-        if min(counts, default=0) < 0:
-            raise ValueError("a label run has a negative count")
+        if type(rank) is not int or rank < 0:
+            raise ValueError("rank must be a non-negative int")
+        if len(head) > rank or any(len(row) != len(head) for row in head):
+            raise ValueError("head must be a square block of at most rank classes")
+        if len(canonical.nums) != rank:
+            raise ValueError("canonical class length does not match the rank")
         _set(self, "head", head)
-        _set(self, "_parts", parts)
-        _set(self, "rank", sum(counts))
+        _set(self, "rank", rank)
         _set(self, "canonical", canonical)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """The basis labels, in basis order, formatted on first read; read
-        by equality, hash, repr and pickling, and by no computation."""
-        out: list[str] = []
-        for part in self._parts:
-            if type(part) is str:
-                out.append(part)
-            else:
-                prefix, first, count = part
-                out += [f"{prefix}{j}" for j in range(first, first + count)]
-        return tuple(out)
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -358,10 +333,9 @@ class PicardLattice(Frozen):
         return -self.canonical
 
 
-def _plane_lattice(labels: Sequence[LabelPart], points: int) -> PicardLattice:
-    """The plane blown up at the points, with basis l and then the points,
-    named by the label parts."""
-    return PicardLattice(((1,),), labels, _new(tuple([-3] + [1] * points), 1))
+def _plane_lattice(points: int) -> PicardLattice:
+    """The plane blown up at the points, with basis l and then the points."""
+    return PicardLattice(((1,),), 1 + points, _new(tuple([-3] + [1] * points), 1))
 
 
 def _count(name: str, value: object) -> int:
@@ -382,7 +356,9 @@ def _flag(name: str, value: object) -> bool:
 def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
                       extra_on_sigma: int = 0) -> PicardLattice:
     """Picard lattice of a degree-n Hirzebruch surface blown up at points
-    on named fibers and on the negative section.
+    on named fibers and on the negative section, with basis sigma, F, then
+    each fiber's points off the section and then its point on it, fiber by
+    fiber, then the extra points on the section.
 
     fiber_specs gives, per named fiber, the number of points on the fiber
     away from the negative section (an int, by operator.index) and whether
@@ -396,22 +372,14 @@ def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
         raise DomainError("n must satisfy n >= 1")
     if extra_on_sigma < 0:
         raise DomainError("extra_on_sigma must be non-negative")
-    specs = []
+    points = extra_on_sigma
     for off, on in fiber_specs:
         off = _count("points per fiber", off)
         if off < 0:
             raise DomainError("points per fiber must be non-negative")
-        specs.append((off, _flag("a fiber's on-section flag", on)))
-    labels: list[LabelPart] = ["sigma", "F"]
-    points = extra_on_sigma
-    for i, (off, on) in enumerate(specs, start=1):
-        labels.append((f"e{i}_", 1, off))
-        if on:
-            labels.append(f"e{i}_s")
-        points += off + on
-    labels.append(("s", 1, extra_on_sigma))
+        points += off + _flag("a fiber's on-section flag", on)
     canonical = _new(tuple([-2, -(n + 2)] + [1] * points), 1)
-    return PicardLattice(((-n, 1), (1, 0)), labels, canonical)
+    return PicardLattice(((-n, 1), (1, 0)), 2 + points, canonical)
 
 
 def strict_terms(rank: int, fiber_specs: Sequence[tuple[int, bool]]
@@ -421,7 +389,7 @@ def strict_terms(rank: int, fiber_specs: Sequence[tuple[int, bool]]
     specs (int counts and bool flags, as it checked them), from basis
     positions: sigma and F come first, then each fiber's points in order,
     then the extra points on sigma, so one running offset over the fiber
-    specs places them all in O(rank), with no label built or looked up."""
+    specs places them all in O(rank)."""
     minus = [(j, -1) for j in range(rank)]  # -1 on basis class j
     sigma, fibers, pos = [(0, 1)], [], 2
     for off, on in fiber_specs:
@@ -453,7 +421,7 @@ class Generic(Frozen):
         if r < 0:
             raise DomainError("r must be a non-negative integer")
         _set(self, "r", r)
-        _set(self, "curves", ((3, "e", r),))
+        _set(self, "curves", ((3, r),))
         _set(self, "effective", True if r <= 8 else None)
 
 
@@ -463,23 +431,23 @@ class Generic(Frozen):
 # the curves from caches keyed by the counts.
 
 # the shared points of the line-conic family, indexed by `both`
-_LINE_CONIC_SHARED = ((), (("g1", (0, 1)),), (("g1", (0, 1)), ("g2", (0, 1))))
+_LINE_CONIC_SHARED = ((), ((0, 1),), ((0, 1), (0, 1)))
 
-# the pairwise intersections of three lines, for each pattern of flags
+# the pairwise intersections of three lines (p12, p13, p23), for each
+# pattern of flags
 _THREE_LINES_SHARED = {
-    flags: tuple([point for point, on in zip(
-        (("g12", (0, 1)), ("g13", (0, 2)), ("g23", (1, 2))), flags) if on])
+    flags: tuple([pair for pair, on in zip(combinations(range(3), 2), flags) if on])
     for flags in product((False, True), repeat=3)}
 
 
 @lru_cache(maxsize=1024)
-def _line_conic_curves(a: int, b: int) -> tuple[tuple[int, str, int], ...]:
-    return ((1, "e", a), (2, "f", b))
+def _line_conic_curves(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    return ((1, a), (2, b))
 
 
 @lru_cache(maxsize=1024)
-def _three_lines_curves(a1: int, a2: int, a3: int) -> tuple[tuple[int, str, int], ...]:
-    return ((1, "e1_", a1), (1, "e2_", a2), (1, "e3_", a3))
+def _three_lines_curves(a1: int, a2: int, a3: int) -> tuple[tuple[int, int], ...]:
+    return ((1, a1), (1, a2), (1, a3))
 
 
 class LineConic(Frozen):
@@ -492,8 +460,8 @@ class LineConic(Frozen):
     __slots__ = (*_fields, "curves", "shared")
     case = "ii"
     effective = True  # a class attribute: a sweep holds thousands of instances
-    curves: tuple[tuple[int, str, int], ...]
-    shared: tuple[tuple[str, tuple[int, int]], ...]
+    curves: tuple[tuple[int, int], ...]
+    shared: tuple[tuple[int, int], ...]
 
     def __init__(self, a: int, b: int, both: int = 0):
         a, b, both = _count("a", a), _count("b", b), _count("both", both)
@@ -516,8 +484,8 @@ class ThreeLines(Frozen):
     __slots__ = (*_fields, "curves", "shared")  # as for LineConic
     case = "iii"
     effective = True
-    curves: tuple[tuple[int, str, int], ...]
-    shared: tuple[tuple[str, tuple[int, int]], ...]
+    curves: tuple[tuple[int, int], ...]
+    shared: tuple[tuple[int, int], ...]
 
     def __init__(self, a1: int, a2: int, a3: int,
                  p12: bool = False, p13: bool = False, p23: bool = False):
@@ -542,11 +510,11 @@ class ThreeLines(Frozen):
 PointConfiguration = Generic | LineConic | ThreeLines
 
 
-def _layout(curves: Sequence[tuple[int, str, int]]) -> tuple[list[range], int]:
+def _layout(curves: Sequence[tuple[int, int]]) -> tuple[list[range], int]:
     """Basis positions of config_lattice: each curve's own points as one run,
     in curve order after l at 0, and the first shared point, which follow."""
     runs, start = [], 1
-    for _, _, count in curves:
+    for _, count in curves:
         runs.append(range(start, start + count))
         start += count
     return runs, start
@@ -554,13 +522,10 @@ def _layout(curves: Sequence[tuple[int, str, int]]) -> tuple[list[range], int]:
 
 def config_lattice(config: PointConfiguration) -> PicardLattice:
     """Picard lattice of the plane blown up along the configuration, with
-    basis labels reflecting the incidence roles of the points: l, then each
-    curve's own points in curve order (one label run per curve), then the
-    shared points."""
-    curves, shared = config.curves, config.shared
-    labels = ["l", *[(prefix, 1, count) for _, prefix, count in curves],
-              *[label for label, _ in shared]]
-    return _plane_lattice(labels, sum([count for _, _, count in curves]) + len(shared))
+    basis l, then each curve's own points in curve order, then the shared
+    points.  It reads only the point counts, so configurations of equal
+    rank build equal lattices."""
+    return _plane_lattice(sum([count for _, count in config.curves]) + len(config.shared))
 
 
 def blowup_p2(r: int) -> PicardLattice:
@@ -573,10 +538,9 @@ def blowup_p2(r: int) -> PicardLattice:
 def incidence_class(config: PointConfiguration, line: int,
                     own: Sequence[int]) -> DivisorClass:
     """The class line*l + sum_i own[i] * (the points on curve i alone) in the
-    basis of config_lattice(config), zero on the shared points.  Reads only
-    the point counts, so it builds no labels."""
+    basis of config_lattice(config), zero on the shared points."""
     coeffs = [line]
-    for (_, _, count), c in zip(config.curves, own, strict=True):
+    for (_, count), c in zip(config.curves, own, strict=True):
         coeffs += [c] * count
     return DivisorClass.of(coeffs + [0] * len(config.shared))
 
@@ -584,9 +548,9 @@ def incidence_class(config: PointConfiguration, line: int,
 def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, ...]:
     """Classes of the components of the distinguished anticanonical member:
     the strict transform of each curve, then the exceptional curve over
-    each shared point, from sparse terms at the `_layout` positions with no
-    label looked up, in O(rank) per component.  They sum to -K; for
-    `Generic` the one component is -K itself.
+    each shared point, from sparse terms at the `_layout` positions, in
+    O(rank) per component.  They sum to -K; for `Generic` the one
+    component is -K itself.
     """
     return _components(config_lattice(config), config)
 
@@ -596,8 +560,8 @@ def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[Div
     curves, shared = config.curves, config.shared
     runs, first = _layout(curves)
     parts = [lattice.class_of([(0, degree)] + [(j, -1) for j in run]
-                              + [(j, -1) for j, (_, on) in enumerate(shared, first) if i in on])
-             for i, ((degree, _, _), run) in enumerate(zip(curves, runs))]
+                              + [(j, -1) for j, on in enumerate(shared, first) if i in on])
+             for i, ((degree, _), run) in enumerate(zip(curves, runs))]
     parts += [lattice.class_of([(j, 1)]) for j in range(first, first + len(shared))]
     if sum(parts[1:], parts[0]) != lattice.anticanonical:
         raise InvariantError("anticanonical components fail to sum to -K")
@@ -653,7 +617,7 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
 
 def _witness_conic(n: int) -> WitnessReport:
     # basis (l, e0, e1..en): e0 is the point off the conic, e1..en lie on it
-    lattice = _plane_lattice(("l", ("e", 0, n + 1)), n + 1)
+    lattice = _plane_lattice(n + 1)
     rank = lattice.rank
     lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     big = [2] + [0] * (rank - 1)
@@ -666,14 +630,10 @@ def _witness_conic(n: int) -> WitnessReport:
     return _report("conic_c", lhs, big, eff, n)
 
 
-_CASTRAVET_PAIRS = tuple(combinations(range(1, 6), 2))
-_CASTRAVET_LABELS = ("l", *[f"e{i}{j}" for i, j in _CASTRAVET_PAIRS])
-
-
 def _witness_castravet() -> WitnessReport:
     # ten points where five general lines meet: pair (i, j) at 1 + its index in pairs
-    pairs = _CASTRAVET_PAIRS
-    lattice = _plane_lattice(_CASTRAVET_LABELS, len(pairs))
+    pairs = list(combinations(range(1, 6), 2))
+    lattice = _plane_lattice(len(pairs))
     rank = lattice.rank
     lhs = list(map((-2).__mul__, lattice.canonical.integral_coeffs()))
     big = [1] + [0] * (rank - 1)

@@ -118,8 +118,8 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     specs = [(ai, False) for ai in a]
     lattice = blowup_hirzebruch(n, specs)
     rank = lattice.rank
-    fiber, sigma = 1, [(0, 1)]  # F and sigma head the basis of blowup_hirzebruch
-    strict = strict_terms(rank, specs)[1]
+    fiber = 1  # F follows sigma at the head of the basis of blowup_hirzebruch
+    sigma, strict = strict_terms(rank, specs)
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)

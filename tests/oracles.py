@@ -20,14 +20,16 @@ the Diophantine searches that `negative_classes` is checked against, and
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
 verdict is checked against; the reference basis labels of every lattice
-builder, one f-string per basis class, which the label runs are checked
-against; `basis_class`, `incidence_terms`,
-`fiber_strict`, `sigma_strict` and `labelled_components`, the basis
-classes, strict transforms and anticanonical components built by looking
-up basis labels, which the positional layouts are checked against;
+builder, one f-string per basis class in the builder's basis order, with
+each configuration family's curves and shared points spelled out here
+rather than read from the package (the package names no basis class);
+`basis_class`, `incidence_terms`, `labelled_class`, `fiber_strict`,
+`sigma_strict` and `labelled_components`, the basis classes, strict
+transforms and anticanonical components built by looking positions up in
+those labels, which the positional layouts are checked against;
 `FractionClass`, the coefficient-by-coefficient Fraction vector that
-`DivisorClass` is checked against; the adjunction and
-Riemann-Roch counts that the parity tests read off a lattice; and the
+`DivisorClass` is checked against; the adjunction and Riemann-Roch
+counts that the parity tests read off a lattice; and the
 ``*_from_dict`` readers that invert `bigsurf.serialize` for the round-trip
 tests.
 """
@@ -45,7 +47,7 @@ import numpy as np
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
 from bigsurf.enumeration import NegativeClassTable
 from bigsurf.picard import (DivisorClass, Generic, LineConic, PicardLattice, ThreeLines,
-                            WitnessReport, config_lattice)
+                            WitnessReport)
 from bigsurf.roots import RootSystemReport, type_string
 from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
 
@@ -377,7 +379,7 @@ def k_squared(lattice: PicardLattice) -> int:
 
 def arithmetic_genus(lattice: PicardLattice, c: DivisorClass) -> int:
     """Genus of an integral class by adjunction: 1 + (C^2 + C.K)/2."""
-    if not c.is_integral:
+    if c.den != 1:
         raise ValueError("arithmetic genus needs an integral class")
     val = 1 + Fraction(lattice.pair(c, c) + lattice.pair(c, lattice.canonical), 2)
     assert val.denominator == 1, "adjunction parity violated"
@@ -386,7 +388,7 @@ def arithmetic_genus(lattice: PicardLattice, c: DivisorClass) -> int:
 
 def riemann_roch_nef(lattice: PicardLattice, n: DivisorClass) -> int:
     """Section count (N^2 - K.N)/2 + 1 valid for nef classes."""
-    if not n.is_integral:
+    if n.den != 1:
         raise ValueError("needs an integral class")
     val = Fraction(lattice.pair(n, n) - lattice.pair(lattice.canonical, n), 2) + 1
     assert val.denominator == 1
@@ -453,10 +455,8 @@ def three_lines_layout(config: ThreeLines) -> tuple[list[str], list[list[int]]]:
 
 # reference basis labels --------------------------------------------------
 #
-# The package's builders name the basis by label runs, formatted only when
-# `PicardLattice.labels` is read; these build every label with its own
-# f-string, as the builders once did, and are the reference the runs are
-# checked against.
+# The package's lattices name no basis class; these name every basis class
+# of each builder's lattice, in its basis order, with one f-string each.
 
 
 def blowup_p2_labels(r: int) -> tuple[str, ...]:
@@ -464,15 +464,32 @@ def blowup_p2_labels(r: int) -> tuple[str, ...]:
     return tuple(["l"] + [f"e{i}" for i in range(1, r + 1)])
 
 
+def config_incidences(config: Generic | LineConic | ThreeLines
+                      ) -> tuple[list[tuple[int, str, int]], list[tuple[str, tuple[int, int]]]]:
+    """The configuration's curves as (degree, label prefix of their own
+    points, number of own points) and its shared points as (label, the
+    indices of the two curves through it), spelled out per family: a smooth
+    cubic e; a line e and a conic f meeting in g1, g2; three lines e1_,
+    e2_, e3_ meeting in g12, g13, g23."""
+    if isinstance(config, Generic):
+        return [(3, "e", config.r)], []
+    if isinstance(config, LineConic):
+        return ([(1, "e", config.a), (2, "f", config.b)],
+                [(f"g{k}", (0, 1)) for k in range(1, config.both + 1)])
+    lines = [(1, f"e{i}_", count) for i, count in enumerate(config.counts, start=1)]
+    meets = [(f"g{i + 1}{j + 1}", (i, j)) for (i, j), on
+             in zip(itertools.combinations(range(3), 2), config.flags) if on]
+    return lines, meets
+
+
 def config_labels(config: Generic | LineConic | ThreeLines) -> tuple[str, ...]:
     """Basis labels of config_lattice(config): l, then each curve's own
     points in curve order, then the shared points."""
-    if isinstance(config, Generic):
-        return blowup_p2_labels(config.r)
+    curves, shared = config_incidences(config)
     labels = ["l"]
-    for _, prefix, count in config.curves:
+    for _, prefix, count in curves:
         labels.extend(f"{prefix}{j}" for j in range(1, count + 1))
-    labels.extend(label for label, _ in config.shared)
+    labels.extend(label for label, _ in shared)
     return tuple(labels)
 
 
@@ -505,54 +522,64 @@ def castravet_witness_labels() -> tuple[str, ...]:
 # label-built incidences ---------------------------------------------------
 
 
-def basis_class(lattice: PicardLattice, label: str) -> DivisorClass:
-    """The basis class named label, found in lattice.labels; ValueError for
+def basis_class(labels: Sequence[str], label: str) -> DivisorClass:
+    """The basis class named label among the basis labels; ValueError for
     a label outside the basis."""
-    if label not in lattice.labels:
+    if label not in labels:
         raise ValueError(f"{label!r} is not a basis label")
-    return DivisorClass.of([int(x == label) for x in lattice.labels])
+    return DivisorClass.of([int(x == label) for x in labels])
 
 
-def incidence_terms(lattice: PicardLattice, curve: Iterable[tuple[str, int]],
+def incidence_terms(labels: Sequence[str], curve: Iterable[tuple[str, int]],
                     points: Iterable[str]) -> list[tuple[int, int]]:
     """Sparse strict transform of a curve of class sum(m * label) passing
     once through each of the named blown-up points: the curve's terms, and
     -1 on the exceptional class of every point, each basis position looked
     up by its label.  The package lays these terms out from basis
     positions; this is the reference they are checked against."""
-    index = {label: i for i, label in enumerate(lattice.labels)}
+    index = {label: i for i, label in enumerate(labels)}
     return ([(index[label], m) for label, m in curve]
             + [(index[p], -1) for p in points])
 
 
-def fiber_strict(lattice: PicardLattice, i: int) -> DivisorClass:
-    """Strict transform of the i-th named fiber (1-based) of a
-    blowup_hirzebruch lattice: F minus every point labelled e{i}_j (off the
-    section) or e{i}_s (on it)."""
-    return lattice.class_of(incidence_terms(
-        lattice, [("F", 1)], [x for x in lattice.labels if x.startswith(f"e{i}_")]))
+def labelled_class(labels: Sequence[str], terms: Iterable[tuple[int, int]]) -> DivisorClass:
+    """The dense class, over the basis labels, of the sparse terms."""
+    coeffs = [0] * len(labels)
+    for i, c in terms:
+        coeffs[i] += c
+    return DivisorClass.of(coeffs)
 
 
-def sigma_strict(lattice: PicardLattice) -> DivisorClass:
-    """Strict transform of the negative section of a blowup_hirzebruch
-    lattice: sigma minus every point on it, the e{i}_s and the s{j}."""
-    return lattice.class_of(incidence_terms(
-        lattice, [("sigma", 1)],
-        [x for x in lattice.labels if x.endswith("_s") or x[0] == "s" and x[1:].isdigit()]))
+def fiber_strict(labels: Sequence[str], i: int) -> DivisorClass:
+    """Strict transform of the i-th named fiber (1-based) over the basis
+    labels of a blowup_hirzebruch lattice: F minus every point labelled
+    e{i}_j (off the section) or e{i}_s (on it)."""
+    return labelled_class(labels, incidence_terms(
+        labels, [("F", 1)], [x for x in labels if x.startswith(f"e{i}_")]))
 
 
-def labelled_components(config: LineConic | ThreeLines) -> tuple[DivisorClass, ...]:
+def sigma_strict(labels: Sequence[str]) -> DivisorClass:
+    """Strict transform of the negative section over the basis labels of a
+    blowup_hirzebruch lattice: sigma minus every point on it, the e{i}_s
+    and the s{j}."""
+    return labelled_class(labels, incidence_terms(
+        labels, [("sigma", 1)],
+        [x for x in labels if x.endswith("_s") or x[0] == "s" and x[1:].isdigit()]))
+
+
+def labelled_components(config: Generic | LineConic | ThreeLines) -> tuple[DivisorClass, ...]:
     """The anticanonical components of a cubic configuration, built from
     label strings: each curve's strict transform from `incidence_terms` over
     the labels of its own and its shared points, then the basis class of
     each shared point."""
-    lattice = config_lattice(config)
-    parts = [lattice.class_of(incidence_terms(
-                 lattice, [("l", degree)],
+    labels = config_labels(config)
+    curves, shared = config_incidences(config)
+    parts = [labelled_class(labels, incidence_terms(
+                 labels, [("l", degree)],
                  [f"{prefix}{j}" for j in range(1, count + 1)]
-                 + [label for label, on in config.shared if i in on]))
-             for i, (degree, prefix, count) in enumerate(config.curves)]
-    return tuple(parts + [basis_class(lattice, label) for label, _ in config.shared])
+                 + [label for label, on in shared if i in on]))
+             for i, (degree, prefix, count) in enumerate(curves)]
+    return tuple(parts + [basis_class(labels, label) for label, _ in shared])
 
 
 # report readers -----------------------------------------------------------

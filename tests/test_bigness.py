@@ -29,6 +29,8 @@ from bigsurf.picard import (
 from bigsurf.roots import root_lattice_of_config
 from oracles import (
     basis_class,
+    blowup_p2_labels,
+    config_labels,
     dot,
     inertia,
     line_conic_closed_form,
@@ -47,7 +49,7 @@ def test_complement_of_nothing_is_everything():
 
 def test_complement_of_line():
     lat = blowup_p2(2)
-    basis, gram = orthogonal_complement(lat, [basis_class(lat, "l")])
+    basis, gram = orthogonal_complement(lat, [basis_class(blowup_p2_labels(2), "l")])
     assert basis == [(0, 0, 1), (0, 1, 0)] or basis == [(0, 1, 0), (0, 0, 1)]
     assert gram == [[-1, 0], [0, -1]]
 
@@ -95,7 +97,8 @@ def test_complement_rejects_non_integral():
 
 def test_big_supported_rank_zero_complement():
     lat = blowup_p2(1)
-    classes = [basis_class(lat, "l") - basis_class(lat, "e1"), basis_class(lat, "e1")]
+    line, e1 = (basis_class(blowup_p2_labels(1), x) for x in ("l", "e1"))
+    classes = [line - e1, e1]
     assert is_big_supported(lat, classes)
 
 
@@ -204,7 +207,8 @@ def test_generic_closed_form_matches_per_family_reference(config):
         assert verdict.v == DivisorClass.of(v)
         assert verdict.v_squared == v_squared
         assert verdict.big == (lhs > 1)
-    assert config_lattice(config).labels == tuple(labels)
+    assert config_labels(config) == tuple(labels)
+    assert config_lattice(config).rank == len(labels)
     assert anticanonical_components(config) == tuple(map(DivisorClass.of, components))
 
 

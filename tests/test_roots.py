@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bigsurf.bigness import classify_anticanonical
 from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
-from bigsurf.picard import Generic, LineConic, ThreeLines, config_lattice
+from bigsurf.picard import Generic, LineConic, ThreeLines
 from bigsurf.roots import (
     classify,
     coxeter_dot,
@@ -17,7 +17,7 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
-from oracles import basis_class, box_short_vectors, dot, solve_rational
+from oracles import basis_class, box_short_vectors, config_labels, dot, solve_rational
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -469,28 +469,28 @@ def test_reflection_closure_of_extracted_systems():
 
 def test_listed_roots_are_members_line_conic():
     config = LineConic(3, 4)
-    lat = config_lattice(config)
+    labels = config_labels(config)
     basis, gram = root_lattice_of_config(config)
     roots = set(extract_roots(gram))
     listed = []
     for i in (1, 2):
-        listed.append(basis_class(lat, f"e{i}") - basis_class(lat, f"e{i + 1}"))
+        listed.append(basis_class(labels, f"e{i}") - basis_class(labels, f"e{i + 1}"))
     for j in (1, 2, 3):
-        listed.append(basis_class(lat, f"f{j}") - basis_class(lat, f"f{j + 1}"))
-    listed.append(basis_class(lat, "l") - basis_class(lat, "e3")
-                  - basis_class(lat, "f1") - basis_class(lat, "f2"))
+        listed.append(basis_class(labels, f"f{j}") - basis_class(labels, f"f{j + 1}"))
+    listed.append(basis_class(labels, "l") - basis_class(labels, "e3")
+                  - basis_class(labels, "f1") - basis_class(labels, "f2"))
     for cls in listed:
         assert coords_in(basis, cls.integral_coeffs()) in roots
 
 
 def test_listed_roots_are_members_three_lines():
     config = ThreeLines(2, 2, 2, p12=True)
-    lat = config_lattice(config)
+    labels = config_labels(config)
     basis, gram = root_lattice_of_config(config)
     roots = set(extract_roots(gram))
-    listed = [basis_class(lat, f"e{i}_1") - basis_class(lat, f"e{i}_2") for i in (1, 2, 3)]
-    listed.append(basis_class(lat, "l") - basis_class(lat, "e1_2")
-                  - basis_class(lat, "e2_2") - basis_class(lat, "e3_2"))
+    listed = [basis_class(labels, f"e{i}_1") - basis_class(labels, f"e{i}_2") for i in (1, 2, 3)]
+    listed.append(basis_class(labels, "l") - basis_class(labels, "e1_2")
+                  - basis_class(labels, "e2_2") - basis_class(labels, "e3_2"))
     for cls in listed:
         assert coords_in(basis, cls.integral_coeffs()) in roots
 

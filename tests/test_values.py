@@ -29,8 +29,8 @@ VERDICT = classify_anticanonical(LineConic(2, 5))
 # the arguments give (in constructor order), and the parameter defaults
 SPECS = [
     (DivisorClass, ([2, 4], 6), ((1, 2), 1), {"nums": (1, 2), "den": 3}, {"den": 1}),
-    (PicardLattice, (((1,),), ("l", "e1"), D), (((1,),), ("l", "e2"), D),
-     {"head": ((1,),), "labels": ("l", "e1"), "canonical": D}, {}),
+    (PicardLattice, (((1,),), 2, D), (((1,),), 2, -D),
+     {"head": ((1,),), "rank": 2, "canonical": D}, {}),
     (Generic, (3,), (4,), {"r": 3}, {}),
     (LineConic, (2, 5), (2, 5, 1), {"a": 2, "b": 5, "both": 0}, {"both": 0}),
     (ThreeLines, (1, 2, 3, True), (1, 2, 3),
@@ -127,7 +127,7 @@ def test_pickled_lattice_rebuilds_its_cache():
      lambda: blowup_hirzebruch(1, [(1, True)], 1)),
 ], ids=["blowup_p2", "blowup_hirzebruch"])
 def test_lattice_builders_store_plain_ints(build, plain):
-    # a lattice carries no model tag: its counts live in its rank and labels
+    # a lattice carries no model tag: its counts live in its rank
     lattice = build()
     assert type(lattice.rank) is int and lattice == plain()
     assert repr(lattice) == repr(plain())

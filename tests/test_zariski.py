@@ -11,7 +11,8 @@ from bigsurf.zariski import (
     log_canonical_test,
     zariski_decompose,
 )
-from oracles import basis_class, fiber_strict, inertia, is_canonical, sigma_strict
+from oracles import (basis_class, fiber_strict, hirzebruch_labels, inertia, is_canonical,
+                     sigma_strict)
 
 
 def test_params_validation_messages():
@@ -57,13 +58,14 @@ def test_second_frozen_example():
 def test_decomposition_identities_on_lattice():
     params = FamilyParams(4, 5, (3, 4, 5, 6, 2))
     report = zariski_decompose(params)
-    lattice = blowup_hirzebruch(4, [(ai, False) for ai in params.a])
+    specs = [(ai, False) for ai in params.a]
+    lattice, labels = blowup_hirzebruch(4, specs), hirzebruch_labels(specs)
     p, neg = report.positive_part, report.negative_part
     assert p + neg == lattice.anticanonical
     assert lattice.pair(p, neg) == 0
-    assert lattice.pair(p, basis_class(lattice, "sigma")) == 0
+    assert lattice.pair(p, basis_class(labels, "sigma")) == 0
     for i in range(1, 6):
-        assert lattice.pair(p, fiber_strict(lattice, i)) == 0
+        assert lattice.pair(p, fiber_strict(labels, i)) == 0
     assert report.checks.all_pass
 
 
@@ -80,13 +82,13 @@ def test_negative_part_coefficients_bounded():
 def test_positive_part_nef_certificate():
     params = FamilyParams(3, 4, (2, 2, 5, 5))
     report = zariski_decompose(params)
-    lattice = blowup_hirzebruch(3, [(ai, False) for ai in params.a])
+    specs = [(ai, False) for ai in params.a]
+    lattice, labels = blowup_hirzebruch(3, specs), hirzebruch_labels(specs)
     p = report.positive_part
     assert lattice.pair(p, p) > 0
-    witnesses = [basis_class(lattice, "sigma"), sigma_strict(lattice),
-                 basis_class(lattice, "F")]
-    witnesses += [fiber_strict(lattice, i) for i in range(1, 5)]
-    witnesses += [basis_class(lattice, lab) for lab in lattice.labels[2:]]
+    witnesses = [basis_class(labels, "sigma"), sigma_strict(labels), basis_class(labels, "F")]
+    witnesses += [fiber_strict(labels, i) for i in range(1, 5)]
+    witnesses += [basis_class(labels, lab) for lab in labels[2:]]
     assert all(lattice.pair(p, w) >= 0 for w in witnesses)
 
 
@@ -142,10 +144,11 @@ def test_structured_certificates_match_the_dense_pairing(nka):
     params = FamilyParams(n, k, a)
     assert params.reciprocal_sum == sum(Fraction(1, ai) for ai in a)
     report = zariski_decompose(params)
-    lattice = blowup_hirzebruch(n, [(ai, False) for ai in a])
+    specs = [(ai, False) for ai in a]
+    lattice, labels = blowup_hirzebruch(n, specs), hirzebruch_labels(specs)
     p, neg = report.positive_part, report.negative_part
-    sigma = basis_class(lattice, "sigma")
-    fibers = [fiber_strict(lattice, i) for i in range(1, k + 1)]
+    sigma = basis_class(labels, "sigma")
+    fibers = [fiber_strict(labels, i) for i in range(1, k + 1)]
     assert report.p_squared == lattice.pair(p, p)
     assert lattice.pair(p, sigma) == 0
     assert all(lattice.pair(p, f) == 0 for f in fibers)
