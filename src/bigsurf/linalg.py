@@ -131,21 +131,45 @@ def _bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
     the upper triangle is eliminated: the trailing block stays symmetric,
     so a[i][k] is read as a[k][i] from the pivot row, and the entries left
     of the diagonal are never updated.  Row k is never written after step
-    k, so a consumer may keep it; its entries j > k are exact.
+    k, so a consumer may keep it; its entries j > k are exact: each is the
+    leading k x k block bordered by row k and column j.
+
+    A row whose multiplier a[k][i] is zero is left alone at step k.  Step t
+    sends row i to (Delta_{t+1} a[i][j] - a[t][i] a[t][j]) / Delta_t, which
+    with a zero multiplier is a[i][j] Delta_{t+1} / Delta_t; over a run of
+    skipped steps s, ..., k - 1 these factors telescope to Delta_k /
+    Delta_s.  So a row first skipped at step s is brought up to date by one
+    multiplication by Delta_k and one division by Delta_s, exact because
+    the result is the bordered minor, when it is next touched: as the pivot
+    row, before it is yielded, or at its next nonzero multiplier.  The
+    pivots and pivot rows are those of the eager elimination.  A block
+    whose rows meet few others costs little: an arrowhead with its arrow
+    last is eliminated in O(k^2) writes, not O(k^3).
     """
     n = len(a)
     prev = 1
+    stale: dict[int, int] = {}  # row i -> Delta_s, s the step it was first skipped at
     for k in range(n):
-        p = a[k][k]
+        rowk = a[k]
+        if stale:
+            # the rows step k touches: the pivot row, and each row with a
+            # nonzero multiplier (a stale row k has the zeros of the current one)
+            for i in [i for i in stale if i == k or rowk[i]]:
+                d, rowi = stale.pop(i), a[i]
+                for j in range(i, n):
+                    rowi[j] = rowi[j] * prev // d
+        p = rowk[k]
         if p == 0:
             return
-        rowk = a[k]
         yield prev, p, rowk
         for i in range(k + 1, n):
             aik = rowk[i]
-            rowi = a[i]
-            for j in range(i, n):
-                rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
+            if aik:
+                rowi = a[i]
+                for j in range(i, n):
+                    rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
+            elif i not in stale:
+                stale[i] = prev
         prev = p
 
 
@@ -178,11 +202,14 @@ def gram_restrict(g: IntRows, basis: Sequence[Sequence[int]]) -> list[list[int]]
 
 
 def short_vectors(g: IntRows, bound: int) -> list[Vec]:
-    """All v != 0 with 0 < -v^T G v <= bound on a negative definite form.
+    """All v != 0 with 0 < -v^T G v <= bound on a negative definite form,
+    sorted lexicographically.
 
     Fincke-Pohst enumeration on completed squares read straight off the
-    fraction-free elimination of -G.  With Delta_k the k-th leading minor
-    of -G (Delta_0 = 1) and r_k the k-th pivot row of `_bareiss_pivots`,
+    fraction-free elimination of -G.  The elimination and the search run
+    on the coordinates of v in reverse order, x_k = v_{n-1-k}.  With
+    Delta_k the k-th leading minor of -G in those coordinates (Delta_0 = 1)
+    and r_k the k-th pivot row of `_bareiss_pivots`,
 
         -x^T G x = sum_k (Delta_{k+1} x_k + sum_{j>k} r_k[j] x_j)^2
                          / (Delta_k Delta_{k+1}),
@@ -198,22 +225,25 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     evenness: odd forms are enumerated the same way.
 
     The search is iterative, so its depth is not limited by Python's
-    recursion limit.  Coordinates are fixed from the last one down; level
+    recursion limit.  Coordinates are fixed from x_{n-1} = v_0 down; level
     k keeps x_k, its upper end, the budget and the centre in arrays.
     S_k = r_k[k+1] x_{k+1} + B_k, where the part B_k over j > k + 1 stays
     fixed while x_{k+1} runs through its interval, so B_k is summed once
     per interval of x_{k+1}, over the nonzero x_j only, and each centre S_k
     costs one product.  Only one vector of each {v, -v} pair is visited
-    (while every higher coordinate is zero, v_k >= 0 is required); its
-    negation is built next to it, and both signs are returned, sorted
-    lexicographically.
+    (while every higher coordinate is zero, x_k >= 0 is required), and
+    every level runs upwards, so the visited vectors, those whose first
+    nonzero coordinate is positive, come out sorted lexicographically.
+    The negation of each is built next to it: negation reverses that order
+    and puts each negation before every visited vector, so the negations,
+    reversed, followed by the visited vectors are sorted with no sort.
     """
     a = _symmetric_int_rows(g)
     n = len(a)
     minor = [1]
     # row k of m holds r_k[j] at position j > k and zeros elsewhere
     m: list[list[int]] = []
-    for _, p, row in _bareiss_pivots([[-x for x in r] for r in a]):
+    for _, p, row in _bareiss_pivots([[-x for x in reversed(r)] for r in reversed(a)]):
         if p <= 0:
             break
         minor.append(p)
@@ -251,11 +281,11 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
             x[i] = (-((s + t) // d) if nonzero[i] else 0) - 1
             hi[i], rem[i], centre[i] = (t - s) // d, r, s
         else:
-            tail = tuple(x[1:])
-            neg_tail = tuple([-c for c in tail])
+            head = tuple(x[:0:-1])  # v = (x_{n-1}, ..., x_1, x_0)
+            neg_head = tuple([-c for c in head])
             for x0 in range(-((s + t) // d) if nonzero[0] else 1, (t - s) // d + 1):
-                found.append((x0,) + tail)
-                negated.append((-x0,) + neg_tail)
+                found.append(head + (x0,))
+                negated.append(neg_head + (-x0,))
             i = 1
         # step the lowest level that has a value left, then descend from it
         while i < n:
@@ -272,7 +302,6 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
             i += 1
         else:
             break
-    found += negated
-    found.sort()
-    return found
-
+    negated.reverse()
+    negated += found
+    return negated

@@ -621,12 +621,10 @@ def _witness_conic(n: int) -> WitnessReport:
     rank = lattice.rank
     lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     big = [2] + [0] * (rank - 1)
-    eff = [0] * rank
-    on_conic = [(j, -1) for j in range(2, rank)]
-    add_terms(eff, [(0, 2)] + on_conic, n - 1)  # the conic 2l - e1 - ... - en
-    # the n lines l - e0 - ei: their common part n(l - e0), then each ei once
-    add_terms(eff, [(0, 1), (1, -1)], n)
-    add_terms(eff, on_conic)
+    conic = n - 1  # times the conic 2l - e1 - ... - en
+    # plus the n lines l - e0 - ei: their common part n(l - e0), then each
+    # ei once, over the run e1..en
+    eff = [2 * conic + n, -n] + [-conic - 1] * n
     return _report("conic_c", lhs, big, eff, n)
 
 
@@ -674,9 +672,10 @@ def verify_witness(example: str, n: int | None = None,
 
     The effective part is summed from the sparse incidence terms of the
     strict transforms, in integers, so a check costs time linear in the
-    rank; only the four reported classes are built as DivisorClass.  Each
-    curve family (conic_c's lines, hirzebruch_b's section and fibers) enters
-    it in one pass.
+    rank; only the four reported classes are built as DivisorClass.
+    hirzebruch_b's section and fibers enter it in one pass; conic_c's conic
+    and lines meet the points e1..en with one and the same coefficient, so
+    that run is one list product.  The residual is computed either way.
 
     Placements that break the identity (for instance a point at the meeting
     of the negative section and a named fiber) are reported with the

@@ -112,7 +112,11 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     integers.  One structured Gram of P, sigma and the F_i, all ints
     (P's entries over den), gives P^2, P.sigma, every P.F_i and the
     support block of N, so the work is linear in the rank and in k apart
-    from the (k+2)^2 Gram entries.
+    from the (k+2)^2 Gram entries.  The support lists the F_i first and
+    sigma last: sigma meets every F_i once and the F_i are pairwise
+    disjoint, so each step of the definiteness check's elimination touches
+    only its own fiber's row and sigma's, and the check costs O(k^2) too.
+    The verdict does not depend on the order.
     """
     n, k, a = params.n, params.k, params.a
     specs = [(ai, False) for ai in a]
@@ -146,7 +150,8 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
         raise InvariantError(f"P^2 = {p_squared} disagrees with the closed form "
                              f"for n={n} k={k} a={list(a)}")
 
-    support = [j for j, coef in enumerate([sigma_neg, *fiber_neg], start=1) if coef > 0]
+    # N's support, sigma last (see above)
+    support = [j for j, coef in [*enumerate(fiber_neg, start=2), (1, sigma_neg)] if coef > 0]
     checks = ZariskiChecks(
         p_dot_sigma_zero=gram[0][1] == 0,
         p_dot_fibers_zero=not any(gram[0][2:]),

@@ -11,11 +11,15 @@ of a symmetric form by congruence diagonalization over Fraction, so the
 signature checks share no elimination code with `is_negative_definite`,
 and `determinant` is a Fraction determinant with row swaps, which the
 leading principal minors that the elimination core yields are checked
-against.  `box_short_vectors` is the exhaustive box search that
-`short_vectors` and `extract_roots` are checked against;
-`cauchy_schwarz_negative_classes` and `widened_box_negative_classes` are
-the Diophantine searches that `negative_classes` is checked against, and
-`raw` writes a class in their (d, m_1..m_r) coordinates.
+against.  `eager_bareiss_pivots` writes every row below the pivot at
+every step, whatever its multiplier; the package's core, which leaves a
+row with a zero multiplier alone until it is next touched, is checked
+against its pivots and pivot rows.  `box_short_vectors` is the
+exhaustive box search that `short_vectors` and `extract_roots` are
+checked against; `cauchy_schwarz_negative_classes` and
+`widened_box_negative_classes` are the Diophantine searches that
+`negative_classes` is checked against, and `raw` writes a class in their
+(d, m_1..m_r) coordinates.
 
 Also here: the reference closed forms of the bigness verdict, written out
 per family in the basis order of `config_lattice`, which the generic
@@ -40,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,6 +146,29 @@ def determinant(a: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
             f = rows[i][c] / rows[c][c]
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return int(total) if total.denominator == 1 else total
+
+
+def eager_bareiss_pivots(a: list[list[int]]) -> Iterator[tuple[int, int, list[int]]]:
+    """The eager fraction-free (Bareiss) elimination that the package's
+    core is checked against: unpivoted, in place on the upper triangle,
+    and every row below the pivot is written at every step, whatever its
+    multiplier.  Yields (previous pivot, pivot, pivot row) per step and
+    returns at the first zero pivot, as `linalg._bareiss_pivots` does;
+    its k-th pivot row is never written after step k."""
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        if p == 0:
+            return
+        rowk = a[k]
+        yield prev, p, rowk
+        for i in range(k + 1, n):
+            aik = rowk[i]
+            rowi = a[i]
+            for j in range(i, n):
+                rowi[j] = (p * rowi[j] - aik * rowk[j]) // prev
+        prev = p
 
 
 class Inertia(NamedTuple):

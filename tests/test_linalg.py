@@ -16,7 +16,8 @@ from bigsurf.linalg import (
     is_negative_definite,
     short_vectors,
 )
-from oracles import Inertia, box_short_vectors, determinant, inertia, solve_rational
+from oracles import (Inertia, box_short_vectors, determinant, eager_bareiss_pivots, inertia,
+                     solve_rational)
 
 
 def apply_congruence(g, u):
@@ -306,6 +307,7 @@ def test_is_negative_definite_matches_inertia(g):
 @example([[0, 1], [1, -1]])
 @example([[-1, 1], [1, -1]])
 @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+@example([[-2, 0, 1], [0, -3, 1], [1, 1, -2]])
 def test_bareiss_pivots_are_the_leading_minors(g):
     # Sylvester's criterion needs the k-th pivot to be the k-th leading
     # principal minor, with the previous minor beside it, up to the first
@@ -321,6 +323,8 @@ def test_bareiss_pivots_are_the_leading_minors(g):
 @example([[0, 1], [1, -1]])
 @example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
 @example([[2, 3, -1, 4], [3, -1, 2, 0], [-1, 2, 5, 1], [4, 0, 1, -3]])
+@example([[-2, 0, 1], [0, -3, 1], [1, 1, -2]])
+@example([[-2, 0, 1, 0], [0, -2, 0, 1], [1, 0, -2, 1], [0, 1, 1, -3]])
 def test_bareiss_pivot_rows_are_the_bordered_minors(g):
     # short_vectors reads entry j > k of the k-th pivot row; only the upper
     # triangle is eliminated, and each such entry must be the leading k x k
@@ -332,6 +336,57 @@ def test_bareiss_pivot_rows_are_the_bordered_minors(g):
         for j in range(k + 1, len(g)):
             bordered = [[g[i][c] for c in [*range(k), j]] for i in range(k + 1)]
             assert row[j] == determinant(bordered), (k, j)
+
+
+def _eliminated(core, g):
+    """(previous pivot, pivot, pivot row) of each step of core on g, the
+    rows copied after the elimination ends."""
+    return [(prev, p, list(row)) for prev, p, row in core([list(r) for r in g])]
+
+
+# Stale rows: row 1 is skipped at step 0 and is the next pivot; row 3 is
+# skipped at step 0 and meets a nonzero multiplier at step 1; row 2 is
+# skipped at steps 0 and 1 and is the pivot of step 2; the last has a zero
+# pivot in a skipped row, where both cores stop.
+@settings(max_examples=400, deadline=None)
+@given(sparse_symmetric_matrix(max_dim=8))
+@example([[-2, 0, 1], [0, -3, 1], [1, 1, -2]])
+@example([[-2, 0, 1, 0], [0, -2, 0, 1], [1, 0, -2, 1], [0, 1, 1, -3]])
+@example([[-2, 0, 0, 1], [0, -2, 0, 1], [0, 0, 5, 1], [1, 1, 1, -4]])
+@example([[1, 0, 1], [0, 0, 1], [1, 1, 1]])
+def test_bareiss_pivots_match_the_eager_oracle(g):
+    # rows with a zero multiplier are brought up to date when next touched;
+    # the pivots and the pivot rows are those of the eager elimination
+    assert _eliminated(_bareiss_pivots, g) == _eliminated(eager_bareiss_pivots, g)
+
+
+class CountingRow(list):
+    """A matrix row that counts the entries written into it."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        CountingRow.writes += len(value) if isinstance(index, slice) else 1
+        super().__setitem__(index, value)
+
+
+def _arrowhead_writes(core, k):
+    """Entries core writes eliminating k pairwise orthogonal -3 rows that
+    each meet a last -k row once: the shape of a Zariski support with the
+    section last."""
+    g = [[-3 * (i == j) for j in range(k)] + [1] for i in range(k)]
+    g.append([1] * k + [-k])
+    CountingRow.writes = 0
+    steps = list(core([CountingRow(r) for r in g]))
+    assert len(steps) == k + 1
+    return CountingRow.writes
+
+
+def test_an_arrowhead_with_its_arrow_last_costs_quadratic_writes():
+    k = 40
+    assert _arrowhead_writes(_bareiss_pivots, k) <= k * k
+    # the eager elimination writes every row below every pivot
+    assert _arrowhead_writes(eager_bareiss_pivots, k) >= k ** 3 // 8
 
 
 def charpoly_inertia(sympy, g):

@@ -160,6 +160,9 @@ def test_structured_certificates_match_the_dense_pairing(nka):
                                         0 * sigma)
     gram = [[lattice.pair(u, v) for v in support] for u in support]
     assert inertia(gram).is_negative_definite
+    # the package checks the support with sigma last; the verdict does not
+    # depend on the order
+    assert report.checks.n_support_negative_definite
 
 
 @settings(deadline=None, max_examples=60)
@@ -183,3 +186,22 @@ def test_zariski_parts_are_canonical_on_fixed_members(params):
     report = zariski_decompose(params)
     assert is_canonical(report.positive_part) and is_canonical(report.negative_part)
     assert report.positive_part.den > 1
+
+
+def test_support_check_lists_sigma_last(monkeypatch):
+    # sigma meets every F_i once and the F_i are pairwise disjoint: with
+    # sigma last, each elimination step touches only its fiber's row and
+    # sigma's, so the check costs O(k^2)
+    grams = []
+
+    def captured(g):
+        grams.append(g)
+        return True
+
+    monkeypatch.setattr("bigsurf.zariski.is_negative_definite", captured)
+    n = 40
+    zariski_decompose(FamilyParams(n, n + 1, tuple(3 + i % 7 for i in range(n + 1))))
+    (gram,) = grams
+    assert len(gram) == n + 2
+    assert gram[-1][:-1] == [1] * (n + 1)
+    assert all(gram[i][j] == 0 for i in range(n + 1) for j in range(n + 1) if i != j)
