@@ -46,12 +46,15 @@ def orthogonal_complement(lattice: PicardLattice,
     classes, together with the restricted Gram matrix.
 
     The kernel rows G.c come from the lattice's head-plus-tail structure in
-    O(rank) per class; only the Gram restriction reads the dense view.
+    O(rank) per class.  The dense form, the lattice's `gram_of` on the unit
+    classes, is returned as is for no classes and restricted to the kernel
+    basis otherwise.
     """
     n = lattice.rank
+    gram = lattice.gram_of([[(i, 1)] for i in range(n)])
     if not classes:
         basis = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
-        return basis, [list(row) for row in lattice.gram]
+        return basis, gram
     rows = []
     for c in classes:
         coeffs = c.integral_coeffs()
@@ -60,7 +63,7 @@ def orthogonal_complement(lattice: PicardLattice,
         row = lattice.row(sparse_terms(coeffs))
         rows.append([row.get(j, 0) for j in range(n)])
     basis = integer_kernel(rows)
-    return basis, gram_restrict(lattice.gram, basis)
+    return basis, gram_restrict(gram, basis)
 
 
 def is_big_supported(lattice: PicardLattice, classes: list[DivisorClass]) -> bool:

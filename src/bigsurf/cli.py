@@ -283,6 +283,9 @@ def _read_input(args: argparse.Namespace) -> str:
         return Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {args.input}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read {args.input}: byte {exc.start} is not "
+                          f"UTF-8 ({exc.reason})") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -56,10 +56,11 @@ def negative_classes(r: int) -> NegativeClassTable:
             "canonical class stops being negative definite and the "
             "enumeration is unbounded")
     lattice = blowup_p2(r)
+    rank = lattice.rank
     row = lattice.row(sparse_terms(lattice.canonical.nums))
-    k = [row.get(j, 0) for j in range(lattice.rank)]
-    lift = [[g - 2 * a * b for g, b in zip(gram_row, k)]
-            for gram_row, a in zip(lattice.gram, k)]
+    k = [row.get(j, 0) for j in range(rank)]
+    gram = lattice.gram_of([[(i, 1)] for i in range(rank)])
+    lift = [[g - 2 * a * b for g, b in zip(gram_row, k)] for gram_row, a in zip(gram, k)]
     by_kx: dict[int, list[tuple[int, ...]]] = {0: [], -1: []}
     for x in short_vectors(lift, 3):
         bucket = by_kx.get(sum(map(operator.mul, k, x)))

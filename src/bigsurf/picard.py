@@ -35,7 +35,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Iterable, NamedTuple, Sequence
 
@@ -221,8 +221,8 @@ class PicardLattice(Frozen):
     for blow-ups of a degree-n Hirzebruch surface (sigma and F).  Pairing
     therefore costs O(rank), the row G.v of a sparse class costs time
     proportional to its support, and so does the Gram of a few sparse
-    classes (`gram_of`).  `gram` is a dense read-only view, built on first
-    read.
+    classes (`gram_of`).  The dense form is that Gram on the unit classes,
+    built where a dense consumer needs it.
 
     Equality, hash, repr and pickling go by (head, rank, canonical), so two
     models with the same form and canonical class build equal lattices.
@@ -231,8 +231,7 @@ class PicardLattice(Frozen):
     classes, or a canonical class of any length but rank.
     """
 
-    _fields = ("head", "rank", "canonical")
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached gram
+    _fields = __slots__ = ("head", "rank", "canonical")
 
     def __init__(self, head: tuple[tuple[int, ...], ...], rank: int,
                  canonical: DivisorClass):
@@ -245,19 +244,6 @@ class PicardLattice(Frozen):
         _set(self, "head", head)
         _set(self, "rank", rank)
         _set(self, "canonical", canonical)
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Dense Gram matrix of the form; O(rank^2), so only the dense
-        consumers read it: the Gram restriction of
-        `bigness.orthogonal_complement` and the form it returns as is for
-        an empty collection of classes (the whole lattice), and the lift
-        G - 2kk^T that `enumeration.negative_classes` hands to
-        short_vectors."""
-        h, rank = len(self.head), self.rank
-        return tuple([tuple([self.head[i][j] if i < h and j < h else -int(i == j)
-                             for j in range(rank)])
-                      for i in range(rank)])
 
     def row(self, terms: Terms) -> dict[int, Rational]:
         """G.v for the sparse class v: {j: v.b_j} over the basis classes b_j
@@ -280,7 +266,8 @@ class PicardLattice(Frozen):
         """The Gram matrix [u.v] of the sparse classes, exact (all ints for
         int coefficients), in O(k^2 h + sum of the term counts) for k
         classes and a head of size h: the head coordinates of each class
-        pair through the head block, once per two distinct head parts, and
+        pair through the head block, once per two distinct head parts,
+        classes with equal head parts start from copies of one row, and
         each tail index adds -c_u c_v to the entry of every two classes
         u, v that carry it."""
         head = self.head
@@ -298,7 +285,8 @@ class PicardLattice(Frozen):
         hx = {x: [sum(map(operator.mul, row, x)) for row in head] for x in heads}
         pairings = {x: {y: sum(map(operator.mul, x, hy)) for y, hy in hx.items()}
                     for x in hx}
-        gram = [list(map(pairings[x].__getitem__, heads)) for x in heads]
+        rows = {x: list(map(pairings[x].__getitem__, heads)) for x in hx}
+        gram = [rows[x].copy() for x in heads]
         for carriers in tails.values():
             for u, c in carriers:
                 row = gram[u]
@@ -353,54 +341,53 @@ def _flag(name: str, value: object) -> bool:
     return value
 
 
-def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
-                      extra_on_sigma: int = 0) -> PicardLattice:
-    """Picard lattice of a degree-n Hirzebruch surface blown up at points
-    on named fibers and on the negative section, with basis sigma, F, then
-    each fiber's points off the section and then its point on it, fiber by
-    fiber, then the extra points on the section.
+def hirzebruch_model(n: int, fiber_specs: Sequence[tuple[int, bool]],
+                     extra_on_sigma: int = 0
+                     ) -> tuple[PicardLattice, list[tuple[int, int]], list[list[tuple[int, int]]]]:
+    """A degree-n Hirzebruch surface blown up at points on named fibers and
+    on the negative section: its Picard lattice, and the sparse strict
+    transforms of the section and of every named fiber.
 
-    fiber_specs gives, per named fiber, the number of points on the fiber
-    away from the negative section (an int, by operator.index) and whether
-    the intersection point of fiber and section is also blown up (a bool);
-    any other count or flag raises DomainError.  extra_on_sigma counts
-    additional points on the section away from every named fiber; it and
-    n are ints by operator.index too.
+    The basis is sigma, F, then each fiber's points off the section and
+    then its point on it, fiber by fiber, then the extra points on the
+    section.  fiber_specs gives, per named fiber, the number of points on
+    the fiber away from the negative section (an int, by operator.index)
+    and whether the intersection point of fiber and section is also blown
+    up (a bool); any other count or flag raises DomainError.
+    extra_on_sigma counts additional points on the section away from every
+    named fiber; it and n are ints by operator.index too.
+
+    One walk over the specs checks each and marks where its fiber's points
+    end; each fiber's terms are then a slice of one run of -1 terms, so
+    the whole model costs O(rank).
     """
     n, extra_on_sigma = _count("n", n), _count("extra_on_sigma", extra_on_sigma)
     if n < 1:
         raise DomainError("n must satisfy n >= 1")
     if extra_on_sigma < 0:
         raise DomainError("extra_on_sigma must be non-negative")
-    points = extra_on_sigma
+    ends, on_sigma, pos = [2], [], 2  # a fiber's points end where the next one's start
     for off, on in fiber_specs:
         off = _count("points per fiber", off)
         if off < 0:
             raise DomainError("points per fiber must be non-negative")
-        points += off + _flag("a fiber's on-section flag", on)
-    canonical = _new(tuple([-2, -(n + 2)] + [1] * points), 1)
-    return PicardLattice(((-n, 1), (1, 0)), 2 + points, canonical)
-
-
-def strict_terms(rank: int, fiber_specs: Sequence[tuple[int, bool]]
-                 ) -> tuple[list[tuple[int, int]], list[list[tuple[int, int]]]]:
-    """Sparse strict transforms of the negative section and of every named
-    fiber in the rank-`rank` lattice of blowup_hirzebruch on the fiber
-    specs (int counts and bool flags, as it checked them), from basis
-    positions: sigma and F come first, then each fiber's points in order,
-    then the extra points on sigma, so one running offset over the fiber
-    specs places them all in O(rank)."""
-    minus = [(j, -1) for j in range(rank)]  # -1 on basis class j
-    sigma, fibers, pos = [(0, 1)], [], 2
-    for off, on in fiber_specs:
-        terms = [(1, 1)] + minus[pos:pos + off]
         pos += off
-        if on:
-            terms.append(minus[pos])
-            sigma.append(minus[pos])
+        if _flag("a fiber's on-section flag", on):
+            on_sigma.append(pos)
             pos += 1
-        fibers.append(terms)
-    return sigma + minus[pos:], fibers
+        ends.append(pos)
+    rank = pos + extra_on_sigma
+    minus = [(j, -1) for j in range(rank)]  # -1 on basis class j
+    fibers = [[(1, 1)] + minus[start:end] for start, end in zip(ends, ends[1:])]
+    sigma = [(0, 1)] + [minus[j] for j in on_sigma] + minus[pos:]
+    canonical = _new(tuple([-2, -(n + 2)] + [1] * (rank - 2)), 1)
+    return PicardLattice(((-n, 1), (1, 0)), rank, canonical), sigma, fibers
+
+
+def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
+                      extra_on_sigma: int = 0) -> PicardLattice:
+    """The Picard lattice of hirzebruch_model(n, fiber_specs, extra_on_sigma)."""
+    return hirzebruch_model(n, fiber_specs, extra_on_sigma)[0]
 
 
 # point configurations --------------------------------------------------------
@@ -600,17 +587,14 @@ def _witness_hirzebruch(n: int, fibers: Sequence[tuple[int, bool]] | None,
         fibers = [(1, False)] * (n + 1)
     if len(fibers) != n + 1:
         raise DomainError("exactly n + 1 named fibers are required")
-    lattice = blowup_hirzebruch(n, fibers, extra_on_sigma)
+    lattice, sigma_terms, fiber_terms = hirzebruch_model(n, fibers, extra_on_sigma)
     rank = lattice.rank
-    # the build has checked every count and flag
-    specs = [(operator.index(off), on) for off, on in fibers]
     lhs = list(map((-n).__mul__, lattice.canonical.integral_coeffs()))
     # sigma and F are the first two basis classes
     big = [0] * rank
     big[0], big[1] = 1, n
     eff = [0] * rank
     eff[0] = n - 1
-    sigma_terms, fiber_terms = strict_terms(rank, specs)
     add_terms(eff, chain(sigma_terms, *fiber_terms), n)  # n * (sigma + every fiber)
     return _report("hirzebruch_b", lhs, big, eff, n)
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
 from .picard import (DivisorClass, Frozen, _count, _lowest, _new, _set, add_terms,
-                     blowup_hirzebruch, sparse_terms, strict_terms)
+                     hirzebruch_model, sparse_terms)
 
 __all__ = [
     "FamilyParams",
@@ -119,11 +119,9 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     The verdict does not depend on the order.
     """
     n, k, a = params.n, params.k, params.a
-    specs = [(ai, False) for ai in a]
-    lattice = blowup_hirzebruch(n, specs)
+    lattice, sigma, strict = hirzebruch_model(n, [(ai, False) for ai in a])
     rank = lattice.rank
-    fiber = 1  # F follows sigma at the head of the basis of blowup_hirzebruch
-    sigma, strict = strict_terms(rank, specs)
+    fiber = 1  # F follows sigma at the head of the basis of hirzebruch_model
 
     s = params.reciprocal_sum
     c = Fraction(n + 2 - k) / (n - s)

@@ -6,7 +6,9 @@ cross-path checks express lattice vectors in a sublattice basis.  Plain
 Gauss-Jordan elimination over `fractions.Fraction`, kept independent of
 the package's fraction-free core so the oracles share no code with it.
 `dot` is the dense pairing u^T G v that the tests check the package's
-structured pairings and root norms against.  `inertia` is the signature
+structured pairings and root norms against, and `dense_gram` writes out
+the G of a lattice from its head block and rank alone, with no call
+into the package's pairing.  `inertia` is the signature
 of a symmetric form by congruence diagonalization over Fraction, so the
 signature checks share no elimination code with `is_negative_definite`,
 and `determinant` is a Fraction determinant with row swaps, which the
@@ -66,6 +68,15 @@ def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
     vv = [(j, vj) for j, vj in enumerate(v) if vj]
     return sum(ui * sum(g[i][j] * vj for j, vj in vv)
                for i, ui in enumerate(u) if ui)
+
+
+def dense_gram(lattice: PicardLattice) -> list[list[int]]:
+    """The dense Gram matrix of the lattice's form: its head block on the
+    first classes, -1 on the rest of the diagonal, 0 elsewhere."""
+    head, rank = lattice.head, lattice.rank
+    h = len(head)
+    return [[head[i][j] if i < h and j < h else -int(i == j) for j in range(rank)]
+            for i in range(rank)]
 
 
 def solve_rational(a: Sequence[Sequence[int | Fraction]],

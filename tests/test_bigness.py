@@ -31,6 +31,7 @@ from oracles import (
     basis_class,
     blowup_p2_labels,
     config_labels,
+    dense_gram,
     dot,
     inertia,
     line_conic_closed_form,
@@ -44,7 +45,7 @@ def test_complement_of_nothing_is_everything():
     lat = blowup_p2(2)
     basis, gram = orthogonal_complement(lat, [])
     assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert gram == [list(row) for row in lat.gram]
+    assert gram == dense_gram(lat)
 
 
 def test_complement_of_line():
@@ -78,7 +79,8 @@ def test_complement_kernel_rows_are_gram_times_class(case):
     (rows,), _ = kernel.call_args
     n = lat.rank
     units = [[int(i == j) for i in range(n)] for j in range(n)]
-    assert rows == [[dot(lat.gram, unit, c.coeffs) for unit in units] for c in classes]
+    gram = dense_gram(lat)
+    assert rows == [[dot(gram, unit, c.coeffs) for unit in units] for c in classes]
 
 
 def test_complement_of_canonical_r8_is_even_rank_8():
@@ -344,9 +346,10 @@ def test_v_lies_in_the_complement_kernel_on_boundary():
     lat = config_lattice(config)
     verdict = classify_anticanonical(config)
     v = verdict.v.integral_coeffs()
+    gram = dense_gram(lat)
     for c in anticanonical_components(config):
-        assert dot(lat.gram, v, c.integral_coeffs()) == 0
-    assert dot(lat.gram, v, v) == 0
+        assert dot(gram, v, c.integral_coeffs()) == 0
+    assert dot(gram, v, v) == 0
 
 
 @settings(deadline=None)

@@ -49,6 +49,15 @@ def test_classify_missing_input_file(capsys):
     assert "error:" in err
 
 
+def test_classify_input_file_that_is_not_utf8(tmp_path, capsys):
+    request = tmp_path / "config.json"
+    request.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "classify", "--input", str(request))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot read {request}: byte 0 is not UTF-8 (invalid start byte)\n"
+
+
 def test_classify_generic_nine_points(capsys):
     code, out, _ = run_cli(capsys, "classify", "--json",
                            '{"model":"generic","r":9}')

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from bigsurf.bigness import agreement_sweep
+from bigsurf.bigness import agreement_sweep, orthogonal_complement
 from bigsurf.linalg import integer_kernel
 from bigsurf.picard import DivisorClass, blowup_p2
 
@@ -51,8 +51,9 @@ def _kernel() -> None:
 
 
 def _gram() -> None:
+    # the dense form: rank-length unit tuples and the form from `gram_of`
     for _ in range(500):
-        blowup_p2(14).gram
+        orthogonal_complement(blowup_p2(14), [])
 
 
 @pytest.mark.parametrize("run", [_arithmetic, _kernel, _gram])

@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bigsurf import picard
+from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError
 from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
@@ -21,15 +22,15 @@ from bigsurf.picard import (
     blowup_hirzebruch,
     blowup_p2,
     config_lattice,
-    strict_terms,
+    hirzebruch_model,
     verify_witness,
 )
 from bigsurf.zariski import FamilyParams
 from oracles import (FractionClass, arithmetic_genus, basis_class, blowup_p2_labels,
-                     castravet_witness_labels, config_labels, conic_witness_labels, dot,
-                     fiber_strict, hirzebruch_labels, incidence_terms, is_canonical,
-                     k_squared, labelled_class, labelled_components, riemann_roch_nef,
-                     sigma_strict)
+                     castravet_witness_labels, config_labels, conic_witness_labels,
+                     dense_gram, dot, fiber_strict, hirzebruch_labels, incidence_terms,
+                     is_canonical, k_squared, labelled_class, labelled_components,
+                     riemann_roch_nef, sigma_strict)
 
 
 def test_divisor_class_arithmetic():
@@ -156,9 +157,10 @@ def test_plane_blowup_shape():
     assert lat.rank == 7
     assert type(lat.rank) is int
     assert lat == PicardLattice(((1,),), 7, DivisorClass.of([-3] + [1] * 6))
-    assert lat.gram[0][0] == 1
-    assert all(lat.gram[i][i] == -1 for i in range(1, 7))
-    assert all(lat.gram[i][j] == 0 for i in range(7) for j in range(7) if i != j)
+    gram = dense_gram(lat)
+    assert gram[0][0] == 1
+    assert all(gram[i][i] == -1 for i in range(1, 7))
+    assert all(gram[i][j] == 0 for i in range(7) for j in range(7) if i != j)
     assert k_squared(lat) == 3
 
 
@@ -276,7 +278,7 @@ def test_structured_pair_matches_dense_gram(case):
         return
     value = lat.pair(a, b)
     assert type(value) is Fraction
-    assert value == dot(lat.gram, a.coeffs, b.coeffs)
+    assert value == dot(dense_gram(lat), a.coeffs, b.coeffs)
     assert value == lat.pair(b, a)
 
 
@@ -284,8 +286,17 @@ def test_structured_lattice_head_blocks():
     assert blowup_p2(4).head == ((1,),)
     assert blowup_hirzebruch(3, [(2, True)]).head == ((-3, 1), (1, 0))
     lat = blowup_hirzebruch(3, [(1, False)])
-    assert lat.gram == ((-3, 1, 0), (1, 0, 0), (0, 0, -1))
-    assert lat.gram is lat.gram  # built once
+    assert dense_gram(lat) == [[-3, 1, 0], [1, 0, 0], [0, 0, -1]]
+
+
+def test_a_lattice_keeps_no_dense_form():
+    # the form is the head and the rank; the dense Gram is built on demand
+    for lat in [blowup_p2(r) for r in range(9)] + [
+            blowup_hirzebruch(1, []), blowup_hirzebruch(3, [(2, True), (0, False)], 2)]:
+        assert not hasattr(lat, "__dict__")
+        basis, gram = orthogonal_complement(lat, [])
+        assert basis == [tuple([int(i == j) for j in range(lat.rank)]) for i in range(lat.rank)]
+        assert gram == dense_gram(lat)
 
 
 @st.composite
@@ -319,7 +330,7 @@ def test_gram_of_matches_the_dense_restriction(lat_and_classes):
             v[i] += c
         dense.append(v)
     gram = lat.gram_of(classes)
-    assert gram == gram_restrict(lat.gram, dense)
+    assert gram == gram_restrict(dense_gram(lat), dense)
     assert all(type(x) is int for row in gram for x in row)
 
 
@@ -352,6 +363,7 @@ class _Index:
     ([(1, False), (1, "no")], "on-section flag must be a bool, not 'no'"),
     ([(1, 0), (1, False)], "on-section flag must be a bool, not 0"),
     ([(1, False), (1, None)], "on-section flag must be a bool, not None"),
+    ([(1, False), (-1, False)], "points per fiber must be non-negative"),
 ])
 def test_fiber_specs_are_validated_not_coerced(fibers, message):
     with pytest.raises(DomainError, match=message):
@@ -412,25 +424,50 @@ def test_constructors_store_counts_by_operator_index():
             build()
 
 
-@pytest.mark.parametrize("specs, extra", [
-    ([], 0), ([(0, False)], 2), ([(2, False), (1, True)], 1),
-    ([(3, True), (0, True), (0, False), (2, False)], 0), ([(1, False)] * 5, 3),
-])
-def test_strict_terms_match_the_labelled_incidences(specs, extra):
-    """The positional strict transforms are the label-built incidences."""
-    lat = blowup_hirzebruch(2, specs, extra)
+FIBER_SPECS = st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), specs=FIBER_SPECS, extra=st.integers(0, 4))
+@example(n=2, specs=[], extra=0)
+@example(n=2, specs=[(0, False)], extra=2)
+@example(n=2, specs=[(2, False), (1, True)], extra=1)
+@example(n=2, specs=[(3, True), (0, True), (0, False), (2, False)], extra=0)
+@example(n=2, specs=[(1, False)] * 5, extra=3)
+def test_hirzebruch_model_matches_the_labelled_incidences(n, specs, extra):
+    """The builder's positional strict transforms are the label-built
+    incidences, and its lattice is blowup_hirzebruch's."""
+    lat, positional_sigma, positional_fibers = hirzebruch_model(n, specs, extra)
+    assert lat == blowup_hirzebruch(n, specs, extra)
     labels = hirzebruch_labels(specs, extra)
+    assert lat.rank == len(labels)
     fibers = [incidence_terms(labels, [("F", 1)], [f"e{i}_{j}" for j in range(1, off + 1)]
                               + ([f"e{i}_s"] if on else []))
               for i, (off, on) in enumerate(specs, start=1)]
     sigma = incidence_terms(labels, [("sigma", 1)],
                             [f"e{i}_s" for i, (_, on) in enumerate(specs, start=1) if on]
                             + [f"s{j}" for j in range(1, extra + 1)])
-    positional_sigma, positional_fibers = strict_terms(lat.rank, specs)
     assert (positional_sigma, positional_fibers) == (sigma, fibers)
     assert [fiber_strict(labels, i) for i in range(1, len(specs) + 1)] == [
         lat.class_of(terms) for terms in positional_fibers]
     assert sigma_strict(labels) == lat.class_of(positional_sigma)
+
+
+BAD_SPECS = [((-1, False), "points per fiber must be non-negative"),
+             ((1.0, False), "points per fiber must be an int, not 1.0"),
+             ((1, 1), "a fiber's on-section flag must be a bool, not 1"),
+             ((0, None), "a fiber's on-section flag must be a bool, not None")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=FIBER_SPECS, bad=st.sampled_from(BAD_SPECS), data=st.data())
+def test_hirzebruch_model_rejects_a_bad_spec_wherever_it_sits(specs, bad, data):
+    spec, message = bad
+    specs.insert(data.draw(st.integers(0, len(specs))), spec)
+    for build in (hirzebruch_model, blowup_hirzebruch):
+        with pytest.raises(DomainError) as info:
+            build(2, specs, 1)
+        assert str(info.value) == message
 
 
 def test_pair_rejects_coordinates_beyond_the_rank():
