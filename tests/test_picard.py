@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bigsurf import picard
 from bigsurf.bigness import orthogonal_complement
@@ -427,14 +427,7 @@ def test_constructors_store_counts_by_operator_index():
 FIBER_SPECS = st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=7)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 6), specs=FIBER_SPECS, extra=st.integers(0, 4))
-@example(n=2, specs=[], extra=0)
-@example(n=2, specs=[(0, False)], extra=2)
-@example(n=2, specs=[(2, False), (1, True)], extra=1)
-@example(n=2, specs=[(3, True), (0, True), (0, False), (2, False)], extra=0)
-@example(n=2, specs=[(1, False)] * 5, extra=3)
-def test_hirzebruch_model_matches_the_labelled_incidences(n, specs, extra):
+def _assert_model_matches_the_labels(n, specs, extra):
     """The builder's positional strict transforms are the label-built
     incidences, and its lattice is blowup_hirzebruch's."""
     lat, positional_sigma, positional_fibers = hirzebruch_model(n, specs, extra)
@@ -451,6 +444,20 @@ def test_hirzebruch_model_matches_the_labelled_incidences(n, specs, extra):
     assert [fiber_strict(labels, i) for i in range(1, len(specs) + 1)] == [
         lat.class_of(terms) for terms in positional_fibers]
     assert sigma_strict(labels) == lat.class_of(positional_sigma)
+
+
+@pytest.mark.parametrize("specs, extra", [
+    ([], 0), ([(0, False)], 2), ([(2, False), (1, True)], 1),
+    ([(3, True), (0, True), (0, False), (2, False)], 0), ([(1, False)] * 5, 3),
+])
+def test_strict_terms_match_the_labelled_incidences(specs, extra):
+    _assert_model_matches_the_labels(2, specs, extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), specs=FIBER_SPECS, extra=st.integers(0, 4))
+def test_hirzebruch_model_matches_the_labelled_incidences(n, specs, extra):
+    _assert_model_matches_the_labels(n, specs, extra)
 
 
 BAD_SPECS = [((-1, False), "points per fiber must be non-negative"),
