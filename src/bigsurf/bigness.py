@@ -34,7 +34,6 @@ from .picard import (
     _count,
     config_lattice,
     incidence_class,
-    sparse_terms,
 )
 
 Vec = tuple[int, ...]
@@ -55,14 +54,7 @@ def orthogonal_complement(lattice: PicardLattice,
     if not classes:
         basis = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
         return basis, gram
-    rows = []
-    for c in classes:
-        coeffs = c.integral_coeffs()
-        if len(coeffs) != n:
-            raise ValueError("class dimension does not match the lattice")
-        row = lattice.row(sparse_terms(coeffs))
-        rows.append([row.get(j, 0) for j in range(n)])
-    basis = integer_kernel(rows)
+    basis = integer_kernel([lattice.row(c.integral_coeffs()) for c in classes])
     return basis, gram_restrict(gram, basis)
 
 
@@ -96,11 +88,13 @@ def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessV
     """The verdict from the curve degrees d_i and own point counts a_i: with
     P = prod a_i, v = P*l - sum_i d_i (P/a_i) (the points on curve i alone)
     has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config)."""
-    prod = math.prod(count for _, count in config.curves)
+    curves = config.curves
+    prod = math.prod(count for _, count in curves)
     if prod == 0:
         return BignessVerdict(True, config.case, None, None, None, config.effective)
-    lhs = sum(Fraction(d * d, count) for d, count in config.curves)
-    v = incidence_class(config, prod, [-d * (prod // count) for d, count in config.curves])
+    lhs = sum(Fraction(d * d, count) for d, count in curves)
+    v = incidence_class(config, prod, [-d * (prod // count) for d, count in curves],
+                        [0] * len(config.shared))
     v_sq = lattice.pair(v, v)
     if v_sq != prod ** 2 * (1 - lhs):
         raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")

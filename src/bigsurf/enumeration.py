@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import short_vectors
-from .picard import DivisorClass, _count, blowup_p2, sparse_terms
+from .picard import DivisorClass, _count, blowup_p2
 
 __all__ = ["NegativeClassTable", "negative_classes"]
 
@@ -57,8 +57,7 @@ def negative_classes(r: int) -> NegativeClassTable:
             "enumeration is unbounded")
     lattice = blowup_p2(r)
     rank = lattice.rank
-    row = lattice.row(sparse_terms(lattice.canonical.nums))
-    k = [row.get(j, 0) for j in range(rank)]
+    k = lattice.row(lattice.canonical.nums)
     gram = lattice.gram_of([[(i, 1)] for i in range(rank)])
     lift = [[g - 2 * a * b for g, b in zip(gram_row, k)] for gram_row, a in zip(gram, k)]
     by_kx: dict[int, list[tuple[int, ...]]] = {0: [], -1: []}

@@ -16,14 +16,16 @@ Points carry no coordinates; a configuration records only the combinatorial
 incidence data (which curves each point lies on), which is all the lattice
 computations see.  Every configuration lies on a cubic: a smooth one
 (`Generic`, case i), a line and a conic (`LineConic`, ii) or three lines
-(`ThreeLines`, iii).  Each states that data once: `curves` lists each
-component curve as (degree, number of points on it alone), `shared` lists
-each blown-up point on two components as the pair of those curves'
+(`ThreeLines`, iii).  Each stores only its counts and flags, and states
+its incidence data once, as properties computed from them: `curves` lists
+each component curve as (degree, number of points on it alone), `shared`
+lists each blown-up point on two components as the pair of those curves'
 indices, and `effective` says whether the cubic certifies an effective
 anticanonical member (None: undecided).  The configuration lattice, its
 basis order (l, then each curve's own points in curve order, then the
 shared points) and the anticanonical components are all derived from that
-description here, and nowhere else.
+description here, and nowhere else; `incidence_class` lays out every class
+on that basis.
 
 A lattice is its form: a basis is fixed by its order, which the builders
 below state, and no basis class carries a name.
@@ -35,8 +37,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
@@ -219,9 +220,9 @@ class PicardLattice(Frozen):
     of every later (exceptional) class, with no other nonzero entry.  The
     head is ((1,),) for plane blow-ups (the line class) and ((-n, 1), (1, 0))
     for blow-ups of a degree-n Hirzebruch surface (sigma and F).  Pairing
-    therefore costs O(rank), the row G.v of a sparse class costs time
-    proportional to its support, and so does the Gram of a few sparse
-    classes (`gram_of`).  The dense form is that Gram on the unit classes,
+    and the row G.x of a class therefore cost O(rank), and the Gram of a
+    few sparse classes (`gram_of`) costs time proportional to their
+    support.  The dense form is that Gram on the unit classes,
     built where a dense consumer needs it.
 
     Equality, hash, repr and pickling go by (head, rank, canonical), so two
@@ -245,22 +246,15 @@ class PicardLattice(Frozen):
         _set(self, "rank", rank)
         _set(self, "canonical", canonical)
 
-    def row(self, terms: Terms) -> dict[int, Rational]:
-        """G.v for the sparse class v: {j: v.b_j} over the basis classes b_j
-        that v meets.  A head term meets the head classes through the head
-        block, a tail term only its own class (with sign -1), so the cost is
-        O(len(terms))."""
+    def row(self, x: Sequence[Rational]) -> list[Rational]:
+        """G.x for the coefficient vector x: [x.b_j] over the basis classes
+        b_j, in O(rank), the head coordinates through the head block and
+        each tail coordinate negated.  x must have exactly rank coordinates;
+        any other length raises ValueError."""
+        if len(x) != self.rank:
+            raise ValueError("class length does not match the lattice rank")
         head = self.head
-        h = len(head)
-        out: dict[int, Rational] = {}
-        for i, c in terms:
-            if i < h:
-                for j, g in enumerate(head[i]):
-                    if g:
-                        out[j] = out.get(j, 0) + g * c
-            else:
-                out[i] = out.get(i, 0) - c
-        return out
+        return [sum(map(operator.mul, row, x)) for row in head] + [-c for c in x[len(head):]]
 
     def gram_of(self, classes: Sequence[Terms]) -> list[list[Rational]]:
         """The Gram matrix [u.v] of the sparse classes, exact (all ints for
@@ -309,12 +303,6 @@ class PicardLattice(Frozen):
             if xi:
                 total += xi * sum(map(operator.mul, row, y))
         return Fraction(total, a.den * b.den)
-
-    def class_of(self, terms: Terms) -> DivisorClass:
-        """The dense class of a sparse one."""
-        coeffs: list[Rational] = [0] * self.rank
-        add_terms(coeffs, terms)
-        return DivisorClass.of(coeffs)
 
     @property
     def anticanonical(self) -> DivisorClass:
@@ -398,8 +386,7 @@ class Generic(Frozen):
     one degree-3 curve and nothing shared, so -K is the cubic's strict
     transform, an effective member for r <= 8 and undecided (None) beyond."""
 
-    _fields = ("r",)
-    __slots__ = (*_fields, "curves", "effective")  # as for LineConic
+    _fields = __slots__ = ("r",)
     case = "i"
     shared = ()
 
@@ -408,47 +395,23 @@ class Generic(Frozen):
         if r < 0:
             raise DomainError("r must be a non-negative integer")
         _set(self, "r", r)
-        _set(self, "curves", ((3, r),))
-        _set(self, "effective", True if r <= 8 else None)
 
+    @property
+    def curves(self) -> tuple[tuple[int, int], ...]:
+        return ((3, self.r),)
 
-# A configuration's incidence tuples are shared, not built per instance: a
-# sweep holds thousands of configurations, and its own curves tuple would
-# cost each about 300 bytes.  The shared points come from constant tables,
-# the curves from caches keyed by the counts.
-
-# the shared points of the line-conic family, indexed by `both`
-_LINE_CONIC_SHARED = ((), ((0, 1),), ((0, 1), (0, 1)))
-
-# the pairwise intersections of three lines (p12, p13, p23), for each
-# pattern of flags
-_THREE_LINES_SHARED = {
-    flags: tuple([pair for pair, on in zip(combinations(range(3), 2), flags) if on])
-    for flags in product((False, True), repeat=3)}
-
-
-@lru_cache(maxsize=1024)
-def _line_conic_curves(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    return ((1, a), (2, b))
-
-
-@lru_cache(maxsize=1024)
-def _three_lines_curves(a1: int, a2: int, a3: int) -> tuple[tuple[int, int], ...]:
-    return ((1, a1), (1, a2), (1, a3))
+    @property
+    def effective(self) -> bool | None:
+        return True if self.r <= 8 else None
 
 
 class LineConic(Frozen):
     """Points on a line and a conic: a exclusively on the line, b exclusively
     on the conic, and `both` of the (at most two) intersection points."""
 
-    _fields = ("a", "b", "both")
-    # the incidence tuples, set once by the constructor and kept outside
-    # _fields, so equality, hash, repr and pickling go by the counts alone
-    __slots__ = (*_fields, "curves", "shared")
+    _fields = __slots__ = ("a", "b", "both")
     case = "ii"
-    effective = True  # a class attribute: a sweep holds thousands of instances
-    curves: tuple[tuple[int, int], ...]
-    shared: tuple[tuple[int, int], ...]
+    effective = True
 
     def __init__(self, a: int, b: int, both: int = 0):
         a, b, both = _count("a", a), _count("b", b), _count("both", both)
@@ -459,20 +422,23 @@ class LineConic(Frozen):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "both", both)
-        _set(self, "curves", _line_conic_curves(a, b))
-        _set(self, "shared", _LINE_CONIC_SHARED[both])
+
+    @property
+    def curves(self) -> tuple[tuple[int, int], ...]:
+        return ((1, self.a), (2, self.b))
+
+    @property
+    def shared(self) -> tuple[tuple[int, int], ...]:
+        return ((0, 1),) * self.both
 
 
 class ThreeLines(Frozen):
     """Points on three pairwise distinct, non-concurrent lines: a_i points
     exclusively on line i, plus optionally the pairwise intersections."""
 
-    _fields = ("a1", "a2", "a3", "p12", "p13", "p23")
-    __slots__ = (*_fields, "curves", "shared")  # as for LineConic
+    _fields = __slots__ = ("a1", "a2", "a3", "p12", "p13", "p23")
     case = "iii"
     effective = True
-    curves: tuple[tuple[int, int], ...]
-    shared: tuple[tuple[int, int], ...]
 
     def __init__(self, a1: int, a2: int, a3: int,
                  p12: bool = False, p13: bool = False, p23: bool = False):
@@ -482,8 +448,6 @@ class ThreeLines(Frozen):
         flags = [_flag(name, x) for name, x in (("p12", p12), ("p13", p13), ("p23", p23))]
         for name, value in zip(self._fields, counts + flags):
             _set(self, name, value)
-        _set(self, "curves", _three_lines_curves(*counts))
-        _set(self, "shared", _THREE_LINES_SHARED[tuple(flags)])
 
     @property
     def counts(self) -> tuple[int, int, int]:
@@ -493,18 +457,17 @@ class ThreeLines(Frozen):
     def flags(self) -> tuple[bool, bool, bool]:
         return (self.p12, self.p13, self.p23)
 
+    @property
+    def curves(self) -> tuple[tuple[int, int], ...]:
+        return ((1, self.a1), (1, self.a2), (1, self.a3))
+
+    @property
+    def shared(self) -> tuple[tuple[int, int], ...]:
+        """The blown-up pairwise intersections, each once if its flag is set."""
+        return ((0, 1),) * self.p12 + ((0, 2),) * self.p13 + ((1, 2),) * self.p23
+
 
 PointConfiguration = Generic | LineConic | ThreeLines
-
-
-def _layout(curves: Sequence[tuple[int, int]]) -> tuple[list[range], int]:
-    """Basis positions of config_lattice: each curve's own points as one run,
-    in curve order after l at 0, and the first shared point, which follow."""
-    runs, start = [], 1
-    for _, count in curves:
-        runs.append(range(start, start + count))
-        start += count
-    return runs, start
 
 
 def config_lattice(config: PointConfiguration) -> PicardLattice:
@@ -522,22 +485,27 @@ def blowup_p2(r: int) -> PicardLattice:
     return config_lattice(Generic(r))
 
 
-def incidence_class(config: PointConfiguration, line: int,
-                    own: Sequence[int]) -> DivisorClass:
-    """The class line*l + sum_i own[i] * (the points on curve i alone) in the
-    basis of config_lattice(config), zero on the shared points."""
+def incidence_class(config: PointConfiguration, line: int, own: Sequence[int],
+                    shared: Sequence[int]) -> DivisorClass:
+    """The class line*l + sum_i own[i] * (each point on curve i alone)
+    + sum_p shared[p] * e_p in the basis of config_lattice(config): one
+    coefficient per curve and one per shared point, in their orders.  Any
+    other number of coefficients raises ValueError."""
+    curves = config.curves
+    if len(own) != len(curves) or len(shared) != len(config.shared):
+        raise ValueError("incidence_class needs one coefficient per curve and per shared point")
     coeffs = [line]
-    for (_, count), c in zip(config.curves, own, strict=True):
+    for (_, count), c in zip(curves, own):
         coeffs += [c] * count
-    return DivisorClass.of(coeffs + [0] * len(config.shared))
+    coeffs += shared
+    return DivisorClass.of(coeffs)
 
 
 def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, ...]:
     """Classes of the components of the distinguished anticanonical member:
     the strict transform of each curve, then the exceptional curve over
-    each shared point, from sparse terms at the `_layout` positions, in
-    O(rank) per component.  They sum to -K; for `Generic` the one
-    component is -K itself.
+    each shared point, each laid out by `incidence_class` in O(rank).  They
+    sum to -K; for `Generic` the one component is -K itself.
     """
     return _components(config_lattice(config), config)
 
@@ -545,11 +513,13 @@ def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, 
 def _components(lattice: PicardLattice, config: PointConfiguration) -> tuple[DivisorClass, ...]:
     """anticanonical_components on the already built config_lattice(config)."""
     curves, shared = config.curves, config.shared
-    runs, first = _layout(curves)
-    parts = [lattice.class_of([(0, degree)] + [(j, -1) for j in run]
-                              + [(j, -1) for j, on in enumerate(shared, first) if i in on])
-             for i, ((degree, _), run) in enumerate(zip(curves, runs))]
-    parts += [lattice.class_of([(j, 1)]) for j in range(first, first + len(shared))]
+    k, s = len(curves), len(shared)
+    # -(a bool) is the int -1 or 0: minus each point on curve i
+    parts = [incidence_class(config, degree, [-(j == i) for j in range(k)],
+                             [-(i in on) for on in shared])
+             for i, (degree, _) in enumerate(curves)]
+    parts += [incidence_class(config, 0, [0] * k, [int(q == p) for q in range(s)])
+              for p in range(s)]
     if sum(parts[1:], parts[0]) != lattice.anticanonical:
         raise InvariantError("anticanonical components fail to sum to -K")
     return tuple(parts)

@@ -23,6 +23,7 @@ from bigsurf.picard import (
     blowup_p2,
     config_lattice,
     hirzebruch_model,
+    incidence_class,
     verify_witness,
 )
 from bigsurf.zariski import FamilyParams
@@ -282,6 +283,19 @@ def test_structured_pair_matches_dense_gram(case):
     assert value == lat.pair(b, a)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lattice_and_values())
+def test_row_is_the_dense_gram_times_the_class(case):
+    """row(x) is G.x over the full rank, dense in and dense out; any other
+    length raises ValueError."""
+    lat, xs, _ = case
+    if len(xs) != lat.rank:
+        with pytest.raises(ValueError, match="^class length does not match the lattice rank$"):
+            lat.row(xs)
+        return
+    assert lat.row(xs) == [sum(g * x for g, x in zip(row, xs)) for row in dense_gram(lat)]
+
+
 def test_structured_lattice_head_blocks():
     assert blowup_p2(4).head == ((1,),)
     assert blowup_hirzebruch(3, [(2, True)]).head == ((-3, 1), (1, 0))
@@ -397,10 +411,12 @@ def test_constructors_reject_non_integral_counts_and_non_bool_flags(build, messa
 
 
 def test_sweep_models_keep_effective_off_the_instance():
-    # a sweep holds thousands of these, so a constant takes no slot
-    assert LineConic.__slots__ == ("a", "b", "both", "curves", "shared")
-    assert ThreeLines.__slots__ == ("a1", "a2", "a3", "p12", "p13", "p23", "curves", "shared")
+    # a configuration stores its counts and flags and nothing else: its
+    # incidence data and `effective` are read from them, never stored
+    for cls in (Generic, LineConic, ThreeLines):
+        assert cls.__slots__ == cls._fields
     assert LineConic(1, 2).effective is ThreeLines(1, 2, 3).effective is True
+    assert Generic(8).effective is True and Generic(9).effective is None
 
 
 def test_constructors_store_counts_by_operator_index():
@@ -442,8 +458,8 @@ def _assert_model_matches_the_labels(n, specs, extra):
                             + [f"s{j}" for j in range(1, extra + 1)])
     assert (positional_sigma, positional_fibers) == (sigma, fibers)
     assert [fiber_strict(labels, i) for i in range(1, len(specs) + 1)] == [
-        lat.class_of(terms) for terms in positional_fibers]
-    assert sigma_strict(labels) == lat.class_of(positional_sigma)
+        labelled_class(labels, terms) for terms in positional_fibers]
+    assert sigma_strict(labels) == labelled_class(labels, positional_sigma)
 
 
 @pytest.mark.parametrize("specs, extra", [
@@ -792,10 +808,23 @@ def test_witness_report_rejects_unequal_lengths(lengths):
     [LineConic(a, b, both) for a in range(7) for b in range(7) for both in range(3)],
     [ThreeLines(*counts, *flags) for counts in product(range(4), repeat=3)
      for flags in product((False, True), repeat=3)],
-], ids=["line_conic", "three_lines"])
+    [Generic(r) for r in range(13)],
+], ids=["line_conic", "three_lines", "generic"])
 def test_components_match_the_labelled_incidences(configs):
     for config in configs:
         assert anticanonical_components(config) == labelled_components(config), config
+
+
+@pytest.mark.parametrize("config, own, shared", [
+    (Generic(3), [], []), (Generic(3), [1, 1], []), (Generic(3), [1], [0]),
+    (LineConic(2, 3, 1), [1], [0]), (LineConic(2, 3, 1), [1, 1], []),
+    (LineConic(2, 3, 2), [1, 1], [0]), (LineConic(2, 3, 0), [1, 1], [0]),
+    (ThreeLines(1, 2, 3, True, False, True), [1, 1, 1], [0]),
+    (ThreeLines(1, 2, 3, True, False, True), [1, 1, 1, 1], [0, 0]),
+])
+def test_incidence_class_rejects_a_wrong_number_of_coefficients(config, own, shared):
+    with pytest.raises(ValueError, match="one coefficient per curve and per shared point"):
+        incidence_class(config, 1, own, shared)
 
 
 # reference labels ------------------------------------------------------------
@@ -881,14 +910,14 @@ def test_picard_lattice_validates_at_construction(head, rank, canonical, message
                                        (ThreeLines, (1, 2, 3)),
                                        (ThreeLines, (3, 3, 2, True, False, True))])
 def test_configuration_incidences_are_built_once(cls, args):
+    # the incidence data is read from the counts: equal configurations and
+    # their pickled copies describe the same curves and shared points, and
+    # equality, hash, repr and pickling go by the counts alone
     config = cls(*args)
-    assert config.curves is config.curves
-    assert config.shared is config.shared
-    # kept outside the fields: equality, hash, repr and pickling are the
-    # counts'; equal configurations share their incidence tuples
-    copy = pickle.loads(pickle.dumps(config))
-    assert copy == config and hash(copy) == hash(config)
-    assert copy.curves is config.curves and copy.shared is config.shared
+    for other in (cls(*args), pickle.loads(pickle.dumps(config))):
+        assert other == config and hash(other) == hash(config)
+        assert (other.curves, other.shared) == (config.curves, config.shared)
     assert "curves" not in repr(config) and "shared" not in repr(config)
-    with pytest.raises(AttributeError):
-        config.curves = ()
+    for name in ("curves", "shared"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, ())
