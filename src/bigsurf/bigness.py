@@ -87,18 +87,23 @@ class BignessVerdict:
 def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessVerdict:
     """The verdict from the curve degrees d_i and own point counts a_i: with
     P = prod a_i, v = P*l - sum_i d_i (P/a_i) (the points on curve i alone)
-    has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config)."""
+    has v^2 = P^2 (1 - sum d_i^2/a_i).  lattice is config_lattice(config).
+
+    sum d_i^2/a_i is carried as the int numerator num over P, so the
+    verdict is num > P and v^2, paired by the lattice, is checked against
+    P (P - num); the closed form builds one Fraction, the reported num/P."""
     curves = config.curves
     prod = math.prod(count for _, count in curves)
     if prod == 0:
         return BignessVerdict(True, config.case, None, None, None, config.effective)
-    lhs = sum(Fraction(d * d, count) for d, count in curves)
+    num = sum(d * d * (prod // count) for d, count in curves)
     v = incidence_class(config, prod, [-d * (prod // count) for d, count in curves],
                         [0] * len(config.shared))
     v_sq = lattice.pair(v, v)
-    if v_sq != prod ** 2 * (1 - lhs):
+    if v_sq != prod * (prod - num):
         raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")
-    return BignessVerdict(lhs > 1, config.case, lhs, v, v_sq, config.effective)
+    return BignessVerdict(num > prod, config.case, Fraction(num, prod), v, v_sq,
+                          config.effective)
 
 
 def classify_anticanonical(config: PointConfiguration) -> BignessVerdict:

@@ -200,11 +200,6 @@ def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
 Terms = Sequence[tuple[int, Rational]]
 
 
-def sparse_terms(coeffs: Sequence[Rational]) -> list[tuple[int, Rational]]:
-    """The nonzero coordinates of a coefficient vector, in index order."""
-    return [(i, c) for i, c in enumerate(coeffs) if c]
-
-
 def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
     """vec += times * (the sparse class terms), in place."""
     for i, c in terms:

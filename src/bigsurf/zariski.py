@@ -14,14 +14,14 @@ sum(1/a_i) >= k - 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 from .linalg import is_negative_definite
-from .picard import (DivisorClass, Frozen, _count, _lowest, _new, _set, add_terms,
-                     hirzebruch_model, sparse_terms)
+from .picard import DivisorClass, Frozen, _count, _lowest, _new, _set, hirzebruch_model
 
 __all__ = [
     "FamilyParams",
@@ -33,10 +33,10 @@ __all__ = [
 ]
 
 
-def _reciprocal_sum(a: Sequence[int]) -> Fraction:
-    """sum(1/a_j) as one Fraction over lcm(a)."""
+def _reciprocal_sum(a: Sequence[int]) -> tuple[int, int]:
+    """sum(1/a_j) as an int numerator over m = lcm(a), and m."""
     m = math.lcm(*a)
-    return Fraction(sum(m // ai for ai in a), m)
+    return sum(m // ai for ai in a), m
 
 
 def _validate_shape(n: int, k: int, a: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
@@ -63,12 +63,13 @@ class FamilyParams(Frozen):
         _set(self, "n", n)
         _set(self, "k", k)
         _set(self, "a", a)
-        if self.reciprocal_sum >= k - 2:
+        s, m = _reciprocal_sum(a)
+        if s >= (k - 2) * m:
             raise DomainError("a must satisfy sum(1/a_j) < k - 2")
 
     @property
     def reciprocal_sum(self) -> Fraction:
-        return _reciprocal_sum(self.a)
+        return Fraction(*_reciprocal_sum(self.a))
 
 
 class ZariskiChecks(NamedTuple):
@@ -106,61 +107,60 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     intersection form; the negative-definiteness check runs on the Gram
     matrix of the components with strictly positive coefficient in N.
 
-    The strict transforms stay sparse (their incidence terms): P and N are
-    summed from them as integer numerators over one common denominator
-    den = (denominator of c) * lcm(a), on which c and every c/a_i are
-    integers.  One structured Gram of P, sigma and the F_i, all ints
-    (P's entries over den), gives P^2, P.sigma, every P.F_i and the
-    support block of N, so the work is linear in the rank and in k apart
-    from the (k+2)^2 Gram entries.  The support lists the F_i first and
-    sigma last: sigma meets every F_i once and the F_i are pairwise
-    disjoint, so each step of the definiteness check's elimination touches
-    only its own fiber's row and sigma's, and the check costs O(k^2) too.
-    The verdict does not depend on the order.
+    Everything is int arithmetic: sum(1/a_j) is one numerator over
+    m = lcm(a), c is reduced by one gcd, and on den = (denominator of c) * m
+    c and every c/a_i are integers, so one walk over the sparse terms of
+    sigma and of each F_i sums P's and N's numerators.  The row G.P of the
+    lattice gives P^2 and P.N as dense dots and P.sigma and every P.F_i as
+    dots over each curve's terms; the closed form of P^2 is checked by
+    cross-multiplying, and the only Fractions built are the reported P^2
+    and log-canonical coefficient.  N's support block is the lattice's
+    `gram_of` on the curves alone, the F_i first and sigma last: sigma
+    meets every F_i once and the F_i are pairwise disjoint, so each step
+    of the definiteness check's elimination touches only its own fiber's
+    row and sigma's, and the check costs O(k^2).  The verdict does not
+    depend on the order.
     """
     n, k, a = params.n, params.k, params.a
     lattice, sigma, strict = hirzebruch_model(n, [(ai, False) for ai in a])
-    rank = lattice.rank
-    fiber = 1  # F follows sigma at the head of the basis of hirzebruch_model
-
-    s = params.reciprocal_sum
-    c = Fraction(n + 2 - k) / (n - s)
-    lcm_a = math.lcm(*a)
-    den = c.denominator * lcm_a
-    c_num = c.numerator * lcm_a  # c * den
+    s, m = _reciprocal_sum(a)
+    q, gap = n + 2 - k, n * m - s  # c = q / (n - s/m) = q*m / gap
+    g = math.gcd(q * m, gap)
+    den = gap // g * m
+    c_num = q * m // g * m  # c * den
     sigma_neg = 2 * den - c_num  # (2 - c) * den
     fiber_pos = [c_num // ai for ai in a]  # (c / a_i) * den
     fiber_neg = [den - x for x in fiber_pos]  # (1 - c / a_i) * den
-    p_vec = [0] * rank
-    neg_vec = [0] * rank
-    add_terms(p_vec, sigma, c_num)
-    p_vec[fiber] += (n + 2 - k) * den
-    add_terms(neg_vec, sigma, sigma_neg)
-    for fi, pos, neg_coef in zip(strict, fiber_pos, fiber_neg):
-        add_terms(p_vec, fi, pos)
-        add_terms(neg_vec, fi, neg_coef)
-    p, neg = _new(*_lowest(tuple(p_vec), den)), _new(*_lowest(tuple(neg_vec), den))
+    p_vec, neg_vec = [0] * lattice.rank, [0] * lattice.rank
+    p_vec[1] = q * den  # F follows sigma at the head of the basis of hirzebruch_model
+    for terms, pos, neg_coef in zip([sigma, *strict], [c_num, *fiber_pos],
+                                    [sigma_neg, *fiber_neg]):
+        for i, x in terms:
+            p_vec[i] += pos * x
+            neg_vec[i] += neg_coef * x
 
-    # rows and columns: P (numerators over den), sigma, F_1..F_k
-    gram = lattice.gram_of([sparse_terms(p_vec), sigma, *strict])
-    p_squared = Fraction(gram[0][0], den * den)
-    if p_squared != Fraction((n + 2 - k) ** 2) / (n - s):
+    gp = lattice.row(p_vec)  # G.P, over den
+    p2 = sum(map(operator.mul, p_vec, gp))  # P^2 * den^2
+    p_squared = Fraction(p2, den * den)
+    if p2 * gap != q * q * m * den * den:
         raise InvariantError(f"P^2 = {p_squared} disagrees with the closed form "
                              f"for n={n} k={k} a={list(a)}")
 
     # N's support, sigma last (see above)
-    support = [j for j, coef in [*enumerate(fiber_neg, start=2), (1, sigma_neg)] if coef > 0]
+    support = [f for f, coef in zip(strict, fiber_neg) if coef > 0] + [sigma] * (sigma_neg > 0)
     checks = ZariskiChecks(
-        p_dot_sigma_zero=gram[0][1] == 0,
-        p_dot_fibers_zero=not any(gram[0][2:]),
-        p_dot_n_zero=lattice.pair(p, neg) == 0,
+        p_dot_sigma_zero=sum([gp[i] * x for i, x in sigma]) == 0,
+        p_dot_fibers_zero=not any(sum([gp[i] * x for i, x in f]) for f in strict),
+        p_dot_n_zero=sum(map(operator.mul, neg_vec, gp)) == 0,
         n_effective=sigma_neg >= 0 and all(x >= 0 for x in fiber_neg),
-        n_support_negative_definite=is_negative_definite(
-            [[gram[i][j] for j in support] for i in support]),
-        sum_is_minus_canonical=(p + neg) == lattice.anticanonical,
+        n_support_negative_definite=is_negative_definite(lattice.gram_of(support)),
+        sum_is_minus_canonical=list(map(operator.add, p_vec, neg_vec)) == [
+            -den * x for x in lattice.canonical.nums],
     )
+    p, neg = _new(*_lowest(tuple(p_vec), den)), _new(*_lowest(tuple(neg_vec), den))
     return ZariskiReport(params, p, neg, p_squared, checks,
-                         lc_coefficient=2 - c, log_canonical=s >= k - 2)
+                         lc_coefficient=Fraction(sigma_neg, den),
+                         log_canonical=s >= (k - 2) * m)
 
 
 class LogCanonicalResult(NamedTuple):
@@ -175,7 +175,7 @@ def log_canonical_test(n: int, k: int, a: Sequence[int]) -> LogCanonicalResult:
     """Log-canonicity criterion, available outside the family's defining
     inequality so that both outcomes are reachable."""
     n, k, a = _validate_shape(n, k, a)
-    s = _reciprocal_sum(a)
+    s = Fraction(*_reciprocal_sum(a))
     lc = s >= k - 2
     coefficient = None if s == n else 2 - Fraction(n + 2 - k) / (n - s)
     return LogCanonicalResult(lc, coefficient)

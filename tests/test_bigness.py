@@ -206,6 +206,7 @@ def test_generic_closed_form_matches_per_family_reference(config):
     else:
         lhs, v, v_squared = reference
         assert verdict.inequality_lhs == lhs
+        assert type(verdict.inequality_lhs) is Fraction and type(verdict.v_squared) is Fraction
         assert verdict.v == DivisorClass.of(v)
         assert verdict.v_squared == v_squared
         assert verdict.big == (lhs > 1)

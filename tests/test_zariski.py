@@ -105,7 +105,7 @@ def test_log_canonical_validates_shape():
         log_canonical_test(4, 3, (3, 3))
 
 
-valid_params = st.integers(2, 7).flatmap(
+valid_params = st.integers(2, 16).flatmap(
     lambda n: st.integers(3, n + 1).flatmap(
         lambda k: st.lists(st.integers(1, 9), min_size=k, max_size=k).map(
             lambda a: (n, k, tuple(a)))))
@@ -121,6 +121,9 @@ def test_family_members_never_log_canonical(nka):
     assert report.lc_coefficient > 1
     assert report.checks.all_pass
     assert report.p_squared > 0
+    # the integer route against the Fraction closed forms
+    assert report.lc_coefficient == log_canonical_test(n, k, a).coefficient
+    assert report.p_squared == Fraction((n + 2 - k) ** 2) / (n - sum(Fraction(1, aj) for aj in a))
 
 
 @settings(deadline=None, max_examples=80)
@@ -137,8 +140,9 @@ def test_lc_characterizations_agree(nka):
 @settings(deadline=None, max_examples=60)
 @given(valid_params)
 def test_structured_certificates_match_the_dense_pairing(nka):
-    # zariski_decompose reads P^2, P.sigma, P.F_i and N's support block
-    # from one structured Gram; the dense classes and pairing agree
+    # zariski_decompose reads P^2, P.sigma and P.F_i off the row G.P and
+    # N's support block from the curves' gram_of, in int numerators with
+    # one Fraction per reported value; the dense classes and pairing agree
     n, k, a = nka
     assume(sum(Fraction(1, ai) for ai in a) < k - 2)
     params = FamilyParams(n, k, a)
