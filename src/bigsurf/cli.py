@@ -8,6 +8,11 @@ outside the supported domain or a file cannot be read or written, 2 when
 an internal cross-check fails (`InvariantError`, reported in one stderr
 line).  Any other uncaught error ends the process with Python's status 1
 and a traceback.
+
+Importing this module loads only `errors`, `picard` and `serialize` from
+the package: each subcommand imports the computation modules it runs
+when it runs.  `--help` and `witness` load none of them, `enumerate`
+only `linalg` and `enumeration`, and none of the three `dataclasses`.
 """
 
 from __future__ import annotations
@@ -16,19 +21,30 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from . import serialize as ser
-from .bigness import agreement_sweep, classify_anticanonical, cross_check
-from .enumeration import negative_classes
+from . import _lazy_names, serialize as ser
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
 from .picard import (Generic, LineConic, PointConfiguration, ThreeLines,
                      check_witness_fields, verify_witness)
-from .roots import (classify as classify_roots, coxeter_dot, extract_roots,
-                    predicted_type, root_lattice_of_config, type_string)
-from .zariski import FamilyParams, zariski_decompose
+
+if TYPE_CHECKING:
+    from .zariski import FamilyParams
 
 __all__ = ["config_from_dict", "main", "run"]
+
+# The computation names, each imported on first use so that a subcommand
+# loads only the modules it runs.  Handlers call them through this module,
+# where a test or a tracer may rebind them.
+_this = sys.modules[__name__]
+__getattr__ = _lazy_names(globals(), dict(
+    agreement_sweep="bigness.agreement_sweep", cross_check="bigness.cross_check",
+    classify_anticanonical="bigness.classify_anticanonical",
+    negative_classes="enumeration.negative_classes", classify_roots="roots.classify",
+    coxeter_dot="roots.coxeter_dot", extract_roots="roots.extract_roots",
+    predicted_type="roots.predicted_type", type_string="roots.type_string",
+    root_lattice_of_config="roots.root_lattice_of_config",
+    FamilyParams="zariski.FamilyParams", zariski_decompose="zariski.zariski_decompose"))
 
 _MODELS = ("generic", "line_conic", "three_lines", "hirzebruch_family")
 
@@ -90,9 +106,9 @@ def config_from_dict(data: Any) -> PointConfiguration | FamilyParams:
                           p12=flags[0], p13=flags[1], p23=flags[2])
     if model == "hirzebruch_family":
         _check_fields(data, "hirzebruch_family", ("n", "k", "a"))
-        return FamilyParams(_int_field(data, "hirzebruch_family", "n"),
-                            _int_field(data, "hirzebruch_family", "k"),
-                            tuple(_int_list_field(data, "hirzebruch_family", "a")))
+        return _this.FamilyParams(_int_field(data, "hirzebruch_family", "n"),
+                                  _int_field(data, "hirzebruch_family", "k"),
+                                  tuple(_int_list_field(data, "hirzebruch_family", "a")))
     raise DomainError(
         f"unknown model: {model!r} (expected one of {', '.join(_MODELS)})")
 
@@ -141,15 +157,15 @@ def _witness_args(data: Any) -> dict[str, Any]:
 
 def _point_config(request: Any, command: str) -> PointConfiguration:
     parsed = config_from_dict(request)
-    if isinstance(parsed, FamilyParams):
+    if not isinstance(parsed, PointConfiguration):
         raise DomainError(f"{command} expects a point configuration, "
                           "not hirzebruch_family parameters")
     return parsed
 
 
 def _type_label(config: PointConfiguration) -> str | None:
-    components = predicted_type(config)
-    return None if components is None else type_string(components)
+    components = _this.predicted_type(config)
+    return None if components is None else _this.type_string(components)
 
 
 # A handler takes the parsed request (the sweep's is its three bounds) and
@@ -161,7 +177,7 @@ Outcome = tuple[dict[str, Any] | str, str | None]
 
 def _classify(request: Any, fmt: str) -> Outcome:
     config = _point_config(request, "classify")
-    return ser.classify_to_dict(classify_anticanonical(config), _type_label(config)), None
+    return ser.classify_to_dict(_this.classify_anticanonical(config), _type_label(config)), None
 
 
 # each certificate of a cross-check, with the message naming its failure
@@ -174,29 +190,29 @@ _CERTIFICATES = (
 
 def _check(request: Any, fmt: str) -> Outcome:
     config = _point_config(request, "check")
-    report = cross_check(config)
+    report = _this.cross_check(config)
     failed = [message for name, message in _CERTIFICATES if not getattr(report, name)]
     return ser.cross_check_to_dict(report, _type_label(config)), "; ".join(failed) or None
 
 
 def _roots(request: Any, fmt: str) -> Outcome:
-    basis, gram = root_lattice_of_config(_point_config(request, "roots"))
+    basis, gram = _this.root_lattice_of_config(_point_config(request, "roots"))
     try:
-        roots = extract_roots(gram)
+        roots = _this.extract_roots(gram)
     except NotNegativeDefiniteError:
         raise DomainError("the anticanonical class is not big here: the component "
                           "complement is not negative definite") from None
-    report = classify_roots(roots, gram)
+    report = _this.classify_roots(roots, gram)
     if fmt == "dot":
-        return coxeter_dot(report), None
+        return _this.coxeter_dot(report), None
     return ser.roots_to_dict(report, basis), None
 
 
 def _zariski(request: Any, fmt: str) -> Outcome:
     params = config_from_dict(request)
-    if not isinstance(params, FamilyParams):
+    if not isinstance(params, _this.FamilyParams):
         raise DomainError("zariski expects hirzebruch_family parameters")
-    data = ser.zariski_report_to_dict(zariski_decompose(params))
+    data = ser.zariski_report_to_dict(_this.zariski_decompose(params))
     failed = [name for name, value in data["checks"].items() if not value]
     return data, (f"decomposition checks failed: {', '.join(failed)}"
                   if failed else None)
@@ -207,7 +223,7 @@ def _enumerate(request: Any, fmt: str) -> Outcome:
     if not isinstance(config, Generic):
         raise DomainError("enumerate expects a generic configuration "
                           '({"model":"generic","r":...})')
-    return ser.class_table_to_dict(negative_classes(config.r)), None
+    return ser.class_table_to_dict(_this.negative_classes(config.r)), None
 
 
 def _witness(request: Any, fmt: str) -> Outcome:
@@ -215,7 +231,7 @@ def _witness(request: Any, fmt: str) -> Outcome:
 
 
 def _sweep(bounds: tuple[int, int, int], fmt: str) -> Outcome:
-    report = agreement_sweep(*bounds)
+    report = _this.agreement_sweep(*bounds)
     return ser.sweep_to_dict(report), (
         None if report.clean else "cross-validation sweep found disagreements")
 

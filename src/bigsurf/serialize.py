@@ -11,13 +11,14 @@ tests read them back with live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .bigness import BignessVerdict, CrossCheckReport, SweepReport
-from .enumeration import NegativeClassTable
-from .picard import DivisorClass, WitnessReport
-from .roots import RootSystemReport, Vec, type_string
-from .zariski import ZariskiReport
+if TYPE_CHECKING:  # the report types appear in annotations only
+    from .bigness import BignessVerdict, CrossCheckReport, SweepReport
+    from .enumeration import NegativeClassTable
+    from .picard import DivisorClass, WitnessReport
+    from .roots import RootSystemReport, Vec
+    from .zariski import ZariskiReport
 
 __all__ = [
     "frac_str", "divisor_to_list", "classify_to_dict", "cross_check_to_dict",
@@ -78,6 +79,7 @@ def cross_check_to_dict(report: CrossCheckReport,
 def roots_to_dict(report: RootSystemReport, basis: list[Vec]) -> dict[str, Any]:
     """The roots report: the root system in the coordinates of the given
     basis of the complement, which the report lists too."""
+    from .roots import type_string
     return {
         "type": type_string(report.components),
         "root_count": len(report.roots),
