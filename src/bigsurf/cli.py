@@ -4,10 +4,14 @@ Subcommands: classify, check, roots, zariski, enumerate, witness, sweep.
 Configurations arrive as JSON (inline via --json or from a file via
 --input) with a "model" discriminator; reports leave as JSON, DOT (roots
 only) or plain text.  Exit status: 0 on success, 1 when the input is
-outside the supported domain or a file cannot be read or written, 2 when
-an internal cross-check fails (`InvariantError`, reported in one stderr
-line).  Any other uncaught error ends the process with Python's status 1
-and a traceback.
+outside the supported domain or a file, stdout included, cannot be read
+or written, 2 when an internal cross-check fails (`InvariantError`,
+reported in one stderr line).  Any other uncaught error ends the
+process with Python's status 1 and a traceback.
+
+`main()` returns the status and must close any file it opens before it
+returns: `run()`, behind `python -m bigsurf` and the `bigsurf` script,
+flushes stdout and stderr and ends by `os._exit`, with no teardown.
 
 Importing this module loads only `errors`, `picard` and `serialize` from
 the package: each subcommand imports the computation modules it runs
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
@@ -284,7 +289,10 @@ def _emit(payload: dict[str, Any] | str, fmt: str, out: str | None) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except (AttributeError, OSError) as exc:  # AttributeError: fd 1 is closed
+            raise DomainError(f"cannot write stdout: {getattr(exc, 'strerror', 'closed')}") from exc
     else:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -361,7 +369,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    status = main()
+    try:
+        if sys.stdout is not None:  # None when fd 1 is closed: _emit reports that
+            sys.stdout.flush()
+    except OSError as exc:
+        if not status:  # a failed request has already written its one stderr line
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            status = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

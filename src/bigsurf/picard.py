@@ -256,27 +256,34 @@ class PicardLattice(Frozen):
         int coefficients), in O(k^2 h + sum of the term counts) for k
         classes and a head of size h: the head coordinates of each class
         pair through the head block, once per two distinct head parts,
-        classes with equal head parts start from copies of one row, and
-        each tail index adds -c_u c_v to the entry of every two classes
-        u, v that carry it."""
+        classes with equal head parts start from copies of one row, a tail
+        index carried once adds -c^2 to its class's diagonal entry, and one
+        carried more often adds -c_u c_v to every two carriers' entry."""
         head = self.head
         h = len(head)
         heads: list[tuple[Rational, ...]] = []
-        tails: dict[int, list[tuple[int, Rational]]] = {}
+        once: dict[int, tuple[int, Rational]] = {}
+        shared: dict[int, list[tuple[int, Rational]]] = {}
         for u, terms in enumerate(classes):
             x = [0] * h
             for i, c in terms:
                 if i < h:
                     x[i] += c
+                elif i in once:
+                    shared[i] = [once.pop(i), (u, c)]
+                elif i in shared:
+                    shared[i].append((u, c))
                 else:
-                    tails.setdefault(i, []).append((u, c))
+                    once[i] = (u, c)
             heads.append(tuple(x))
         hx = {x: [sum(map(operator.mul, row, x)) for row in head] for x in heads}
         pairings = {x: {y: sum(map(operator.mul, x, hy)) for y, hy in hx.items()}
                     for x in hx}
         rows = {x: list(map(pairings[x].__getitem__, heads)) for x in hx}
         gram = [rows[x].copy() for x in heads]
-        for carriers in tails.values():
+        for u, c in once.values():
+            gram[u][u] -= c * c
+        for carriers in shared.values():
             for u, c in carriers:
                 row = gram[u]
                 for v, d in carriers:

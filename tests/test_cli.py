@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -132,8 +133,18 @@ def test_check_names_the_failed_certificates(monkeypatch, capsys, failed):
 
 BREAK_V = ("import sys; from bigsurf import bigness, cli; "
            "real = bigness.incidence_class; "
-           "bigness.incidence_class = lambda *args: 2 * real(*args); "
-           "sys.exit(cli.main(sys.argv[1:]))")
+           "bigness.incidence_class = lambda *args: 2 * real(*args); ")
+
+
+def assert_broken_v_exits_two(flags, ending):
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BREAK_V + ending, "classify", "--json", LINE_CONIC_25],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("internal error: v^2")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
@@ -141,14 +152,14 @@ def test_failed_invariant_exits_two(flags):
     """A wrong v makes v^2 disagree with the closed form: an internal
     cross-check failure, so exit 2 with one stderr line, no traceback and
     no report.  The check is no assert: it also fires under python -O."""
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", BREAK_V, "classify", "--json", LINE_CONIC_25],
-        capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("internal error: v^2")
-    assert "Traceback" not in proc.stderr
+    assert_broken_v_exits_two(flags, "sys.exit(cli.main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_failed_invariant_exits_two_through_run(flags):
+    """The same through cli.run(), the entry point of the console script
+    and of python -m bigsurf: status 2 survives its os._exit."""
+    assert_broken_v_exits_two(flags, "cli.run()")
 
 
 def test_roots_generic_eight(capsys):
@@ -547,6 +558,89 @@ def test_console_script():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["minus_one_count"] == 56
+
+
+GENERIC_6 = '{"model":"generic","r":6}'
+BIG_ROOTS = '{"model":"line_conic","a":1,"b":28}'
+
+
+def assert_stdout_unwritable(proc):
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_pipe_without_reader_exits_one(unbuffered):
+    """A report into a pipe whose read end is closed: exit 1 with one
+    `error:` line.  Buffered, the write lands in the buffer and fails in
+    run()'s flush; unbuffered, it fails in the write itself."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bigsurf", "classify", "--json", GENERIC_6],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert_stdout_unwritable(proc)
+
+
+def test_closed_stdout_exits_one():
+    """With fd 1 closed (`>&-`) there is no sys.stdout to write the report
+    to: exit 1 with one `error:` line."""
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "bigsurf",
+         "classify", "--json", GENERIC_6], capture_output=True, text=True, timeout=120)
+    assert_stdout_unwritable(proc)
+
+
+# One request per subcommand and output format, then --out, a domain error,
+# --help, a usage error and a roots report larger than a pipe's buffer.
+# OUT stands for a file in the test's temporary directory.
+CONTRACT_REQUESTS = {
+    "classify": ["--json", LINE_CONIC_25],
+    "check": ["--json", '{"model":"three_lines","a":[3,3,2],"intersections":[true,false,true]}'],
+    "zariski": ["--json", '{"model":"hirzebruch_family","n":2,"k":3,"a":[2,3,7]}'],
+    "enumerate": ["--json", GENERIC_6],
+    "witness": ["--json", '{"example":"conic_c","n":5}'],
+    "roots": ["--json", LINE_CONIC_25],
+    "sweep": ["--max-a", "2", "--max-b", "2", "--max-ai", "1"],
+}
+CONTRACT_ARGV = [
+    *([command, "--format", fmt, *CONTRACT_REQUESTS[command]]
+      for command, (_, formats, _) in cli._COMMANDS.items() for fmt in formats),
+    ["roots", "--format", "text", "--json", GENERIC_6, "--out", "OUT"],
+    ["roots", "--json", '{"model":"line_conic","a":3,"b":7}'],
+    ["--help"],
+    ["classify", "--format", "dot", "--json", GENERIC_6],
+    ["roots", "--json", BIG_ROOTS],
+]
+
+
+@pytest.mark.parametrize("module", ["bigsurf", "bigsurf.cli"])
+@pytest.mark.parametrize("argv", CONTRACT_ARGV, ids=" ".join)
+def test_entry_points_match_in_process_main(module, argv, tmp_path, monkeypatch):
+    """python -m bigsurf and python -m bigsurf.cli end through cli.run():
+    stdout bytes, stderr, status and any --out file equal cli.main's."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the width
+    proc = subprocess.run(
+        [sys.executable, "-m", module,
+         *(str(tmp_path / "run.out") if a == "OUT" else a for a in argv)],
+        capture_output=True, timeout=120)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(tmp_path / "main.out") if a == "OUT" else a for a in argv])
+    assert (proc.returncode, proc.stderr.decode()) == (code, err.getvalue())
+    assert proc.stdout == out.getvalue().encode()
+    if "OUT" in argv:
+        assert (tmp_path / "run.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    if BIG_ROOTS in argv:
+        assert len(proc.stdout) == 425071  # more than a pipe holds at once
 
 
 # The CLI contract on arbitrary requests: random JSON mixing nested lists and
