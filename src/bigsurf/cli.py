@@ -312,8 +312,14 @@ def _read_input(args: argparse.Namespace) -> str:
                           f"UTF-8 ({exc.reason})") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: Any = None) -> None:
+        # as a report: argparse's own write swallows an unwritable stdout's OSError
+        _emit(self.format_help(), "text", None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bigsurf",
         description="Exact bigness tests, root systems and Zariski "
                     "decompositions for rational surfaces.")
@@ -351,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
         # invariant failures, so fold usage problems into the domain-error
         # status (--help still exits 0).
         return 1 if exc.code else 0
+    except DomainError as exc:  # --help could not write stdout
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     handler = _COMMANDS[args.command][2]
     try:
         request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"

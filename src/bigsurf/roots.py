@@ -4,8 +4,11 @@ The lattices are complements of the anticanonical components, where
 K.x = 0, so adjunction (x^2 + K.x = 2 p_a(x) - 2) makes them even: a root
 has square -2, finitely many lie in a negative definite lattice, and they
 form a simply-laced root system whose components are of type A, D or E.
-The expected-count cross-check turns any recognition slip into a hard
-error rather than a wrong answer.
+One rule names them all: T_{p,q,r}, three chains of p - 1, q - 1 and
+r - 1 nodes joined at one centre, is of finite type iff
+1/p + 1/q + 1/r > 1 (Manin, Cubic Forms, sections 23-26).  The
+expected-count cross-check turns any recognition slip into a hard error
+rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -100,20 +103,29 @@ def _recognize(nodes: list[int], cartan: list[list[int]],
             length += 1
         arms.append(length)
     arms.sort()
-    if arms[:2] == [1, 1]:
-        return ("D", n)
-    if arms == [1, 2, 2]:
-        return ("E", 6)
-    if arms == [1, 2, 3]:
-        return ("E", 7)
-    if arms == [1, 2, 4]:
-        return ("E", 8)
-    raise InvariantError(f"branched diagram with arms {arms}; not a finite type")
+    found = _t_type(*(length + 1 for length in arms))
+    if found is None:
+        raise InvariantError(f"branched diagram with arms {arms}; not a finite type")
+    return found[0]
 
 
 def _normalize(components: list[Component]) -> tuple[Component, ...]:
     kept = [(f, r) for f, r in components if r >= 1]
     return tuple(sorted(kept, key=lambda c: (-c[1], c[0])))
+
+
+def _t_type(p: int, q: int, r: int) -> tuple[Component, ...] | None:
+    """The type of T_{p,q,r}, entries in any order; None for an infinite
+    type or a negative entry.  Sorted, p = 0 drops the centre (A_{q-1} +
+    A_{r-1}), p = 1 is A_{q+r-1}, T_{2,2,r} D_{r+2} and T_{2,3,r<=5} E_{r+3}."""
+    p, q, r = sorted((p, q, r))
+    if p in (0, 1):
+        return _normalize([("A", q - 1), ("A", r - 1)] if p == 0 else [("A", q + r - 1)])
+    if (p, q) == (2, 2):
+        return (("D", r + 2),)
+    if (p, q) == (2, 3) and r <= 5:
+        return (("E", r + 3),)
+    return None
 
 
 def _combination(rows: Sequence[Sequence[int]], terms: Sequence[tuple[int, int]]) -> list[int]:
@@ -233,48 +245,25 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
                             _normalize(components), graph)
 
 
-# the del Pezzo types of r <= 8 general points (the complement of -K), by r
-_GENERIC_TYPES = ((), (), (("A", 1),), (("A", 2), ("A", 1)), (("A", 4),), (("D", 5),),
-                  (("E", 6),), (("E", 7),), (("E", 8),))
-
-
 def predicted_type(config: PointConfiguration) -> tuple[Component, ...] | None:
-    """Tabulated root-system type of the configuration's complement lattice.
+    """Root-system type of the configuration's complement lattice: that of
+    T_{p,q,r} (_t_type) at one arm triple per model, shared points aside.
+    Generic(r) is T_{2,3,r-3} for r >= 3 and T_{0,0,r} = A_{r-1} below,
+    LineConic(a, b) T_{2,b-2,a+1} when ab != 0 and T_{0,0,a+b} otherwise,
+    and ThreeLines T of its counts.
 
-    Returns None for configurations the table does not cover: those whose
-    roots fail to span the complement, and r >= 9 general points (not big).
-    Three-line counts are considered in weakly decreasing order.
+    None when the configuration is not big, or when its simple roots fail
+    to span the complement (fewer of them than its rank, or a Cartan
+    determinant other than the complement's), except for Generic(1) and
+    Generic(2), whose roots do not span either but get () and A1.
     """
     if isinstance(config, Generic):
-        return _GENERIC_TYPES[config.r] if config.r <= 8 else None
+        return _t_type(2, 3, config.r - 3) if config.r >= 3 else _t_type(0, 0, config.r)
     if isinstance(config, LineConic):
         a, b = config.a, config.b
-        if a * b == 0:
-            return _normalize([("A", a + b - 1)])
-        if b == 2:
-            return _normalize([("A", a), ("A", 1)])
-        if b == 3:
-            return _normalize([("A", a + 2)])
-        if b == 4 or (a == 1 and b >= 4):
-            return _normalize([("D", a + b - 1)])
-        if (a, b) == (2, 5):
-            return (("E", 6),)
-        if (a, b) in ((3, 5), (2, 6)):
-            return (("E", 7),)
-        if (a, b) in ((4, 5), (2, 7)):
-            return (("E", 8),)
-        return None
+        return _t_type(2, b - 2, a + 1) if a * b else _t_type(0, 0, a + b)
     if isinstance(config, ThreeLines):
-        a1, a2, a3 = sorted(config.counts, reverse=True)
-        if a3 == 0:
-            return _normalize([("A", a1 - 1), ("A", a2 - 1)])
-        if a3 == 1:
-            return _normalize([("A", a1 + a2 - 1)])
-        if a2 == a3 == 2:
-            return (("D", a1 + 2),)
-        if a2 == 3 and a3 == 2 and 3 <= a1 <= 5:
-            return (("E", a1 + 3),)
-        return None
+        return _t_type(*config.counts)
     raise TypeError(f"not a point configuration: {config!r}")
 
 

@@ -571,8 +571,14 @@ def assert_stdout_unwritable(proc):
     assert "Traceback" not in proc.stderr
 
 
+# a report, and the help text, which is written the same way
+UNWRITABLE_ARGV = pytest.mark.parametrize(
+    "argv", [["classify", "--json", GENERIC_6], ["--help"]], ids=["classify", "help"])
+
+
+@UNWRITABLE_ARGV
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_stdout_pipe_without_reader_exits_one(unbuffered):
+def test_stdout_pipe_without_reader_exits_one(unbuffered, argv):
     """A report into a pipe whose read end is closed: exit 1 with one
     `error:` line.  Buffered, the write lands in the buffer and fails in
     run()'s flush; unbuffered, it fails in the write itself."""
@@ -583,19 +589,20 @@ def test_stdout_pipe_without_reader_exits_one(unbuffered):
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "bigsurf", "classify", "--json", GENERIC_6],
+            [sys.executable, "-m", "bigsurf", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     finally:
         os.close(write_end)
     assert_stdout_unwritable(proc)
 
 
-def test_closed_stdout_exits_one():
+@UNWRITABLE_ARGV
+def test_closed_stdout_exits_one(argv):
     """With fd 1 closed (`>&-`) there is no sys.stdout to write the report
     to: exit 1 with one `error:` line."""
     proc = subprocess.run(
-        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "bigsurf",
-         "classify", "--json", GENERIC_6], capture_output=True, text=True, timeout=120)
+        ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "bigsurf", *argv],
+        capture_output=True, text=True, timeout=120)
     assert_stdout_unwritable(proc)
 
 

@@ -1,8 +1,8 @@
 """Golden outputs: the sha256 of each report's JSON, against tests/golden/digests.txt.
 
-Each entry names one library call (or, for three lines, the eight flag
-patterns of one count triple) and digests the JSON the CLI would print for
-it.  A documented output change rewrites the digest file in the same
+Each entry names one library call (or, for classify on three lines, the
+eight flag patterns of one count triple) and digests the JSON the CLI would
+print for it.  A documented output change rewrites the digest file in the same
 change; to print the current digests, run
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.txt
@@ -16,8 +16,11 @@ from pathlib import Path
 
 from bigsurf import serialize as ser
 from bigsurf.bigness import classify_anticanonical
-from bigsurf.cli import _type_label as type_label
-from bigsurf.picard import LineConic, ThreeLines
+from bigsurf.cli import _type_label as type_label, _witness_args as witness_args
+from bigsurf.enumeration import negative_classes
+from bigsurf.errors import NotNegativeDefiniteError
+from bigsurf.picard import Generic, LineConic, ThreeLines, verify_witness
+from bigsurf.roots import classify, extract_roots, root_lattice_of_config
 from bigsurf.zariski import FamilyParams, zariski_decompose
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.txt"
@@ -35,8 +38,30 @@ def _zariski_members():
         yield n, n + 1, tuple(3 + i % 7 for i in range(n + 1))
 
 
+# the witness requests of the README and of CI's console-script step
+WITNESS_REQUESTS = [
+    '{"example":"hirzebruch_b","n":2}',
+    '{"example":"hirzebruch_b","n":3}',
+    '{"example":"conic_c","n":5}',
+    '{"example":"castravet_d"}',
+    '{"example":"conic_c","n":500}',
+    '{"example":"hirzebruch_b","n":200}',
+    '{"example":"hirzebruch_b","n":2,"fibers":[[1,true],[0,false],[2,false]]}',
+]
+
+
 def _classify(config):
     return ser.classify_to_dict(classify_anticanonical(config), type_label(config))
+
+
+def _roots_entries(name, config):
+    """The roots report of a big configuration; none for any other."""
+    basis, gram = root_lattice_of_config(config)
+    try:
+        roots = extract_roots(gram)
+    except NotNegativeDefiniteError:
+        return
+    yield f"roots {name}", ser.roots_to_dict(classify(roots, gram), basis)
 
 
 def entries():
@@ -58,6 +83,20 @@ def entries():
         for a in (1, 2, (rank - 1) // 2):
             yield (f"classify line_conic a={a} b={rank - 1 - a}",
                    _classify(LineConic(a, rank - 1 - a)))
+    for r in range(9):
+        yield from _roots_entries(f"generic r={r}", Generic(r))
+    for a, b, both in itertools.product(range(8), range(8), range(3)):
+        yield from _roots_entries(f"line_conic a={a} b={b} both={both}",
+                                  LineConic(a, b, both))
+    for counts in itertools.product(range(6), repeat=3):
+        for flags in itertools.product((False, True), repeat=3):
+            yield from _roots_entries(f"three_lines a={counts} intersections={flags}",
+                                      ThreeLines(*counts, *flags))
+    for r in range(9):
+        yield f"enumerate generic r={r}", ser.class_table_to_dict(negative_classes(r))
+    for request in WITNESS_REQUESTS:
+        yield (f"witness {request}",
+               ser.witness_to_dict(verify_witness(**witness_args(json.loads(request)))))
 
 
 def digest_lines():

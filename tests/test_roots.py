@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 
 from bigsurf.bigness import classify_anticanonical
 from bigsurf.errors import DomainError, InvariantError, NotNegativeDefiniteError
+from bigsurf.linalg import is_negative_definite
 from bigsurf.picard import Generic, LineConic, ThreeLines
 from bigsurf.roots import (
+    _t_type,
     classify,
     coxeter_dot,
     expected_root_count,
@@ -17,7 +20,8 @@ from bigsurf.roots import (
     root_lattice_of_config,
     type_string,
 )
-from oracles import basis_class, box_short_vectors, config_labels, dot, solve_rational
+from oracles import (basis_class, box_short_vectors, config_labels, determinant, dot,
+                     solve_rational)
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -444,6 +448,62 @@ def test_predicted_type_degenerate_ranks_drop():
     assert predicted_type(LineConic(1, 0, 2)) == ()
     assert predicted_type(ThreeLines(1, 1, 0)) == ()
     assert predicted_type(ThreeLines(3, 1, 0)) == (("A", 2),)
+
+
+def t_diagram_gram(p, q, r):
+    """Gram of the Dynkin diagram T_{p,q,r}, p <= q <= r: -2 on the
+    diagonal, 1 between neighbours, and chains of p - 1, q - 1 and r - 1
+    nodes off a centre node 0, which p = 0 leaves out."""
+    edges, n = [], int(p > 0)
+    for arm in (p, q, r):
+        prev = 0 if p > 0 else None
+        for _ in range(arm - 1):
+            if prev is not None:
+                edges.append((prev, n))
+            prev, n = n, n + 1
+    gram = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram
+
+
+def test_t_type_names_the_root_system_of_its_diagram():
+    """_t_type(p, q, r) is None exactly when T_{p,q,r} is not negative
+    definite, and is otherwise the type classify finds in its lattice."""
+    for p, q, r in itertools.combinations_with_replacement(range(9), 3):
+        gram = t_diagram_gram(p, q, r)
+        found = _t_type(p, q, r)
+        assert (found is None) == (not is_negative_definite(gram)), (p, q, r)
+        if found is not None:
+            assert found == classify(extract_roots(gram), gram).components, (p, q, r)
+        assert _t_type(r, p, q) == found
+
+
+def test_predicted_type_is_none_exactly_where_the_roots_do_not_span():
+    """On every big configuration without shared points, a, b <= 12 and
+    counts <= 6, no type is predicted exactly when the simple roots fail
+    to span the complement: fewer of them than its rank, or |det Cartan|
+    other than |det Gram|.  Generic(1) and Generic(2) are the exceptions
+    the docstring names."""
+    configs = [LineConic(a, b) for a, b in itertools.product(range(13), repeat=2)]
+    configs += [ThreeLines(*counts) for counts in itertools.product(range(7), repeat=3)]
+    configs += [Generic(r) for r in range(9)]
+    big = unspanned = 0
+    for config in configs:
+        _, gram = root_lattice_of_config(config)
+        try:
+            roots = extract_roots(gram)
+        except NotNegativeDefiniteError:
+            continue
+        report = classify(roots, gram)
+        spans = (report.rank == len(gram)
+                 and abs(determinant(report.cartan)) == abs(determinant(gram)))
+        if config in (Generic(1), Generic(2)):
+            assert not spans and predicted_type(config) == report.components
+            continue
+        assert (predicted_type(config) is None) == (not spans), config
+        big, unspanned = big + 1, unspanned + (not spans)
+    assert (big, unspanned) == (339, 12)
 
 
 def test_config_roots_all_have_square_minus_two():
