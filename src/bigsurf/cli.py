@@ -9,9 +9,11 @@ or written, 2 when an internal cross-check fails (`InvariantError`,
 reported in one stderr line).  Any other uncaught error ends the
 process with Python's status 1 and a traceback.
 
-`main()` returns the status and must close any file it opens before it
-returns: `run()`, behind `python -m bigsurf` and the `bigsurf` script,
-flushes stdout and stderr and ends by `os._exit`, with no teardown.
+`main()` returns the status the process exits with: it flushes the report
+it writes to stdout, so that an unwritable stdout is status 1 whatever its
+buffering, and must close any file it opens before it returns.  `run()`,
+behind `python -m bigsurf` and the `bigsurf` script, flushes stderr and
+ends by `os._exit(status)`, with no teardown.
 
 Importing this module loads only `errors`, `picard` and `serialize` from
 the package: each subcommand imports the computation modules it runs
@@ -64,7 +66,8 @@ def _check_fields(data: dict[str, Any], where: str,
         if key == "model":
             continue
         if key not in required and key not in optional:
-            raise DomainError(f"unknown field: {where}.{key}")
+            # a name with a line break is quoted, so the error stays one line
+            raise DomainError(f"unknown field: {where}.{key if key.isprintable() else repr(key)}")
 
 
 def _int_field(data: dict[str, Any], where: str, key: str) -> int:
@@ -289,8 +292,9 @@ def _emit(payload: dict[str, Any] | str, fmt: str, out: str | None) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if out is None:
-        try:
+        try:  # flushed here, so that a buffered write fails where it is made
             sys.stdout.write(text)
+            sys.stdout.flush()
         except (AttributeError, OSError) as exc:  # AttributeError: fd 1 is closed
             raise DomainError(f"cannot write stdout: {getattr(exc, 'strerror', 'closed')}") from exc
     else:
@@ -334,14 +338,12 @@ def _build_parser() -> argparse.ArgumentParser:
             command.add_argument("--max-ai", type=int, default=10, metavar="N",
                                  help="bound on points per line, three-line "
                                       "models (default: 10)")
-            command.add_argument("--format", choices=formats, default="json")
-            command.add_argument("--out", metavar="FILE")
-            continue
-        source = command.add_mutually_exclusive_group(required=True)
-        source.add_argument("--input", metavar="FILE",
-                            help="read the JSON request from FILE")
-        source.add_argument("--json", metavar="TEXT",
-                            help="inline JSON request")
+        else:
+            source = command.add_mutually_exclusive_group(required=True)
+            source.add_argument("--input", metavar="FILE",
+                                help="read the JSON request from FILE")
+            source.add_argument("--json", metavar="TEXT",
+                                help="inline JSON request")
         command.add_argument("--format", choices=formats, default="json",
                              help="output format (default: json)")
         command.add_argument("--out", metavar="FILE",
@@ -352,22 +354,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"
+                   else _load_json(_read_input(args)))
+        payload, failure = _COMMANDS[args.command][2](request, args.format)
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
+        _emit(payload, args.format, args.out)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; exit 2 is reserved for internal
         # invariant failures, so fold usage problems into the domain-error
         # status (--help still exits 0).
         return 1 if exc.code else 0
-    except DomainError as exc:  # --help could not write stdout
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    handler = _COMMANDS[args.command][2]
-    try:
-        request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"
-                   else _load_json(_read_input(args)))
-        payload, failure = handler(request, args.format)
-        if failure is not None:
-            print(f"error: {failure}", file=sys.stderr)
-        _emit(payload, args.format, args.out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -379,13 +376,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     status = main()
-    try:
-        if sys.stdout is not None:  # None when fd 1 is closed: _emit reports that
-            sys.stdout.flush()
-    except OSError as exc:
-        if not status:  # a failed request has already written its one stderr line
-            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-            status = 1
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(status)

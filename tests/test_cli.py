@@ -454,6 +454,13 @@ def test_unknown_field_has_path(capsys):
     assert "unknown field: line_conic.c" in err
 
 
+@pytest.mark.parametrize("name", ["\n", "\x0c", "a\u2028b"])
+def test_unknown_field_with_a_line_break_is_one_line(capsys, name):
+    request = json.dumps({"example": "conic_c", "n": 2, name: 1})
+    assert run_cli(capsys, "witness", "--json", request) == (
+        1, "", f"error: unknown field: witness.{name!r}\n")
+
+
 def test_missing_field_has_path(capsys):
     code, _, err = run_cli(capsys, "classify", "--json",
                            '{"model":"line_conic","a":2}')
@@ -581,7 +588,7 @@ UNWRITABLE_ARGV = pytest.mark.parametrize(
 def test_stdout_pipe_without_reader_exits_one(unbuffered, argv):
     """A report into a pipe whose read end is closed: exit 1 with one
     `error:` line.  Buffered, the write lands in the buffer and fails in
-    run()'s flush; unbuffered, it fails in the write itself."""
+    the flush that follows it; unbuffered, it fails in the write itself."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
@@ -604,6 +611,63 @@ def test_closed_stdout_exits_one(argv):
         ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "bigsurf", *argv],
         capture_output=True, text=True, timeout=120)
     assert_stdout_unwritable(proc)
+
+
+def run_with_stdout_without_reader(code, argv, env=None):
+    """Run `code` in a child interpreter whose fd 1 is a pipe with its read
+    end closed; the child owns the pipe, so none is left open here."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-c", code, *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+# cli.main with sys.stdout a buffered text writer on fd 1; the child leaves
+# by os._exit with main's status, so no later flush can report anything
+IN_PROCESS_MAIN = (
+    "import os, sys; from bigsurf import cli; "
+    "sys.stdout = open(1, 'w', closefd=False); "
+    "status = cli.main(sys.argv[1:]); sys.stderr.flush(); os._exit(status)")
+
+
+@UNWRITABLE_ARGV
+def test_in_process_main_reports_a_buffered_stdout_without_reader(argv):
+    """cli.main's status is the process's: a report or help text that sits
+    in stdout's buffer is flushed, and the failed flush is status 1 with
+    one `error:` line, as through python -m bigsurf."""
+    proc = run_with_stdout_without_reader(IN_PROCESS_MAIN, argv)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+FAILED_CHECK_THROUGH_RUN = (
+    "from bigsurf import cli; real = cli.cross_check; "
+    "cli.cross_check = lambda config: real(config)._replace(agrees=False); "
+    "cli.run()")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_failed_check_into_stdout_without_reader(unbuffered):
+    """A check whose certificate fails writes its failure line, then cannot
+    write the report: status 1 and both lines, whatever stdout's buffering."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = run_with_stdout_without_reader(
+        FAILED_CHECK_THROUGH_RUN, ["check", "--json", LINE_CONIC_25], env)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: lattice verdict disagrees with the closed-form criterion\n"
+                           "error: cannot write stdout: Broken pipe\n")
+
+
+def test_sweep_help_describes_format_and_out(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--help")
+    assert code == 0
+    assert "output format (default: json)" in out
+    assert "write the report to FILE instead of stdout" in out
 
 
 # One request per subcommand and output format, then --out, a domain error,

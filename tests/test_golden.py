@@ -1,21 +1,30 @@
 """Golden outputs: the sha256 of each report's JSON, against tests/golden/digests.txt.
 
-Each entry names one library call (or, for classify on three lines, the
+Each library entry names one call (or, for classify on three lines, the
 eight flag patterns of one count triple) and digests the JSON the CLI would
-print for it.  A documented output change rewrites the digest file in the same
-change; to print the current digests, run
+print for it.  Each CLI entry names one request of tests/golden/cli_requests.json
+and digests the JSON of [status, stdout, stderr] from in-process `cli.main`.
+A documented output change rewrites the digest file in the same change; to
+list every entry that changed, run
+
+    PYTHONPATH=src python tests/golden/update.py
+
+and to print the current digests, run
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.txt
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
-from bigsurf import serialize as ser
-from bigsurf.bigness import classify_anticanonical
+from bigsurf import cli, serialize as ser
+from bigsurf.bigness import classify_anticanonical, cross_check
 from bigsurf.cli import _type_label as type_label, _witness_args as witness_args
 from bigsurf.enumeration import negative_classes
 from bigsurf.errors import NotNegativeDefiniteError
@@ -23,7 +32,8 @@ from bigsurf.picard import Generic, LineConic, ThreeLines, verify_witness
 from bigsurf.roots import classify, extract_roots, root_lattice_of_config
 from bigsurf.zariski import FamilyParams, zariski_decompose
 
-DIGESTS = Path(__file__).parent / "golden" / "digests.txt"
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "digests.txt"
 
 
 def _zariski_members():
@@ -64,6 +74,18 @@ def _roots_entries(name, config):
     yield f"roots {name}", ser.roots_to_dict(classify(roots, gram), basis)
 
 
+def _cli_entries():
+    """[status, stdout, stderr] of every corpus request through cli.main.
+    The corpus holds no --help, usage error or JSON-decoder message: their
+    text varies with the Python version and COLUMNS."""
+    for argvs in json.loads((GOLDEN / "cli_requests.json").read_text()).values():
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+            yield f"cli {shlex.join(argv)}", [status, out.getvalue(), err.getvalue()]
+
+
 def entries():
     """(name, JSON-ready report) for every golden entry, in file order."""
     for n, k, a in _zariski_members():
@@ -97,6 +119,11 @@ def entries():
     for request in WITNESS_REQUESTS:
         yield (f"witness {request}",
                ser.witness_to_dict(verify_witness(**witness_args(json.loads(request)))))
+    for r in range(13):
+        yield f"classify generic r={r}", _classify(Generic(r))
+        yield (f"check generic r={r}",
+               ser.cross_check_to_dict(cross_check(Generic(r)), type_label(Generic(r))))
+    yield from _cli_entries()
 
 
 def digest_lines():
