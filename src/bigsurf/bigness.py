@@ -19,21 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
 from .picard import (
     DivisorClass,
-    LineConic,
     PicardLattice,
     PointConfiguration,
-    ThreeLines,
     _components,
     _count,
     config_lattice,
     incidence_class,
+    model_class,
 )
 
 Vec = tuple[int, ...]
@@ -45,15 +43,11 @@ def orthogonal_complement(lattice: PicardLattice,
     classes, together with the restricted Gram matrix.
 
     The kernel rows G.c come from the lattice's head-plus-tail structure in
-    O(rank) per class.  The dense form, the lattice's `gram_of` on the unit
-    classes, is returned as is for no classes and restricted to the kernel
-    basis otherwise.
+    O(rank) per class, and the dense form, the lattice's `gram_of` on the
+    unit classes, is restricted to the kernel basis.  classes must not be
+    empty (integer_kernel raises ValueError for no rows).
     """
-    n = lattice.rank
-    gram = lattice.gram_of([[(i, 1)] for i in range(n)])
-    if not classes:
-        basis = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
-        return basis, gram
+    gram = lattice.gram_of([[(i, 1)] for i in range(lattice.rank)])
     basis = integer_kernel([lattice.row(c.integral_coeffs()) for c in classes])
     return basis, gram_restrict(gram, basis)
 
@@ -159,27 +153,6 @@ class SweepReport:
         return not self.disagreements and not self.flag_violations
 
 
-# the flag-invariance groups of one family: each group's label and its
-# members (configurations that differ only in their intersection flags),
-# each member with its own label
-Groups = Iterator[tuple[str, list[tuple[str, PointConfiguration]]]]
-
-# the intersection flag patterns of three lines, each with its label
-_FLAG_PATTERNS = [(f"flags={flags}", flags) for flags in product((False, True), repeat=3)]
-
-
-def _line_conic_groups(max_a: int, max_b: int) -> Groups:
-    for a, b in product(range(max_a + 1), range(max_b + 1)):
-        yield (f"line_conic a={a} b={b}",
-               [(f"both={both}", LineConic(a, b, both)) for both in (0, 1, 2)])
-
-
-def _three_lines_groups(max_ai: int) -> Groups:
-    for a1, a2, a3 in product(range(max_ai + 1), repeat=3):
-        yield (f"three_lines a=({a1},{a2},{a3})",
-               [(label, ThreeLines(a1, a2, a3, *flags)) for label, flags in _FLAG_PATTERNS])
-
-
 def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> SweepReport:
     """Cross-check every configuration up to the given bounds.
 
@@ -198,18 +171,17 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
             raise DomainError(f"sweep bound {name} must be nonnegative, got {value}")
     disagreements: list[str] = []
     flag_violations: list[str] = []
-    counts = {"line_conic_count": 0, "three_lines_count": 0}
-    for key, groups in (("line_conic_count", _line_conic_groups(max_a, max_b)),
-                        ("three_lines_count", _three_lines_groups(max_ai))):
-        for label, members in groups:
+    counts: dict[str, int] = {}
+    for name, bounds in (("line_conic", (max_a, max_b)), ("three_lines", (max_ai,))):
+        counts[name] = 0
+        for label, members in model_class(name).groups(*bounds):
             verdicts = set()
             for member, config in members:
                 report = cross_check(config)
                 if not report.ok:
                     disagreements.append(f"{label} {member}")
                 verdicts.add(report.verdict.big)
-            counts[key] += len(members)
+            counts[name] += len(members)
             if len(verdicts) != 1:
                 flag_violations.append(label)
-    return SweepReport(**counts, disagreements=tuple(disagreements),
-                       flag_violations=tuple(flag_violations))
+    return SweepReport(*counts.values(), tuple(disagreements), tuple(flag_violations))

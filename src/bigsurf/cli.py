@@ -2,12 +2,13 @@
 
 Subcommands: classify, check, roots, zariski, enumerate, witness, sweep.
 Configurations arrive as JSON (inline via --json or from a file via
---input) with a "model" discriminator; reports leave as JSON, DOT (roots
-only) or plain text.  Exit status: 0 on success, 1 when the input is
-outside the supported domain or a file, stdout included, cannot be read
-or written, 2 when an internal cross-check fails (`InvariantError`,
-reported in one stderr line).  Any other uncaught error ends the
-process with Python's status 1 and a traceback.
+--input) with a "model" discriminator naming a class of `picard.MODELS`,
+whose `request` lists the fields `config_from_dict` reads.  Reports leave
+as JSON, DOT (roots only) or plain text.  Exit status: 0 on success, 1 when
+the input is outside the supported domain or a file, stdout included,
+cannot be read or written, 2 when an internal cross-check fails
+(`InvariantError`, reported in one stderr line).  Any other uncaught error
+ends the process with Python's status 1 and a traceback.
 
 `main()` returns the status the process exits with: it flushes the report
 it writes to stdout, so that an unwritable stdout is status 1 whatever its
@@ -32,8 +33,8 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from . import _lazy_names, serialize as ser
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
-from .picard import (Generic, LineConic, PointConfiguration, ThreeLines,
-                     check_witness_fields, verify_witness)
+from .picard import (MODELS, Generic, PointConfiguration, check_witness_fields,
+                     model_class, verify_witness)
 
 if TYPE_CHECKING:
     from .zariski import FamilyParams
@@ -51,9 +52,12 @@ __getattr__ = _lazy_names(globals(), dict(
     coxeter_dot="roots.coxeter_dot", extract_roots="roots.extract_roots",
     predicted_type="roots.predicted_type", type_string="roots.type_string",
     root_lattice_of_config="roots.root_lattice_of_config",
-    FamilyParams="zariski.FamilyParams", zariski_decompose="zariski.zariski_decompose"))
+    zariski_decompose="zariski.zariski_decompose"))
 
-_MODELS = ("generic", "line_conic", "three_lines", "hirzebruch_family")
+
+def _printable(text: str) -> str:
+    """text, quoted if unprintable (a line break), so an error stays one line."""
+    return text if text.isprintable() else repr(text)
 
 
 def _check_fields(data: dict[str, Any], where: str,
@@ -66,8 +70,7 @@ def _check_fields(data: dict[str, Any], where: str,
         if key == "model":
             continue
         if key not in required and key not in optional:
-            # a name with a line break is quoted, so the error stays one line
-            raise DomainError(f"unknown field: {where}.{key if key.isprintable() else repr(key)}")
+            raise DomainError(f"unknown field: {where}.{_printable(key)}")
 
 
 def _int_field(data: dict[str, Any], where: str, key: str) -> int:
@@ -78,7 +81,7 @@ def _int_field(data: dict[str, Any], where: str, key: str) -> int:
 
 
 def _int_list_field(data: dict[str, Any], where: str, key: str,
-                    length: int | None = None) -> list[int]:
+                    length: int | None) -> list[int]:
     value = data[key]
     if (not isinstance(value, list)
             or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
@@ -88,37 +91,36 @@ def _int_list_field(data: dict[str, Any], where: str, key: str,
     return value
 
 
+def _field(data: dict[str, Any], where: str, key: str, kind: Any) -> Any:
+    if kind is int:
+        return _int_field(data, where, key)
+    if kind[0] is int:
+        return _int_list_field(data, where, key, kind[1])
+    value = data[key]
+    if not isinstance(value, list) or len(value) != kind[1] or not all(
+            isinstance(v, bool) for v in value):
+        raise DomainError(f"field {where}.{key} must list exactly {kind[1]} booleans")
+    return value
+
+
 def config_from_dict(data: Any) -> PointConfiguration | FamilyParams:
     if not isinstance(data, dict):
         raise DomainError("configuration must be a JSON object")
-    model = data.get("model")
-    if model is None:
+    name = data.get("model")
+    if name is None:
         raise DomainError("missing field: model")
-    if model == "generic":
-        _check_fields(data, "generic", ("r",))
-        return Generic(_int_field(data, "generic", "r"))
-    if model == "line_conic":
-        _check_fields(data, "line_conic", ("a", "b"), ("both",))
-        both = _int_field(data, "line_conic", "both") if "both" in data else 0
-        return LineConic(_int_field(data, "line_conic", "a"),
-                         _int_field(data, "line_conic", "b"), both)
-    if model == "three_lines":
-        _check_fields(data, "three_lines", ("a",), ("intersections",))
-        a = _int_list_field(data, "three_lines", "a", 3)
-        flags = data.get("intersections", [False, False, False])
-        if (not isinstance(flags, list) or len(flags) != 3
-                or any(not isinstance(f, bool) for f in flags)):
-            raise DomainError(
-                "field three_lines.intersections must list exactly 3 booleans")
-        return ThreeLines(a[0], a[1], a[2],
-                          p12=flags[0], p13=flags[1], p23=flags[2])
-    if model == "hirzebruch_family":
-        _check_fields(data, "hirzebruch_family", ("n", "k", "a"))
-        return _this.FamilyParams(_int_field(data, "hirzebruch_family", "n"),
-                                  _int_field(data, "hirzebruch_family", "k"),
-                                  tuple(_int_list_field(data, "hirzebruch_family", "a")))
-    raise DomainError(
-        f"unknown model: {model!r} (expected one of {', '.join(_MODELS)})")
+    cls = model_class(name)
+    if cls is None:
+        raise DomainError(
+            f"unknown model: {name!r} (expected one of {', '.join(MODELS)})")
+    _check_fields(data, name, tuple(f[0] for f in cls.request if len(f) == 2),
+                  tuple(f[0] for f in cls.request))
+    args: list[Any] = []
+    for key, kind, *default in cls.request:
+        value = _field(data, name, key, kind) if key in data else default[0]
+        # a list of fixed length spreads into that many arguments
+        args += value if kind is not int and kind[1] else [value]
+    return cls(*args)
 
 
 def _load_json(text: str) -> Any:
@@ -218,7 +220,7 @@ def _roots(request: Any, fmt: str) -> Outcome:
 
 def _zariski(request: Any, fmt: str) -> Outcome:
     params = config_from_dict(request)
-    if not isinstance(params, _this.FamilyParams):
+    if isinstance(params, PointConfiguration):
         raise DomainError("zariski expects hirzebruch_family parameters")
     data = ser.zariski_report_to_dict(_this.zariski_decompose(params))
     failed = [name for name, value in data["checks"].items() if not value]
@@ -301,18 +303,19 @@ def _emit(payload: dict[str, Any] | str, fmt: str, out: str | None) -> None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise DomainError(f"cannot write {out}: {exc.strerror}") from exc
+            raise DomainError(f"cannot write {_printable(out)}: {exc.strerror}") from exc
 
 
 def _read_input(args: argparse.Namespace) -> str:
     if args.json is not None:
         return args.json
+    path = _printable(args.input)
     try:
         return Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
-        raise DomainError(f"cannot read {args.input}: {exc.strerror}") from exc
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise DomainError(f"cannot read {args.input}: byte {exc.start} is not "
+        raise DomainError(f"cannot read {path}: byte {exc.start} is not "
                           f"UTF-8 ({exc.reason})") from exc
 
 

@@ -67,7 +67,7 @@ def negative_classes(r: int) -> NegativeClassTable:
             bucket.append(x)
 
     def classes(kx: int) -> list[DivisorClass]:
-        return [DivisorClass.of(x) for x in sorted(by_kx[kx], key=_degree_then_multiplicities)]
+        return [DivisorClass(x) for x in sorted(by_kx[kx], key=_degree_then_multiplicities)]
 
     minus_one = [c for c in classes(-1) if lattice.pair(c, c) == -1]
     if any(c.nums[0] < 0 for c in minus_one):

@@ -27,6 +27,9 @@ shared points) and the anticanonical components are all derived from that
 description here, and nowhere else; `incidence_class` lays out every class
 on that basis.
 
+A model is one class, which `MODELS` maps its request name to; it also
+states its `request` fields, root-type triple `arms` and sweep `groups`.
+
 A lattice is its form: a basis is fixed by its order, which the builders
 below state, and no basis class carries a name.
 """
@@ -34,11 +37,11 @@ below state, and no basis class carries a name.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterable, NamedTuple, Sequence
+from importlib import import_module
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 
@@ -118,27 +121,6 @@ class DivisorClass(Frozen):
         _set(self, "nums", nums)
         _set(self, "den", den)
 
-    @staticmethod
-    def of(values: Iterable[Rational]) -> "DivisorClass":
-        """The class with the given int or Fraction coefficients; a float
-        (or any other non-rational entry) raises TypeError."""
-        values = tuple(values)
-        if set(map(type, values)) <= _INT:
-            return _new(values, 1)
-        for v in values:
-            if not isinstance(v, numbers.Rational):
-                raise TypeError(f"coefficient {v!r} is not an int or Fraction")
-        exact = [Fraction(v) for v in values]
-        # over the lcm of reduced denominators the numerators stay coprime to it
-        den = math.lcm(*[int(f.denominator) for f in exact])
-        return _new(tuple([int(f.numerator) * (den // int(f.denominator)) for f in exact]), den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions (derived, read-only)."""
-        den = self.den
-        return tuple([Fraction(x, den) for x in self.nums])
-
     def _combine(self, other: "DivisorClass", op) -> "DivisorClass":
         a, b = self.nums, other.nums
         if len(a) != len(b):
@@ -172,7 +154,7 @@ class DivisorClass(Frozen):
 
     def integral_coeffs(self) -> tuple[int, ...]:
         if self.den != 1:
-            raise ValueError(f"class {self.coeffs} is not integral")
+            raise ValueError(f"class {self.nums} over {self.den} is not integral")
         return self.nums
 
 
@@ -374,12 +356,6 @@ def hirzebruch_model(n: int, fiber_specs: Sequence[tuple[int, bool]],
     return PicardLattice(((-n, 1), (1, 0)), rank, canonical), sigma, fibers
 
 
-def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
-                      extra_on_sigma: int = 0) -> PicardLattice:
-    """The Picard lattice of hirzebruch_model(n, fiber_specs, extra_on_sigma)."""
-    return hirzebruch_model(n, fiber_specs, extra_on_sigma)[0]
-
-
 # point configurations --------------------------------------------------------
 
 
@@ -389,6 +365,7 @@ class Generic(Frozen):
     transform, an effective member for r <= 8 and undecided (None) beyond."""
 
     _fields = __slots__ = ("r",)
+    request = (("r", int),)
     case = "i"
     shared = ()
 
@@ -406,12 +383,17 @@ class Generic(Frozen):
     def effective(self) -> bool | None:
         return True if self.r <= 8 else None
 
+    @property
+    def arms(self) -> tuple[int, int, int]:
+        return (2, 3, self.r - 3) if self.r >= 3 else (0, 0, self.r)
+
 
 class LineConic(Frozen):
     """Points on a line and a conic: a exclusively on the line, b exclusively
     on the conic, and `both` of the (at most two) intersection points."""
 
     _fields = __slots__ = ("a", "b", "both")
+    request = (("a", int), ("b", int), ("both", int, 0))
     case = "ii"
     effective = True
 
@@ -433,12 +415,24 @@ class LineConic(Frozen):
     def shared(self) -> tuple[tuple[int, int], ...]:
         return ((0, 1),) * self.both
 
+    @property
+    def arms(self) -> tuple[int, int, int]:
+        a, b = self.a, self.b
+        return (2, b - 2, a + 1) if a * b else (0, 0, a + b)
+
+    @classmethod
+    def groups(cls, max_a: int, max_b: int) -> Iterator[tuple[str, list[tuple[str, Frozen]]]]:
+        for a, b in product(range(max_a + 1), range(max_b + 1)):
+            yield (f"line_conic a={a} b={b}",
+                   [(f"both={both}", cls(a, b, both)) for both in (0, 1, 2)])
+
 
 class ThreeLines(Frozen):
     """Points on three pairwise distinct, non-concurrent lines: a_i points
     exclusively on line i, plus optionally the pairwise intersections."""
 
     _fields = __slots__ = ("a1", "a2", "a3", "p12", "p13", "p23")
+    request = (("a", (int, 3)), ("intersections", (bool, 3), (False,) * 3))
     case = "iii"
     effective = True
 
@@ -455,6 +449,8 @@ class ThreeLines(Frozen):
     def counts(self) -> tuple[int, int, int]:
         return (self.a1, self.a2, self.a3)
 
+    arms = counts
+
     @property
     def flags(self) -> tuple[bool, bool, bool]:
         return (self.p12, self.p13, self.p23)
@@ -468,8 +464,27 @@ class ThreeLines(Frozen):
         """The blown-up pairwise intersections, each once if its flag is set."""
         return ((0, 1),) * self.p12 + ((0, 2),) * self.p13 + ((1, 2),) * self.p23
 
+    @classmethod
+    def groups(cls, max_ai: int) -> Iterator[tuple[str, list[tuple[str, Frozen]]]]:
+        for a1, a2, a3 in product(range(max_ai + 1), repeat=3):
+            yield (f"three_lines a=({a1},{a2},{a3})",
+                   [(f"flags={flags}", cls(a1, a2, a3, *flags))
+                    for flags in product((False, True), repeat=3)])
+
 
 PointConfiguration = Generic | LineConic | ThreeLines
+
+# request name -> model class, in the order the unknown-model error lists
+# them; a str names a package export, loaded on first use
+MODELS: dict[str, type | str] = {
+    "generic": Generic, "line_conic": LineConic, "three_lines": ThreeLines,
+    "hirzebruch_family": "FamilyParams"}
+
+
+def model_class(name: object) -> type | None:
+    """The class MODELS maps name to; None for any other name or value."""
+    cls = MODELS.get(name) if isinstance(name, str) else None
+    return getattr(import_module(__package__), cls) if isinstance(cls, str) else cls
 
 
 def config_lattice(config: PointConfiguration) -> PicardLattice:
@@ -500,7 +515,7 @@ def incidence_class(config: PointConfiguration, line: int, own: Sequence[int],
     for (_, count), c in zip(curves, own):
         coeffs += [c] * count
     coeffs += shared
-    return DivisorClass.of(coeffs)
+    return DivisorClass(coeffs)
 
 
 def anticanonical_components(config: PointConfiguration) -> tuple[DivisorClass, ...]:

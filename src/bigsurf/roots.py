@@ -22,14 +22,7 @@ from typing import Sequence
 from .bigness import orthogonal_complement
 from .errors import DomainError, InvariantError
 from .linalg import _INT, _symmetric_int_rows, short_vectors
-from .picard import (
-    Generic,
-    LineConic,
-    PointConfiguration,
-    ThreeLines,
-    _components,
-    config_lattice,
-)
+from .picard import PointConfiguration, _components, config_lattice
 
 Vec = tuple[int, ...]
 Gram = Sequence[Sequence[int]]
@@ -54,10 +47,6 @@ class RootSystemReport:
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
-
-    @property
-    def root_count(self) -> int:
-        return len(self.roots)
 
 
 def extract_roots(gram: Gram) -> list[Vec]:
@@ -247,24 +236,15 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
 
 def predicted_type(config: PointConfiguration) -> tuple[Component, ...] | None:
     """Root-system type of the configuration's complement lattice: that of
-    T_{p,q,r} (_t_type) at one arm triple per model, shared points aside.
-    Generic(r) is T_{2,3,r-3} for r >= 3 and T_{0,0,r} = A_{r-1} below,
-    LineConic(a, b) T_{2,b-2,a+1} when ab != 0 and T_{0,0,a+b} otherwise,
-    and ThreeLines T of its counts.
+    T_{p,q,r} (_t_type) at the model's arm triple `config.arms`, shared
+    points aside.
 
     None when the configuration is not big, or when its simple roots fail
     to span the complement (fewer of them than its rank, or a Cartan
     determinant other than the complement's), except for Generic(1) and
     Generic(2), whose roots do not span either but get () and A1.
     """
-    if isinstance(config, Generic):
-        return _t_type(2, 3, config.r - 3) if config.r >= 3 else _t_type(0, 0, config.r)
-    if isinstance(config, LineConic):
-        a, b = config.a, config.b
-        return _t_type(2, b - 2, a + 1) if a * b else _t_type(0, 0, a + b)
-    if isinstance(config, ThreeLines):
-        return _t_type(*config.counts)
-    raise TypeError(f"not a point configuration: {config!r}")
+    return _t_type(*config.arms)
 
 
 def type_string(components: Sequence[Component]) -> str:

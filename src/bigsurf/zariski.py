@@ -25,10 +25,8 @@ from .picard import DivisorClass, Frozen, _count, _lowest, _new, _set, hirzebruc
 
 __all__ = [
     "FamilyParams",
-    "LogCanonicalResult",
     "ZariskiChecks",
     "ZariskiReport",
-    "log_canonical_test",
     "zariski_decompose",
 ]
 
@@ -58,6 +56,8 @@ class FamilyParams(Frozen):
     """Parameters (n, k, a_1..a_k) of one member of the family."""
 
     _fields = __slots__ = ("n", "k", "a")
+    request = (("n", int), ("k", int), ("a", (int, None)))
+
     def __init__(self, n: int, k: int, a: Sequence[int]):
         n, k, a = _validate_shape(n, k, a)
         _set(self, "n", n)
@@ -66,10 +66,6 @@ class FamilyParams(Frozen):
         s, m = _reciprocal_sum(a)
         if s >= (k - 2) * m:
             raise DomainError("a must satisfy sum(1/a_j) < k - 2")
-
-    @property
-    def reciprocal_sum(self) -> Fraction:
-        return Fraction(*_reciprocal_sum(self.a))
 
 
 class ZariskiChecks(NamedTuple):
@@ -161,21 +157,3 @@ def zariski_decompose(params: FamilyParams) -> ZariskiReport:
     return ZariskiReport(params, p, neg, p_squared, checks,
                          lc_coefficient=Fraction(sigma_neg, den),
                          log_canonical=s >= (k - 2) * m)
-
-
-class LogCanonicalResult(NamedTuple):
-    """log_canonical is decided by sum(1/a_j) >= k - 2; the coefficient
-    2 - (n+2-k)/(n - sum 1/a_j) is None when its denominator vanishes."""
-
-    log_canonical: bool
-    coefficient: Fraction | None
-
-
-def log_canonical_test(n: int, k: int, a: Sequence[int]) -> LogCanonicalResult:
-    """Log-canonicity criterion, available outside the family's defining
-    inequality so that both outcomes are reachable."""
-    n, k, a = _validate_shape(n, k, a)
-    s = Fraction(*_reciprocal_sum(a))
-    lc = s >= k - 2
-    coefficient = None if s == n else 2 - Fraction(n + 2 - k) / (n - s)
-    return LogCanonicalResult(lc, coefficient)

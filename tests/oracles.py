@@ -34,15 +34,25 @@ rather than read from the package (the package names no basis class);
 transforms and anticanonical components built by looking positions up in
 those labels, which the positional layouts are checked against;
 `FractionClass`, the coefficient-by-coefficient Fraction vector that
-`DivisorClass` is checked against; the adjunction and Riemann-Roch
-counts that the parity tests read off a lattice; and the
-``*_from_dict`` readers that invert `bigsurf.serialize` for the round-trip
-tests.
+`DivisorClass` is checked against, with `rational_class` and `coeffs`,
+which build a class from int or Fraction coefficients and read them back;
+the adjunction and Riemann-Roch counts that the parity tests read off a
+lattice; and the ``*_from_dict`` readers that invert `bigsurf.serialize`
+for the round-trip tests.
+
+Also here, written out as the package had them before each model class
+stated its own request fields, arm triple and sweep groups: the request
+parser `reference_config_from_dict`, the root-type rule
+`reference_predicted_type` and the sweep's configuration order
+`reference_sweep_groups`, which the table-driven versions are checked
+against; and `blowup_hirzebruch` and `log_canonical_test`, which
+production never called.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
@@ -51,11 +61,14 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
+from bigsurf.cli import _check_fields, _int_field, _int_list_field
 from bigsurf.enumeration import NegativeClassTable
+from bigsurf.errors import DomainError
 from bigsurf.picard import (DivisorClass, Generic, LineConic, PicardLattice, ThreeLines,
-                            WitnessReport)
-from bigsurf.roots import RootSystemReport, type_string
-from bigsurf.zariski import FamilyParams, ZariskiChecks, ZariskiReport
+                            WitnessReport, hirzebruch_model)
+from bigsurf.roots import RootSystemReport, _t_type, type_string
+from bigsurf.zariski import (FamilyParams, ZariskiChecks, ZariskiReport, _reciprocal_sum,
+                             _validate_shape)
 
 
 def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
@@ -360,11 +373,11 @@ def raw(cls: DivisorClass) -> tuple[int, ...]:
 
 
 def is_canonical(cls: DivisorClass) -> bool:
-    """Whether cls is stored as `DivisorClass.of` stores its coefficients:
+    """Whether cls is stored as `rational_class` stores its coefficients:
     an int den >= 1 and int numerators (no bool or other int subclass),
     coprime, equal to and hashing like the class rebuilt from them."""
     nums, den = cls.nums, cls.den
-    rebuilt = DivisorClass.of(cls.coeffs)
+    rebuilt = rational_class(coeffs(cls))
     return (type(den) is int and den >= 1 and all(type(x) is int for x in nums)
             and gcd(den, *nums) == 1 and cls == rebuilt and hash(cls) == hash(rebuilt))
 
@@ -406,6 +419,24 @@ class FractionClass:
         if not self.is_integral:
             raise ValueError(f"class {self.coeffs} is not integral")
         return tuple(c.numerator for c in self.coeffs)
+
+
+def rational_class(values: Iterable[int | Fraction]) -> DivisorClass:
+    """The class with the given int or Fraction coefficients, over the lcm
+    of their reduced denominators; a float (or any other non-rational
+    entry) raises TypeError."""
+    exact = []
+    for v in values:
+        if not isinstance(v, numbers.Rational):
+            raise TypeError(f"coefficient {v!r} is not an int or Fraction")
+        exact.append(Fraction(v))
+    den = lcm(*[int(f.denominator) for f in exact])
+    return DivisorClass([int(f.numerator) * (den // int(f.denominator)) for f in exact], den)
+
+
+def coeffs(cls: DivisorClass) -> tuple[Fraction, ...]:
+    """The coefficients of cls as Fractions."""
+    return tuple(Fraction(x, cls.den) for x in cls.nums)
 
 
 def k_squared(lattice: PicardLattice) -> int:
@@ -565,7 +596,7 @@ def basis_class(labels: Sequence[str], label: str) -> DivisorClass:
     a label outside the basis."""
     if label not in labels:
         raise ValueError(f"{label!r} is not a basis label")
-    return DivisorClass.of([int(x == label) for x in labels])
+    return DivisorClass([int(x == label) for x in labels])
 
 
 def incidence_terms(labels: Sequence[str], curve: Iterable[tuple[str, int]],
@@ -585,7 +616,7 @@ def labelled_class(labels: Sequence[str], terms: Iterable[tuple[int, int]]) -> D
     coeffs = [0] * len(labels)
     for i, c in terms:
         coeffs[i] += c
-    return DivisorClass.of(coeffs)
+    return DivisorClass(coeffs)
 
 
 def fiber_strict(labels: Sequence[str], i: int) -> DivisorClass:
@@ -620,6 +651,99 @@ def labelled_components(config: Generic | LineConic | ThreeLines) -> tuple[Divis
     return tuple(parts + [basis_class(labels, label) for label, _ in shared])
 
 
+# the package's earlier code ------------------------------------------------
+
+
+def blowup_hirzebruch(n: int, fiber_specs: Sequence[tuple[int, bool]],
+                      extra_on_sigma: int = 0) -> PicardLattice:
+    """The Picard lattice of hirzebruch_model(n, fiber_specs, extra_on_sigma)."""
+    return hirzebruch_model(n, fiber_specs, extra_on_sigma)[0]
+
+
+class LogCanonicalResult(NamedTuple):
+    """log_canonical is decided by sum(1/a_j) >= k - 2; the coefficient
+    2 - (n+2-k)/(n - sum 1/a_j) is None when its denominator vanishes."""
+
+    log_canonical: bool
+    coefficient: Fraction | None
+
+
+def log_canonical_test(n: int, k: int, a: Sequence[int]) -> LogCanonicalResult:
+    """Log-canonicity criterion, available outside the family's defining
+    inequality so that both outcomes are reachable: the oracle of
+    `ZariskiReport.lc_coefficient` and `log_canonical`."""
+    n, k, a = _validate_shape(n, k, a)
+    s = Fraction(*_reciprocal_sum(a))
+    lc = s >= k - 2
+    coefficient = None if s == n else 2 - Fraction(n + 2 - k) / (n - s)
+    return LogCanonicalResult(lc, coefficient)
+
+
+_MODELS = ("generic", "line_conic", "three_lines", "hirzebruch_family")
+
+
+def reference_config_from_dict(data: Any) -> Generic | LineConic | ThreeLines | FamilyParams:
+    """The request parser with one branch per model."""
+    if not isinstance(data, dict):
+        raise DomainError("configuration must be a JSON object")
+    model = data.get("model")
+    if model is None:
+        raise DomainError("missing field: model")
+    if model == "generic":
+        _check_fields(data, "generic", ("r",))
+        return Generic(_int_field(data, "generic", "r"))
+    if model == "line_conic":
+        _check_fields(data, "line_conic", ("a", "b"), ("both",))
+        both = _int_field(data, "line_conic", "both") if "both" in data else 0
+        return LineConic(_int_field(data, "line_conic", "a"),
+                         _int_field(data, "line_conic", "b"), both)
+    if model == "three_lines":
+        _check_fields(data, "three_lines", ("a",), ("intersections",))
+        a = _int_list_field(data, "three_lines", "a", 3)
+        flags = data.get("intersections", [False, False, False])
+        if (not isinstance(flags, list) or len(flags) != 3
+                or any(not isinstance(f, bool) for f in flags)):
+            raise DomainError(
+                "field three_lines.intersections must list exactly 3 booleans")
+        return ThreeLines(a[0], a[1], a[2],
+                          p12=flags[0], p13=flags[1], p23=flags[2])
+    if model == "hirzebruch_family":
+        _check_fields(data, "hirzebruch_family", ("n", "k", "a"))
+        return FamilyParams(_int_field(data, "hirzebruch_family", "n"),
+                            _int_field(data, "hirzebruch_family", "k"),
+                            tuple(_int_list_field(data, "hirzebruch_family", "a", None)))
+    raise DomainError(
+        f"unknown model: {model!r} (expected one of {', '.join(_MODELS)})")
+
+
+def reference_predicted_type(config: Generic | LineConic | ThreeLines) -> tuple | None:
+    """The root type by one arm triple per model, chosen by isinstance."""
+    if isinstance(config, Generic):
+        return _t_type(2, 3, config.r - 3) if config.r >= 3 else _t_type(0, 0, config.r)
+    if isinstance(config, LineConic):
+        a, b = config.a, config.b
+        return _t_type(2, b - 2, a + 1) if a * b else _t_type(0, 0, a + b)
+    if isinstance(config, ThreeLines):
+        return _t_type(*config.counts)
+    raise TypeError(f"not a point configuration: {config!r}")
+
+
+_FLAG_PATTERNS = [(f"flags={flags}", flags)
+                  for flags in itertools.product((False, True), repeat=3)]
+
+
+def reference_sweep_groups(max_a: int, max_b: int, max_ai: int
+                           ) -> Iterator[tuple[str, list[tuple[str, LineConic | ThreeLines]]]]:
+    """The sweep's groups in its order: every line/conic group, then every
+    three-line group, each group's label with its labelled members."""
+    for a, b in itertools.product(range(max_a + 1), range(max_b + 1)):
+        yield (f"line_conic a={a} b={b}",
+               [(f"both={both}", LineConic(a, b, both)) for both in (0, 1, 2)])
+    for a1, a2, a3 in itertools.product(range(max_ai + 1), repeat=3):
+        yield (f"three_lines a=({a1},{a2},{a3})",
+               [(label, ThreeLines(a1, a2, a3, *flags)) for label, flags in _FLAG_PATTERNS])
+
+
 # report readers -----------------------------------------------------------
 
 
@@ -634,7 +758,7 @@ def _opt_parse_frac(text: str | None) -> Fraction | None:
 
 
 def divisor_from_list(values: list[str]) -> DivisorClass:
-    return DivisorClass.of(parse_frac(v) for v in values)
+    return rational_class(parse_frac(v) for v in values)
 
 
 def _verdict_from_dict(data: dict[str, Any]) -> BignessVerdict:

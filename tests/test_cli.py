@@ -8,10 +8,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bigsurf import cli, linalg
 from bigsurf.bigness import SweepReport
+from bigsurf.errors import DomainError
+from oracles import reference_config_from_dict
 
 
 def run_cli(capsys, *args):
@@ -526,6 +528,24 @@ def test_out_to_unwritable_path(tmp_path, capsys, argv):
     assert not target.exists()
 
 
+def test_unprintable_input_path_is_quoted_in_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "classify", "--input", "no\nsuch.json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot read 'no\\nsuch.json': No such file or directory\n"
+    assert len(err.splitlines()) == 1
+
+
+def test_unprintable_out_path_is_quoted_in_one_error_line(tmp_path, capsys):
+    target = tmp_path / "no\nsuch" / "report.json"
+    code, out, err = run_cli(capsys, "classify", "--json", LINE_CONIC_25, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "roots", "--json", '{"model":"generic","r":7}')
     _, second, _ = run_cli(capsys, "roots", "--json", '{"model":"generic","r":7}')
@@ -765,3 +785,37 @@ def test_cli_contract_on_random_requests(command, request, fmt):
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+
+def _parsed(parse, request):
+    """What parse makes of request: a configuration, or its DomainError's text."""
+    try:
+        return parse(request)
+    except DomainError as exc:
+        return str(exc)
+
+
+# `both` and `a` malformed at once: the table checks the fields in constructor
+# order (a, b, both), where the per-model parser read `both` first
+BAD_A_AND_BOTH = {"model": "line_conic", "a": "x", "b": 2, "both": "y"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(REQUESTS)
+@example(BAD_A_AND_BOTH)
+def test_table_parser_matches_the_per_model_parser(request):
+    """config_from_dict returns the configuration the per-model parser
+    returned, or raises a DomainError with the same text; the one exception
+    is a line_conic request whose `both` and `a` or `b` are all malformed,
+    where it names `a` or `b`."""
+    got, expected = _parsed(cli.config_from_dict, request), _parsed(
+        reference_config_from_dict, request)
+    if expected == "field line_conic.both must be an integer" and got != expected:
+        assert request["model"] == "line_conic"
+        assert got in ("field line_conic.a must be an integer",
+                       "field line_conic.b must be an integer")
+    else:
+        assert type(got) is type(expected) and got == expected
+    if request is BAD_A_AND_BOTH:
+        assert got == "field line_conic.a must be an integer"
+        assert expected == "field line_conic.both must be an integer"

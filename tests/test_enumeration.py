@@ -42,20 +42,20 @@ def test_no_points():
 
 def test_one_point():
     table = negative_classes(1)
-    assert table.minus_one_classes == (DivisorClass.of((0, 1)),)
+    assert table.minus_one_classes == (DivisorClass((0, 1)),)
     assert table.minus_two_roots == ()
 
 
 def test_two_points_listing():
     table = negative_classes(2)
     assert table.minus_one_classes == (
-        DivisorClass.of((0, 1, 0)),
-        DivisorClass.of((0, 0, 1)),
-        DivisorClass.of((1, -1, -1)),
+        DivisorClass((0, 1, 0)),
+        DivisorClass((0, 0, 1)),
+        DivisorClass((1, -1, -1)),
     )
     assert table.minus_two_roots == (
-        DivisorClass.of((0, 1, -1)),
-        DivisorClass.of((0, -1, 1)),
+        DivisorClass((0, 1, -1)),
+        DivisorClass((0, -1, 1)),
     )
 
 
@@ -132,7 +132,7 @@ def test_nef_samples_meet_anticanonical_positively(r, data):
     lattice = blowup_p2(r)
     table = negative_classes(r)
     coeffs = data.draw(st.lists(st.integers(-3, 6), min_size=r + 1, max_size=r + 1))
-    n = DivisorClass.of(coeffs)
+    n = DivisorClass(coeffs)
     if all(lattice.pair(n, c) >= 0 for c in table.minus_one_classes) and any(n.nums):
         assert lattice.pair(lattice.anticanonical, n) > 0
 
@@ -141,7 +141,7 @@ def test_canonical_seeds_are_nef():
     for r in range(2, 9):
         lattice = blowup_p2(r)
         table = negative_classes(r)
-        line = DivisorClass.of([1] + [0] * r)
+        line = DivisorClass([1] + [0] * r)
         seeds = [line, lattice.anticanonical, line + lattice.anticanonical]
         for n in seeds:
             assert all(lattice.pair(n, c) >= 0 for c in table.minus_one_classes)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigsurf import picard
-from bigsurf.bigness import orthogonal_complement
 from bigsurf.errors import DomainError
 from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
@@ -19,7 +18,6 @@ from bigsurf.picard import (
     ThreeLines,
     WitnessReport,
     anticanonical_components,
-    blowup_hirzebruch,
     blowup_p2,
     config_lattice,
     hirzebruch_model,
@@ -27,7 +25,8 @@ from bigsurf.picard import (
     verify_witness,
 )
 from bigsurf.zariski import FamilyParams
-from oracles import (FractionClass, arithmetic_genus, basis_class, blowup_p2_labels,
+from oracles import (FractionClass, arithmetic_genus, basis_class, blowup_hirzebruch,
+                     blowup_p2_labels, coeffs, rational_class,
                      castravet_witness_labels, config_labels, conic_witness_labels,
                      dense_gram, dot, fiber_strict, hirzebruch_labels, incidence_terms,
                      is_canonical, k_squared, labelled_class, labelled_components,
@@ -35,22 +34,22 @@ from oracles import (FractionClass, arithmetic_genus, basis_class, blowup_p2_lab
 
 
 def test_divisor_class_arithmetic():
-    a = DivisorClass.of([1, 2, 3])
-    b = DivisorClass.of([0, -1, 1])
-    assert (a + b).coeffs == (1, 1, 4)
-    assert (a - b).coeffs == (1, 3, 2)
-    assert (-a).coeffs == (-1, -2, -3)
-    assert (2 * a).coeffs == (2, 4, 6)
-    assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+    a = DivisorClass([1, 2, 3])
+    b = DivisorClass([0, -1, 1])
+    assert coeffs(a + b) == (1, 1, 4)
+    assert coeffs(a - b) == (1, 3, 2)
+    assert coeffs(-a) == (-1, -2, -3)
+    assert coeffs(2 * a) == (2, 4, 6)
+    assert coeffs(a * Fraction(1, 2)) == (Fraction(1, 2), 1, Fraction(3, 2))
     assert any(a.nums)
     assert not any((a - a).nums)
 
 
 def test_divisor_class_integrality():
-    a = DivisorClass.of([1, Fraction(4, 2)])
+    a = rational_class([1, Fraction(4, 2)])
     assert a.den == 1
     assert a.integral_coeffs() == (1, 2)
-    half = DivisorClass.of([Fraction(1, 2)])
+    half = DivisorClass((1,), 2)
     assert half.den != 1
     with pytest.raises(ValueError):
         half.integral_coeffs()
@@ -58,14 +57,14 @@ def test_divisor_class_integrality():
 
 def test_divisor_class_representation():
     """Int numerators over one denominator, in lowest terms."""
-    a = DivisorClass.of([Fraction(1, 3), Fraction(2, 3), 1])
+    a = rational_class([Fraction(1, 3), Fraction(2, 3), 1])
     assert (a.nums, a.den) == ((1, 2, 3), 3)
     assert DivisorClass((2, 4, 6), 6) == a
     assert DivisorClass((2, 4, 6), 6).nums == (1, 2, 3)
-    assert DivisorClass.of([2, 4]).den == 1
+    assert DivisorClass([2, 4]).den == 1
     assert (a * 3).den == 1 and (a * 3).nums == (1, 2, 3)
     assert (a * 0).nums == (0, 0, 0) and (a * 0).den == 1
-    assert hash(DivisorClass.of([Fraction(4, 2), 1])) == hash(DivisorClass.of([2, 1]))
+    assert hash(rational_class([Fraction(4, 2), 1])) == hash(DivisorClass([2, 1]))
     with pytest.raises(ValueError):
         DivisorClass((1, 2), 0)
     with pytest.raises(TypeError):
@@ -73,9 +72,9 @@ def test_divisor_class_representation():
 
 
 @pytest.mark.parametrize("values", [[0.1, 2], [1, 2.0], [float("nan")], ["1/2"]])
-def test_divisor_class_of_rejects_non_rationals(values):
+def test_divisor_class_rejects_non_int_numerators(values):
     with pytest.raises(TypeError):
-        DivisorClass.of(values)
+        DivisorClass(values)
 
 
 @st.composite
@@ -110,7 +109,7 @@ def lattice_and_values(draw):
 
 
 def assert_matches_oracle(c, f):
-    assert c.coeffs == f.coeffs
+    assert coeffs(c) == f.coeffs
     assert c.den >= 1 and math.gcd(c.den, *c.nums) == 1
     assert all(type(x) is int for x in c.nums)
     assert f.is_integral == (c.den == 1)
@@ -129,7 +128,7 @@ def test_divisor_class_matches_fraction_oracle(case, scalar):
     """The arithmetic of the oracle; the pairing on the same cases is
     checked against the dense Gram by test_structured_pair_matches_dense_gram."""
     _, xs, ys = case
-    a, b = DivisorClass.of(xs), DivisorClass.of(ys)
+    a, b = rational_class(xs), rational_class(ys)
     fa, fb = FractionClass.of(xs), FractionClass.of(ys)
     assert_matches_oracle(a, fa)
     assert_matches_oracle(b, fb)
@@ -149,7 +148,7 @@ def test_divisor_class_matches_fraction_oracle(case, scalar):
     assert (a == b) == (fa == fb)
     if a == b:
         assert hash(a) == hash(b)
-    same = DivisorClass.of(fa.coeffs)
+    same = rational_class(fa.coeffs)
     assert same == a and hash(same) == hash(a)
 
 
@@ -157,7 +156,7 @@ def test_plane_blowup_shape():
     lat = blowup_p2(6)
     assert lat.rank == 7
     assert type(lat.rank) is int
-    assert lat == PicardLattice(((1,),), 7, DivisorClass.of([-3] + [1] * 6))
+    assert lat == PicardLattice(((1,),), 7, DivisorClass([-3] + [1] * 6))
     gram = dense_gram(lat)
     assert gram[0][0] == 1
     assert all(gram[i][i] == -1 for i in range(1, 7))
@@ -190,7 +189,7 @@ def test_hirzebruch_blowup_shape():
     assert lat.pair(sigma, fiber) == 1
     assert lat.pair(fiber, fiber) == 0
     assert type(lat.rank) is int
-    assert lat == PicardLattice(((-4, 1), (1, 0)), 14, DivisorClass.of([-2, -6] + [1] * 12))
+    assert lat == PicardLattice(((-4, 1), (1, 0)), 14, DivisorClass([-2, -6] + [1] * 12))
 
 
 def test_hirzebruch_labels_with_section_points():
@@ -227,9 +226,9 @@ def test_strict_transforms_on_hirzebruch():
 
 def test_pairing_is_symmetric_and_bilinear():
     lat = blowup_hirzebruch(2, [(2, True)], extra_on_sigma=1)
-    a = DivisorClass.of([1, 2, -1, 3, 0, 1])
-    b = DivisorClass.of([0, 1, 1, -2, 5, -3])
-    c = DivisorClass.of([2, 0, 0, 1, 1, 1])
+    a = DivisorClass([1, 2, -1, 3, 0, 1])
+    b = DivisorClass([0, 1, 1, -2, 5, -3])
+    c = DivisorClass([2, 0, 0, 1, 1, 1])
     assert lat.pair(a, b) == lat.pair(b, a)
     assert lat.pair(a + c, b) == lat.pair(a, b) + lat.pair(c, b)
     assert lat.pair(3 * a, b) == 3 * lat.pair(a, b)
@@ -244,12 +243,12 @@ def test_arithmetic_genus_examples():
     assert arithmetic_genus(lat, 3 * line) == 1
     assert arithmetic_genus(blowup_p2(0), blowup_p2(0).anticanonical) == 1
     with pytest.raises(ValueError):
-        arithmetic_genus(lat, DivisorClass.of([Fraction(1, 2), 0, 0, 0]))
+        arithmetic_genus(lat, DivisorClass((1, 0, 0, 0), 2))
 
 
 def test_riemann_roch_on_nef_classes():
     p2 = blowup_p2(0)
-    assert riemann_roch_nef(p2, DivisorClass.of((0,) * p2.rank)) == 1
+    assert riemann_roch_nef(p2, DivisorClass((0,) * p2.rank)) == 1
     line = basis_class(blowup_p2_labels(0), "l")
     assert riemann_roch_nef(p2, line) == 3
     assert riemann_roch_nef(p2, 2 * line) == 6
@@ -260,7 +259,7 @@ def test_riemann_roch_on_nef_classes():
 def test_parity_of_square_and_canonical_degree(r, data):
     lat = blowup_p2(r)
     coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=r + 1, max_size=r + 1))
-    cls = DivisorClass.of(coeffs)
+    cls = DivisorClass(coeffs)
     assert (lat.pair(cls, cls) - lat.pair(cls, lat.canonical)) % 2 == 0
 
 
@@ -270,7 +269,7 @@ def test_structured_pair_matches_dense_gram(case):
     """On classes of the full rank the pairing is the dense Gram's; any
     other length, of either class, raises ValueError."""
     lat, xs, ys = case
-    a, b = DivisorClass.of(xs), DivisorClass.of(ys)
+    a, b = rational_class(xs), rational_class(ys)
     if not len(xs) == len(ys) == lat.rank:
         with pytest.raises(ValueError):
             lat.pair(a, b)
@@ -279,7 +278,7 @@ def test_structured_pair_matches_dense_gram(case):
         return
     value = lat.pair(a, b)
     assert type(value) is Fraction
-    assert value == dot(dense_gram(lat), a.coeffs, b.coeffs)
+    assert value == dot(dense_gram(lat), coeffs(a), coeffs(b))
     assert value == lat.pair(b, a)
 
 
@@ -308,9 +307,7 @@ def test_a_lattice_keeps_no_dense_form():
     for lat in [blowup_p2(r) for r in range(9)] + [
             blowup_hirzebruch(1, []), blowup_hirzebruch(3, [(2, True), (0, False)], 2)]:
         assert not hasattr(lat, "__dict__")
-        basis, gram = orthogonal_complement(lat, [])
-        assert basis == [tuple([int(i == j) for j in range(lat.rank)]) for i in range(lat.rank)]
-        assert gram == dense_gram(lat)
+        assert lat.gram_of([[(i, 1)] for i in range(lat.rank)]) == dense_gram(lat)
 
 
 @st.composite
@@ -496,17 +493,17 @@ def test_hirzebruch_model_rejects_a_bad_spec_wherever_it_sits(specs, bad, data):
 def test_pair_rejects_coordinates_beyond_the_rank():
     lat = blowup_p2(1)
     with pytest.raises(ValueError):
-        lat.pair(DivisorClass.of([0, 0, 1]), DivisorClass.of([1, 0]))
+        lat.pair(DivisorClass([0, 0, 1]), DivisorClass([1, 0]))
     with pytest.raises(ValueError):
-        lat.pair(DivisorClass.of([1, 0]), DivisorClass.of([0, 0, 1]))
+        lat.pair(DivisorClass([1, 0]), DivisorClass([0, 0, 1]))
     # a zero class is no exception, whichever class has the wrong length
     with pytest.raises(ValueError):
-        lat.pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([0, 0, 1]))
+        lat.pair(DivisorClass([0, 0, 0]), DivisorClass([0, 0, 1]))
     with pytest.raises(ValueError):
-        blowup_p2(2).pair(DivisorClass.of([0, 0, 0]), DivisorClass.of([1, 0, 0, 5]))
+        blowup_p2(2).pair(DivisorClass([0, 0, 0]), DivisorClass([1, 0, 0, 5]))
     # nor is a class shorter than the rank
     with pytest.raises(ValueError):
-        lat.pair(DivisorClass.of([1]), DivisorClass.of([1, 0]))
+        lat.pair(DivisorClass([1]), DivisorClass([1, 0]))
 
 
 def test_basis_class_unknown_label():
@@ -630,7 +627,7 @@ def test_hirzebruch_witness_residual_on_section_points(n, fibers, extra):
     report = verify_witness("hirzebruch_b", n=n, fibers=fibers, extra_on_sigma=extra)
     assert not report.holds
     labels = hirzebruch_labels(fibers, extra)
-    expected = DivisorClass.of((0,) * len(labels))
+    expected = DivisorClass((0,) * len(labels))
     for i, (_, on) in enumerate(fibers, start=1):
         if on:
             expected = expected + n * basis_class(labels, f"e{i}_s")
@@ -643,7 +640,7 @@ def test_witness_holds_at_n_5000(example, rank):
     # linear in the rank; a dense rank x rank form would not fit here
     report = verify_witness(example, n=5000)
     assert report.holds
-    assert len(report.lhs.coeffs) == rank
+    assert len(report.lhs.nums) == rank
     assert not any(report.residual.nums)
 
 
@@ -659,16 +656,16 @@ def test_conic_witness_holds(n):
     report = verify_witness("conic_c", n=n)
     assert report.holds
     assert report.lhs == report.big_part + report.effective_part
-    assert len(report.lhs.coeffs) == n + 2
+    assert len(report.lhs.nums) == n + 2
 
 
 def test_castravet_witness():
     report = verify_witness("castravet_d")
     assert report.holds
-    assert len(report.lhs.coeffs) == 11
-    assert report.big_part.coeffs[0] == 1
+    assert len(report.lhs.nums) == 11
+    assert coeffs(report.big_part)[0] == 1
     # the effective part is the union of the five lines: 5l - 2 sum(e)
-    assert report.effective_part.coeffs == (5,) + (-2,) * 10
+    assert coeffs(report.effective_part) == (5,) + (-2,) * 10
 
 
 def test_unknown_witness_rejected():
@@ -728,7 +725,7 @@ def _labelled_witness(example: str, lattice: PicardLattice, labels: tuple[str, .
     points): each curve a class of its own, built from the label-built
     incidences over the lattice's reference labels, and the classes summed
     with DivisorClass arithmetic."""
-    eff = DivisorClass.of([0] * len(labels))
+    eff = DivisorClass([0] * len(labels))
     for curve, points, times in curves:
         eff = eff + times * labelled_class(labels, incidence_terms(labels, curve, points))
     lhs = multiple * lattice.anticanonical
@@ -739,7 +736,7 @@ def _labelled_witness(example: str, lattice: PicardLattice, labels: tuple[str, .
 
 def _plane(labels: tuple[str, ...]) -> PicardLattice:
     rank = len(labels)
-    return PicardLattice(((1,),), rank, DivisorClass.of([-3] + [1] * (rank - 1)))
+    return PicardLattice(((1,),), rank, DivisorClass([-3] + [1] * (rank - 1)))
 
 
 def _labelled_hirzebruch(n: int, fibers: list[tuple[int, bool]],
@@ -791,7 +788,7 @@ def _witness_reports() -> list[WitnessReport]:
 
 
 def test_witness_classes_are_canonical():
-    # _report builds its classes without DivisorClass.of's type scan
+    # _report builds its classes without the constructor's type scan
     for report in _witness_reports():
         for cls in (report.lhs, report.big_part, report.effective_part, report.residual):
             assert is_canonical(cls), report
@@ -839,7 +836,7 @@ def assert_labels_name_the_basis(lattice: PicardLattice, labels: tuple[str, ...]
     assert lattice.rank == len(labels) == len(set(labels))
     head = [basis_class(labels, x) for x in labels[:len(lattice.head)]]
     assert [[lattice.pair(u, v) for v in head] for u in head] == [list(r) for r in lattice.head]
-    assert lattice.canonical == DivisorClass.of([canonical.get(x, 1) for x in labels])
+    assert lattice.canonical == DivisorClass([canonical.get(x, 1) for x in labels])
 
 
 @pytest.mark.parametrize("r", [0, 1, 2, 8, 9, 10, 11, 99, 100, 101, 1000])
@@ -885,21 +882,21 @@ def test_a_lattice_is_its_form():
     assert lattice != blowup_hirzebruch(1, [(12, False)])
 
 
-K3 = DivisorClass.of([-3, 1, 1])
+K3 = DivisorClass([-3, 1, 1])
 
 
 @pytest.mark.parametrize("head, rank, canonical, message", [
     (((1,),), 1, K3, "canonical class length does not match the rank"),
     (((1,),), 4, K3, "canonical class length does not match the rank"),
-    (((1,),), -1, DivisorClass.of([]), "rank must be a non-negative int"),
+    (((1,),), -1, DivisorClass([]), "rank must be a non-negative int"),
     (((1,),), 3.0, K3, "rank must be a non-negative int"),
-    (((1,),), True, DivisorClass.of([-3]), "rank must be a non-negative int"),
+    (((1,),), True, DivisorClass([-3]), "rank must be a non-negative int"),
     (((1,),), "3", K3, "rank must be a non-negative int"),
     (((1, 0),), 3, K3, "head must be a square block of at most rank classes"),
     (((-1, 1), (1,)), 3, K3, "head must be a square block of at most rank classes"),
-    (((-1, 1), (1, 0)), 1, DivisorClass.of([-3]),
+    (((-1, 1), (1, 0)), 1, DivisorClass([-3]),
      "head must be a square block of at most rank classes"),
-    (((1,),), 0, DivisorClass.of([]), "head must be a square block of at most rank classes"),
+    (((1,),), 0, DivisorClass([]), "head must be a square block of at most rank classes"),
 ])
 def test_picard_lattice_validates_at_construction(head, rank, canonical, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

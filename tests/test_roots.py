@@ -21,7 +21,7 @@ from bigsurf.roots import (
     type_string,
 )
 from oracles import (basis_class, box_short_vectors, config_labels, determinant, dot,
-                     solve_rational)
+                     reference_predicted_type, reference_sweep_groups, solve_rational)
 
 A2 = [[-2, 1], [1, -2]]
 
@@ -82,7 +82,7 @@ def test_extract_roots_agrees_with_box_search():
 def test_classify_empty():
     report = classify([], [[-4]])
     assert report.components == ()
-    assert report.root_count == 0
+    assert len(report.roots) == 0
     assert type_string(report.components) == "0"
 
 
@@ -426,6 +426,15 @@ def test_exceptional_types(config, expected):
     roots = extract_roots(gram)
     report = classify(roots, gram)
     assert report.components == expected
+
+
+def test_predicted_type_is_the_per_model_rule():
+    """One T_{p,q,r} at config.arms gives the type the isinstance chain gave,
+    on every configuration of agreement_sweep(12, 12, 10) and on Generic(0..20)."""
+    configs = [Generic(r) for r in range(21)] + [
+        config for _, members in reference_sweep_groups(12, 12, 10) for _, config in members]
+    assert len(configs) == 21 + 3 * 13 * 13 + 8 * 11 ** 3
+    assert [predicted_type(c) for c in configs] == [reference_predicted_type(c) for c in configs]
 
 
 def test_predicted_type_outside_table():

@@ -18,13 +18,11 @@ import pytest
 
 import bigsurf
 from bigsurf import (CrossCheckReport, DivisorClass, DomainError, FamilyParams, Generic,
-                     LineConic, LogCanonicalResult, NegativeClassTable,
-                     PicardLattice, ThreeLines, WitnessReport, ZariskiChecks,
-                     blowup_hirzebruch, blowup_p2, classify_anticanonical)
-from bigsurf.bigness import orthogonal_complement
-from oracles import dense_gram
+                     LineConic, NegativeClassTable, PicardLattice, ThreeLines,
+                     WitnessReport, ZariskiChecks, blowup_p2, classify_anticanonical)
+from oracles import LogCanonicalResult, blowup_hirzebruch, dense_gram
 
-D = DivisorClass.of([-3, 1])
+D = DivisorClass([-3, 1])
 VERDICT = classify_anticanonical(LineConic(2, 5))
 
 # type, positional arguments, arguments of an unequal instance, the fields
@@ -121,7 +119,7 @@ def test_pickled_lattice_rebuilds_its_cache():
     lattice = blowup_hirzebruch(2, [(1, True)], 1)
     back = pickle.loads(pickle.dumps(lattice))
     assert back == lattice
-    assert orthogonal_complement(back, [])[1] == dense_gram(lattice)
+    assert back.gram_of([[(i, 1)] for i in range(back.rank)]) == dense_gram(lattice)
 
 
 @pytest.mark.parametrize("build, plain", [
