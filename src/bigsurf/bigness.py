@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
@@ -33,6 +32,9 @@ from .picard import (
     incidence_class,
     model_class,
 )
+
+if TYPE_CHECKING:  # _closed_form imports it, so a roots request never loads it
+    from fractions import Fraction
 
 Vec = tuple[int, ...]
 
@@ -96,6 +98,7 @@ def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessV
     v_sq = lattice.pair(v, v)
     if v_sq != prod * (prod - num):
         raise InvariantError(f"v^2 = {v_sq} disagrees with the closed form for {config}")
+    from fractions import Fraction
     return BignessVerdict(num > prod, config.case, Fraction(num, prod), v, v_sq,
                           config.effective)
 

@@ -20,6 +20,10 @@ Importing this module loads only `errors`, `picard` and `serialize` from
 the package: each subcommand imports the computation modules it runs
 when it runs.  `--help` and `witness` load none of them, `enumerate`
 only `linalg` and `enumeration`, and none of the three `dataclasses`.
+Nor does it load `fractions` (which loads `decimal` and `numbers`): each
+module imports `Fraction` in the code that builds one, so `--help`,
+`witness` and `roots` never load it, and classify, check, zariski,
+enumerate and sweep load it on first use.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ on surfaces need: saturated integer kernels, negative definiteness by
 Sylvester's criterion on the pivots of one unpivoted fraction-free
 elimination, Gram restriction to a sublattice, and bounded short-vector
 enumeration on symmetric forms whose entries are exact ints (a Fraction,
-bool or numpy entry raises DomainError).
+bool or numpy entry raises DomainError) under a bound that is an int by
+`operator.index` (a float or Fraction bound raises DomainError).
 
 Matrices are plain sequences of rows; vectors come back as tuples so they can
 be hashed and compared.  Those tuples are built from lists, whose length
@@ -18,6 +19,7 @@ another length's free list (see `picard.DivisorClass`).
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -222,7 +224,9 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     <= 0, or a stop at a zero minor, means the form is not negative
     definite and raises NotNegativeDefiniteError; no separate definiteness
     pass runs, and the elimination runs before a bound <= 0 returns [].  The search needs no
-    evenness: odd forms are enumerated the same way.
+    evenness: odd forms are enumerated the same way.  bound is read by
+    operator.index, so any other type (a float or a Fraction) raises
+    DomainError before the elimination.
 
     The search is iterative, so its depth is not limited by Python's
     recursion limit.  Coordinates are fixed from x_{n-1} = v_0 down; level
@@ -238,6 +242,10 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     and puts each negation before every visited vector, so the negations,
     reversed, followed by the visited vectors are sorted with no sort.
     """
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise DomainError(f"bound must be an int, not {type(bound).__name__}") from None
     a = _symmetric_int_rows(g)
     n = len(a)
     minor = [1]

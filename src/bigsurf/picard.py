@@ -32,20 +32,30 @@ states its `request` fields, root-type triple `arms` and sweep `groups`.
 
 A lattice is its form: a basis is fixed by its order, which the builders
 below state, and no basis class carries a name.
+
+Only `PicardLattice.pair` and `DivisorClass.__mul__` by a non-int scalar
+build or test a Fraction, and each imports `fractions` there: importing
+this module loads neither `fractions` nor the `decimal` and `numbers`
+modules it pulls in.  The `Rational` and `Terms` aliases exist for
+annotations only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from importlib import import_module
 from itertools import chain, combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, InvariantError
 
-Rational = int | Fraction
+if TYPE_CHECKING:  # the aliases appear in annotations only
+    from fractions import Fraction
+
+    Rational = int | Fraction
+    # a sparse class: (basis index, coefficient) pairs, zero coefficients left out
+    Terms = Sequence[tuple[int, Rational]]
 
 
 _set = object.__setattr__
@@ -144,10 +154,11 @@ class DivisorClass(Frozen):
     def __mul__(self, scalar: Rational) -> "DivisorClass":
         if isinstance(scalar, int):
             num, den = scalar, self.den
-        elif isinstance(scalar, Fraction):
-            num, den = scalar.numerator, self.den * scalar.denominator
         else:
-            return NotImplemented
+            from fractions import Fraction
+            if not isinstance(scalar, Fraction):
+                return NotImplemented
+            num, den = scalar.numerator, self.den * scalar.denominator
         return _new(*_lowest(tuple([x * num for x in self.nums]), den))
 
     __rmul__ = __mul__
@@ -176,10 +187,6 @@ def _lowest(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         if g != 1:
             return tuple([x // g for x in nums]), den // g
     return nums, den
-
-
-# a sparse class: (basis index, coefficient) pairs, zero coefficients left out
-Terms = Sequence[tuple[int, Rational]]
 
 
 def add_terms(vec: list[Rational], terms: Terms, times: Rational = 1) -> None:
@@ -286,6 +293,7 @@ class PicardLattice(Frozen):
         for xi, row in zip(x, self.head):
             if xi:
                 total += xi * sum(map(operator.mul, row, y))
+        from fractions import Fraction
         return Fraction(total, a.den * b.den)
 
     @property

@@ -10,10 +10,11 @@ tests read them back with live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:  # the report types appear in annotations only
+if TYPE_CHECKING:  # the report types and Fraction appear in annotations only
+    from fractions import Fraction
+
     from .bigness import BignessVerdict, CrossCheckReport, SweepReport
     from .enumeration import NegativeClassTable
     from .picard import DivisorClass, WitnessReport
@@ -28,6 +29,7 @@ __all__ = [
 
 
 def frac_str(value: int | Fraction) -> str:
+    from fractions import Fraction
     return str(Fraction(value))
 
 
@@ -41,6 +43,7 @@ def divisor_to_list(divisor: DivisorClass) -> list[str]:
     den = divisor.den
     if den == 1:
         return [str(x) for x in divisor.nums]
+    from fractions import Fraction
     return [str(Fraction(x, den)) for x in divisor.nums]
 
 

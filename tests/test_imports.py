@@ -1,8 +1,9 @@
 """The import graph and the lazy package namespace.
 
 `import bigsurf` loads no submodule and `import bigsurf.cli` no computation
-module; each exported name, and each computation name of the CLI, loads
-its module on first use.  Module sets are read in fresh interpreters.
+module and no `fractions`; each exported name, and each computation name of
+the CLI, loads its module on first use, and `fractions` loads where a
+Fraction is built.  Module sets are read in fresh interpreters.
 """
 
 import importlib
@@ -17,6 +18,9 @@ from bigsurf import cli
 COMPUTATION = {f"bigsurf.{m}" for m in ("bigness", "roots", "zariski", "enumeration", "linalg")}
 ZARISKI = '{"model":"hirzebruch_family","n":2,"k":3,"a":[2,3,7]}'
 LINE_CONIC_25 = '{"model":"line_conic","a":2,"b":5,"both":0}'
+# Fraction's module and the `decimal` it loads; a request that builds no
+# Fraction loads neither
+FRACTIONS = {"fractions", "decimal"}
 
 
 def loaded_by(statement: str, *argv: str) -> set[str]:
@@ -40,17 +44,19 @@ def test_import_bigsurf_loads_no_submodule():
 
 
 @pytest.mark.parametrize("statement, argv, absent", [
-    ("import bigsurf.cli as cli", (), COMPUTATION | {"dataclasses"}),
-    ("from bigsurf import cli", ("--help",), COMPUTATION | {"dataclasses"}),
+    ("import bigsurf.cli as cli", (), COMPUTATION | {"dataclasses"} | FRACTIONS),
+    ("from bigsurf import cli", ("--help",), COMPUTATION | {"dataclasses"} | FRACTIONS),
     ("from bigsurf import cli", ("witness", "--json", '{"example":"conic_c","n":5}'),
-     {"dataclasses"}),
+     {"dataclasses"} | FRACTIONS),
     ("from bigsurf import cli", ("enumerate", "--json", '{"model":"generic","r":6}'),
      {"dataclasses"}),
     ("from bigsurf import cli", ("zariski", "--json", ZARISKI),
      {"bigsurf.bigness", "bigsurf.roots"}),
     ("from bigsurf import cli", ("classify", "--json", LINE_CONIC_25),
      {"bigsurf.zariski", "bigsurf.enumeration"}),
-], ids=["import", "help", "witness", "enumerate", "zariski", "classify"])
+    ("from bigsurf import cli", ("roots", "--json", LINE_CONIC_25),
+     {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS),
+], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots"])
 def test_each_subcommand_loads_only_what_it_runs(statement, argv, absent):
     loaded = loaded_by(statement, *argv)
     assert "bigsurf.cli" in loaded

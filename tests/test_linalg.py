@@ -465,6 +465,20 @@ def test_short_vectors_degenerate_input():
     assert short_vectors([[-2]], 0) == []
 
 
+@pytest.mark.parametrize("bound", [2.5, 0.0, 2.0, Fraction(2), "2", None],
+                         ids=["float", "zero-float", "integral-float", "Fraction", "str", "None"])
+@pytest.mark.parametrize("g", [[[-2]], [[1]]], ids=["definite", "indefinite"])
+def test_short_vectors_refuses_a_bound_that_is_not_an_int(g, bound):
+    # the bound is read by operator.index before the elimination runs, so no
+    # float reaches math.isqrt and an indefinite form is refused for its bound
+    with pytest.raises(DomainError, match=f"bound must be an int, not {type(bound).__name__}"):
+        short_vectors(g, bound)
+
+
+def test_short_vectors_reads_the_bound_by_index():
+    assert short_vectors([[-2]], np.int64(2)) == short_vectors([[-2]], 2) == [(-1,), (1,)]
+
+
 @pytest.mark.parametrize("g", [[[1]], [[0, 1], [1, 0]]])
 @pytest.mark.parametrize("bound", [0, -1])
 def test_short_vectors_checks_definiteness_before_empty_bound(g, bound):
