@@ -225,8 +225,8 @@ def short_vectors(g: IntRows, bound: int) -> list[Vec]:
     definite and raises NotNegativeDefiniteError; no separate definiteness
     pass runs, and the elimination runs before a bound <= 0 returns [].  The search needs no
     evenness: odd forms are enumerated the same way.  bound is read by
-    operator.index, so any other type (a float or a Fraction) raises
-    DomainError before the elimination.
+    operator.index, as every count is, so True is read as 1 and any other
+    type (a float or a Fraction) raises DomainError before the elimination.
 
     The search is iterative, so its depth is not limited by Python's
     recursion limit.  Coordinates are fixed from x_{n-1} = v_0 down; level

@@ -68,30 +68,29 @@ def expected_root_count(family: str, rank: int) -> int:
     raise ValueError(f"unknown root-system type {family}{rank}")
 
 
-def _recognize(nodes: list[int], cartan: list[list[int]],
-               degree: dict[int, int]) -> Component:
-    """Match one connected Dynkin component against the A, D and E diagrams."""
+def _reach(start: int, adjacent: list[list[int]], seen: set[int]) -> list[int]:
+    """The nodes start reaches without entering seen, start first, added to seen."""
+    nodes = [start]
+    seen.add(start)
+    for u in nodes:
+        fresh = [v for v in adjacent[u] if v not in seen]
+        seen.update(fresh)
+        nodes += fresh
+    return nodes
+
+
+def _recognize(nodes: list[int], adjacent: list[list[int]]) -> Component:
+    """Name a connected Dynkin component as T_{p,q,r}; an arm is what a hub neighbour reaches."""
     n = len(nodes)
-    edges = sum(1 for i, u in enumerate(nodes) for v in nodes[i + 1:] if cartan[u][v])
-    if edges != n - 1:
+    if sum(len(adjacent[u]) for u in nodes) != 2 * (n - 1):
         raise InvariantError("component graph is not a tree; lattice cannot be finite type")
-    branch = [u for u in nodes if degree[u] >= 3]
+    branch = [u for u in nodes if len(adjacent[u]) >= 3]
     if not branch:
         return ("A", n)
-    if len(branch) > 1 or degree[branch[0]] > 3:
+    if len(branch) > 1 or len(adjacent[branch[0]]) > 3:
         raise InvariantError("branching beyond a single degree-3 node; not a finite type")
-    hub = branch[0]
-    arms = []
-    for start in (v for v in nodes if cartan[hub][v] and v != hub):
-        length, prev, cur = 1, hub, start
-        while True:
-            nxt = [w for w in nodes if cartan[cur][w] and w not in (prev, cur)]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
+    seen = {branch[0]}
+    arms = sorted(len(_reach(v, adjacent, seen)) for v in adjacent[branch[0]])
     found = _t_type(*(length + 1 for length in arms))
     if found is None:
         raise InvariantError(f"branched diagram with arms {arms}; not a finite type")
@@ -158,7 +157,8 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     The gram is an int matrix, as for short_vectors.  With every simple
     root of square -2 the Cartan matrix, 2 (s_i, s_j) / (s_j, s_j), is minus
     the Gram of the simple roots; any other square (an odd form) raises
-    DomainError.
+    DomainError.  One adjacency list of the Dynkin diagram and one reach
+    walk (_reach) give its components and their T_{p,q,r} arms.
 
     The sum of the catalog root counts of the recognized components must
     reproduce the input size exactly; any mismatch raises InvariantError,
@@ -206,21 +206,11 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
     if any(x not in (0, -1) for i, row in enumerate(cartan) for x in row[i + 1:]):
         raise InvariantError("off-diagonal Cartan entry outside {0, -1} among simple roots")
 
-    degree = {i: sum(1 for j in range(k) if j != i and cartan[i][j]) for i in range(k)}
+    adjacent = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
     seen: set[int] = set()
-    components: list[Component] = []
-    for start in range(k):
-        if start in seen:
-            continue
-        stack, nodes = [start], []
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            nodes.append(u)
-            stack.extend(j for j in range(k) if j != u and cartan[u][j] and j not in seen)
-        components.append(_recognize(sorted(nodes), cartan, degree))
+    # each start is tested after the walks before it have grown seen
+    components = [_recognize(_reach(start, adjacent, seen), adjacent)
+                  for start in range(k) if start not in seen]
 
     expected = sum(expected_root_count(f, r) for f, r in components)
     if expected != len(codes):
@@ -228,7 +218,7 @@ def classify(roots: Sequence[Sequence[int]], gram: Gram) -> RootSystemReport:
             f"root count {len(codes)} does not match classified type "
             f"(expected {expected}); enumeration and recognition disagree")
 
-    graph = tuple((i, j, 1) for i in range(k) for j in range(i + 1, k) if cartan[i][j])
+    graph = tuple((i, j, 1) for i in range(k) for j in adjacent[i] if j > i)
     return RootSystemReport(tuple(map(by_code.__getitem__, codes)), tuple(simple),
                             tuple(tuple(row) for row in cartan),
                             _normalize(components), graph)

@@ -479,6 +479,13 @@ def test_short_vectors_reads_the_bound_by_index():
     assert short_vectors([[-2]], np.int64(2)) == short_vectors([[-2]], 2) == [(-1,), (1,)]
 
 
+def test_short_vectors_reads_a_bool_bound_as_its_int():
+    # the bound is a count, read by operator.index as every count in the
+    # package is (negative_classes, blowup_hirzebruch and verify_witness
+    # take True for 1 too), so True bounds the squares by 1
+    assert short_vectors([[-1]], True) == short_vectors([[-1]], 1) == [(-1,), (1,)]
+
+
 @pytest.mark.parametrize("g", [[[1]], [[0, 1], [1, 0]]])
 @pytest.mark.parametrize("bound", [0, -1])
 def test_short_vectors_checks_definiteness_before_empty_bound(g, bound):

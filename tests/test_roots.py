@@ -273,6 +273,40 @@ def test_classify_rejects_incomplete_list():
         classify(roots, A2)
 
 
+def diagram_gram(k, edges):
+    """Minus the Cartan matrix of a simply-laced diagram on k nodes: the Gram
+    whose unit vectors have that diagram as their Dynkin diagram."""
+    gram = [[-2 if i == j else 0 for j in range(k)] for i in range(k)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram
+
+
+NON_FINITE_DIAGRAMS = {
+    "A~2 triangle": (3, [(0, 1), (1, 2), (0, 2)],
+                     "component graph is not a tree; lattice cannot be finite type"),
+    "D~4 star": (5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+                 "branching beyond a single degree-3 node; not a finite type"),
+    "D~5 two hubs": (6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)],
+                     "branching beyond a single degree-3 node; not a finite type"),
+    "E~8 = T_{2,3,6}": (9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)],
+                        "branched diagram with arms [1, 2, 5]; not a finite type"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_DIAGRAMS)
+def test_classify_rejects_non_finite_diagrams(name):
+    # the unit vectors are the simple roots, so the diagram reaches the
+    # recognizer as given; the form is not negative definite, which
+    # classify does not check
+    k, edges, message = NON_FINITE_DIAGRAMS[name]
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    roots = units + [tuple(-x for x in u) for u in units]
+    with pytest.raises(InvariantError) as raised:
+        classify(roots, diagram_gram(k, edges))
+    assert str(raised.value) == message
+
+
 def test_classify_rejects_unbalanced_signs():
     with pytest.raises(ValueError):
         classify([(1, 0), (0, 1), (-1, 0)], A2)
