@@ -32,16 +32,15 @@ _EXPORTS = {name: f"{module}.{name}" for module, names in (
     ("linalg", ("gram_restrict", "integer_kernel", "is_negative_definite",
                 "short_vectors")),
     ("picard", ("DivisorClass", "PicardLattice", "Generic", "LineConic",
-                "ThreeLines", "WitnessReport", "blowup_p2", "config_lattice",
-                "anticanonical_components", "verify_witness")),
+                "ThreeLines", "FamilyParams", "WitnessReport", "blowup_p2",
+                "config_lattice", "anticanonical_components", "verify_witness")),
     ("bigness", ("BignessVerdict", "CrossCheckReport", "SweepReport",
                  "classify_anticanonical", "cross_check", "is_big_supported",
                  "orthogonal_complement", "agreement_sweep")),
     ("roots", ("RootSystemReport", "classify", "extract_roots",
                "expected_root_count", "predicted_type", "root_lattice_of_config",
                "type_string", "coxeter_dot")),
-    ("zariski", ("FamilyParams", "ZariskiChecks", "ZariskiReport",
-                 "zariski_decompose")),
+    ("zariski", ("ZariskiChecks", "ZariskiReport", "zariski_decompose")),
     ("enumeration", ("NegativeClassTable", "negative_classes")),
 ) for name in names}
 

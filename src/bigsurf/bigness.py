@@ -24,13 +24,14 @@ from .errors import DomainError, InvariantError
 from .linalg import gram_restrict, integer_kernel, is_negative_definite
 from .picard import (
     DivisorClass,
+    LineConic,
     PicardLattice,
     PointConfiguration,
+    ThreeLines,
     _components,
     _count,
     config_lattice,
     incidence_class,
-    model_class,
 )
 
 if TYPE_CHECKING:  # _closed_form imports it, so a roots request never loads it
@@ -174,17 +175,17 @@ def agreement_sweep(max_a: int = 12, max_b: int = 12, max_ai: int = 10) -> Sweep
             raise DomainError(f"sweep bound {name} must be nonnegative, got {value}")
     disagreements: list[str] = []
     flag_violations: list[str] = []
-    counts: dict[str, int] = {}
-    for name, bounds in (("line_conic", (max_a, max_b)), ("three_lines", (max_ai,))):
-        counts[name] = 0
-        for label, members in model_class(name).groups(*bounds):
+    counts: list[int] = []
+    for model, bounds in ((LineConic, (max_a, max_b)), (ThreeLines, (max_ai,))):
+        counts.append(0)
+        for label, members in model.groups(*bounds):
             verdicts = set()
             for member, config in members:
                 report = cross_check(config)
                 if not report.ok:
                     disagreements.append(f"{label} {member}")
                 verdicts.add(report.verdict.big)
-            counts[name] += len(members)
+            counts[-1] += len(members)
             if len(verdicts) != 1:
                 flag_violations.append(label)
-    return SweepReport(*counts.values(), tuple(disagreements), tuple(flag_violations))
+    return SweepReport(*counts, tuple(disagreements), tuple(flag_violations))

@@ -3,12 +3,13 @@
 Subcommands: classify, check, roots, zariski, enumerate, witness, sweep.
 Configurations arrive as JSON (inline via --json or from a file via
 --input) with a "model" discriminator naming a class of `picard.MODELS`,
-whose `request` lists the fields `config_from_dict` reads.  Reports leave
-as JSON, DOT (roots only) or plain text.  Exit status: 0 on success, 1 when
-the input is outside the supported domain or a file, stdout included,
-cannot be read or written, 2 when an internal cross-check fails
-(`InvariantError`, reported in one stderr line).  Any other uncaught error
-ends the process with Python's status 1 and a traceback.
+whose `request` lists the fields `config_from_dict` reads; `_field` reads
+each field of every request.  Reports leave as JSON, DOT (roots only) or
+plain text.  Exit status: 0 on success, 1 when the input is outside the
+supported domain or a file, stdout included, cannot be read or written, 2
+when an internal cross-check fails (`InvariantError`, reported in one
+stderr line).  Any other uncaught error ends the process with Python's
+status 1 and a traceback.
 
 `main()` returns the status the process exits with: it flushes the report
 it writes to stdout, so that an unwritable stdout is status 1 whatever its
@@ -33,15 +34,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from . import _lazy_names, serialize as ser
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
-from .picard import (MODELS, Generic, PointConfiguration, check_witness_fields,
-                     model_class, verify_witness)
-
-if TYPE_CHECKING:
-    from .zariski import FamilyParams
+from .picard import (MODELS, FamilyParams, Generic, PointConfiguration,
+                     check_witness_fields, verify_witness)
 
 __all__ = ["config_from_dict", "main", "run"]
 
@@ -77,33 +75,22 @@ def _check_fields(data: dict[str, Any], where: str,
             raise DomainError(f"unknown field: {where}.{_printable(key)}")
 
 
-def _int_field(data: dict[str, Any], where: str, key: str) -> int:
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"field {where}.{key} must be an integer")
-    return value
-
-
-def _int_list_field(data: dict[str, Any], where: str, key: str,
-                    length: int | None) -> list[int]:
-    value = data[key]
-    if (not isinstance(value, list)
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        raise DomainError(f"field {where}.{key} must be a list of integers")
-    if length is not None and len(value) != length:
-        raise DomainError(f"field {where}.{key} must list exactly {length} entries")
-    return value
-
-
 def _field(data: dict[str, Any], where: str, key: str, kind: Any) -> Any:
+    """data[key], checked against kind: int, or (int, length) or
+    (bool, length) for a list (length None: any number of entries)."""
+    value, name = data[key], f"field {where}.{key}"
     if kind is int:
-        return _int_field(data, where, key)
-    if kind[0] is int:
-        return _int_list_field(data, where, key, kind[1])
-    value = data[key]
-    if not isinstance(value, list) or len(value) != kind[1] or not all(
-            isinstance(v, bool) for v in value):
-        raise DomainError(f"field {where}.{key} must list exactly {kind[1]} booleans")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer")
+    elif kind[0] is bool:
+        if not isinstance(value, list) or len(value) != kind[1] or not all(
+                isinstance(v, bool) for v in value):
+            raise DomainError(f"{name} must list exactly {kind[1]} booleans")
+    elif (not isinstance(value, list)
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
+        raise DomainError(f"{name} must be a list of integers")
+    elif kind[1] is not None and len(value) != kind[1]:
+        raise DomainError(f"{name} must list exactly {kind[1]} entries")
     return value
 
 
@@ -113,7 +100,7 @@ def config_from_dict(data: Any) -> PointConfiguration | FamilyParams:
     name = data.get("model")
     if name is None:
         raise DomainError("missing field: model")
-    cls = model_class(name)
+    cls = MODELS.get(name) if isinstance(name, str) else None
     if cls is None:
         raise DomainError(
             f"unknown model: {name!r} (expected one of {', '.join(MODELS)})")
@@ -152,7 +139,7 @@ def _witness_args(data: Any) -> dict[str, Any]:
         raise DomainError("field witness.example must be a string")
     kwargs: dict[str, Any] = {"example": example}
     if "n" in data:
-        kwargs["n"] = _int_field(data, "witness", "n")
+        kwargs["n"] = _field(data, "witness", "n", int)
     if "fibers" in data:
         fibers = data["fibers"]
         if (not isinstance(fibers, list)
@@ -163,7 +150,7 @@ def _witness_args(data: Any) -> dict[str, Any]:
                 "field witness.fibers must list [count, on_section] pairs")
         kwargs["fibers"] = [tuple(f) for f in fibers]
     if "extra_on_sigma" in data:
-        kwargs["extra_on_sigma"] = _int_field(data, "witness", "extra_on_sigma")
+        kwargs["extra_on_sigma"] = _field(data, "witness", "extra_on_sigma", int)
     # every key counts, even one that holds its default value
     check_witness_fields(example, kwargs.get("n"), [k for k in data if k != "example"])
     return kwargs

@@ -16,19 +16,20 @@ Points carry no coordinates; a configuration records only the combinatorial
 incidence data (which curves each point lies on), which is all the lattice
 computations see.  Every configuration lies on a cubic: a smooth one
 (`Generic`, case i), a line and a conic (`LineConic`, ii) or three lines
-(`ThreeLines`, iii).  Each stores only its counts and flags, and states
-its incidence data once, as properties computed from them: `curves` lists
-each component curve as (degree, number of points on it alone), `shared`
-lists each blown-up point on two components as the pair of those curves'
-indices, and `effective` says whether the cubic certifies an effective
-anticanonical member (None: undecided).  The configuration lattice, its
-basis order (l, then each curve's own points in curve order, then the
-shared points) and the anticanonical components are all derived from that
-description here, and nowhere else; `incidence_class` lays out every class
-on that basis.
+(`ThreeLines`, iii), each a subclass of `PointConfiguration`.  Each stores
+only its counts and flags, and states its incidence data once, as
+properties computed from them: `curves` lists each component curve as
+(degree, number of points on it alone), `shared` lists each blown-up point
+on two components as the pair of those curves' indices, and `effective`
+says whether the cubic certifies an effective anticanonical member (None:
+undecided).  The configuration lattice, its basis order (l, then each
+curve's own points in curve order, then the shared points) and the
+anticanonical components are all derived from that description here, and
+nowhere else; `incidence_class` lays out every class on that basis.
 
 A model is one class, which `MODELS` maps its request name to; it also
 states its `request` fields, root-type triple `arms` and sweep `groups`.
+The fourth model, `FamilyParams`, is defined here beside the three.
 
 A lattice is its form: a basis is fixed by its order, which the builders
 below state, and no basis class carries a name.
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 import operator
-from importlib import import_module
 from itertools import chain, combinations, product
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -69,7 +69,8 @@ class Frozen:
     stores each field with `_set`.  Equality (with an instance of the same
     class only), hash, repr and pickling go by the field values, as for a
     frozen dataclass, and assigning or deleting an attribute raises
-    AttributeError.
+    AttributeError.  A subclass with no fields is a base that carries
+    shared defaults, such as `PointConfiguration`.
     """
 
     __slots__ = ()
@@ -77,7 +78,8 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = operator.attrgetter(*cls._fields)  # the field values, read in C
+        if cls._fields:
+            cls._key = operator.attrgetter(*cls._fields)  # the field values, read in C
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -212,8 +214,8 @@ class PicardLattice(Frozen):
     Equality, hash, repr and pickling go by (head, rank, canonical), so two
     models with the same form and canonical class build equal lattices.
     The constructor raises ValueError for a rank that is not a
-    non-negative int, a head that is not a square block of at most rank
-    classes, or a canonical class of any length but rank.
+    non-negative int, a head that is not a symmetric square block of at
+    most rank classes, or a canonical class of any length but rank.
     """
 
     _fields = __slots__ = ("head", "rank", "canonical")
@@ -224,6 +226,8 @@ class PicardLattice(Frozen):
             raise ValueError("rank must be a non-negative int")
         if len(head) > rank or any(len(row) != len(head) for row in head):
             raise ValueError("head must be a square block of at most rank classes")
+        if any(row[j] != head[j][i] for i, row in enumerate(head) for j in range(i)):
+            raise ValueError("head must be symmetric")
         if len(canonical.nums) != rank:
             raise ValueError("canonical class length does not match the rank")
         _set(self, "head", head)
@@ -364,10 +368,20 @@ def hirzebruch_model(n: int, fiber_specs: Sequence[tuple[int, bool]],
     return PicardLattice(((-n, 1), (1, 0)), rank, canonical), sigma, fibers
 
 
-# point configurations --------------------------------------------------------
+# models ----------------------------------------------------------------------
 
 
-class Generic(Frozen):
+class PointConfiguration(Frozen):
+    """Base of the point configurations on a cubic: a subclass states its
+    `curves`, `case`, `arms` and `request`, and overrides these defaults
+    (no point on two curves, an effective cubic) where they differ."""
+
+    __slots__ = ()
+    shared: tuple[tuple[int, int], ...] = ()
+    effective: bool | None = True
+
+
+class Generic(PointConfiguration):
     """r points in general position in the plane, all on one smooth cubic:
     one degree-3 curve and nothing shared, so -K is the cubic's strict
     transform, an effective member for r <= 8 and undecided (None) beyond."""
@@ -375,7 +389,6 @@ class Generic(Frozen):
     _fields = __slots__ = ("r",)
     request = (("r", int),)
     case = "i"
-    shared = ()
 
     def __init__(self, r: int):
         r = _count("r", r)
@@ -396,14 +409,13 @@ class Generic(Frozen):
         return (2, 3, self.r - 3) if self.r >= 3 else (0, 0, self.r)
 
 
-class LineConic(Frozen):
+class LineConic(PointConfiguration):
     """Points on a line and a conic: a exclusively on the line, b exclusively
     on the conic, and `both` of the (at most two) intersection points."""
 
     _fields = __slots__ = ("a", "b", "both")
     request = (("a", int), ("b", int), ("both", int, 0))
     case = "ii"
-    effective = True
 
     def __init__(self, a: int, b: int, both: int = 0):
         a, b, both = _count("a", a), _count("b", b), _count("both", both)
@@ -429,20 +441,19 @@ class LineConic(Frozen):
         return (2, b - 2, a + 1) if a * b else (0, 0, a + b)
 
     @classmethod
-    def groups(cls, max_a: int, max_b: int) -> Iterator[tuple[str, list[tuple[str, Frozen]]]]:
+    def groups(cls, max_a: int, max_b: int) -> Iterator[tuple[str, list[tuple[str, LineConic]]]]:
         for a, b in product(range(max_a + 1), range(max_b + 1)):
             yield (f"line_conic a={a} b={b}",
                    [(f"both={both}", cls(a, b, both)) for both in (0, 1, 2)])
 
 
-class ThreeLines(Frozen):
+class ThreeLines(PointConfiguration):
     """Points on three pairwise distinct, non-concurrent lines: a_i points
     exclusively on line i, plus optionally the pairwise intersections."""
 
     _fields = __slots__ = ("a1", "a2", "a3", "p12", "p13", "p23")
     request = (("a", (int, 3)), ("intersections", (bool, 3), (False,) * 3))
     case = "iii"
-    effective = True
 
     def __init__(self, a1: int, a2: int, a3: int,
                  p12: bool = False, p13: bool = False, p23: bool = False):
@@ -473,26 +484,55 @@ class ThreeLines(Frozen):
         return ((0, 1),) * self.p12 + ((0, 2),) * self.p13 + ((1, 2),) * self.p23
 
     @classmethod
-    def groups(cls, max_ai: int) -> Iterator[tuple[str, list[tuple[str, Frozen]]]]:
+    def groups(cls, max_ai: int) -> Iterator[tuple[str, list[tuple[str, ThreeLines]]]]:
         for a1, a2, a3 in product(range(max_ai + 1), repeat=3):
             yield (f"three_lines a=({a1},{a2},{a3})",
                    [(f"flags={flags}", cls(a1, a2, a3, *flags))
                     for flags in product((False, True), repeat=3)])
 
 
-PointConfiguration = Generic | LineConic | ThreeLines
+def _reciprocal_sum(a: Sequence[int]) -> tuple[int, int]:
+    """sum(1/a_j) as an int numerator over m = lcm(a), and m."""
+    m = math.lcm(*a)
+    return sum(m // ai for ai in a), m
 
-# request name -> model class, in the order the unknown-model error lists
-# them; a str names a package export, loaded on first use
-MODELS: dict[str, type | str] = {
+
+def _validate_shape(n: int, k: int, a: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+    """n, k and a as ints (by operator.index), once they fit the family."""
+    n, k = _count("n", n), _count("k", k)
+    a = tuple(_count("a_j", ai) for ai in a)
+    if n < 2:
+        raise DomainError("n must satisfy n >= 2")
+    if not 3 <= k <= n + 1:
+        raise DomainError("k must satisfy 3 <= k <= n + 1")
+    if len(a) != k:
+        raise DomainError("a must list exactly k multiplicities")
+    if any(ai < 1 for ai in a):
+        raise DomainError("every a_j must satisfy a_j >= 1")
+    return n, k, a
+
+
+class FamilyParams(Frozen):
+    """Parameters (n, k, a_1..a_k) of one member of the Hirzebruch family
+    whose Zariski decomposition `zariski` computes."""
+
+    _fields = __slots__ = ("n", "k", "a")
+    request = (("n", int), ("k", int), ("a", (int, None)))
+
+    def __init__(self, n: int, k: int, a: Sequence[int]):
+        n, k, a = _validate_shape(n, k, a)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "a", a)
+        s, m = _reciprocal_sum(a)
+        if s >= (k - 2) * m:
+            raise DomainError("a must satisfy sum(1/a_j) < k - 2")
+
+
+# request name -> model class, in the order the unknown-model error lists them
+MODELS: dict[str, type[Frozen]] = {
     "generic": Generic, "line_conic": LineConic, "three_lines": ThreeLines,
-    "hirzebruch_family": "FamilyParams"}
-
-
-def model_class(name: object) -> type | None:
-    """The class MODELS maps name to; None for any other name or value."""
-    cls = MODELS.get(name) if isinstance(name, str) else None
-    return getattr(import_module(__package__), cls) if isinstance(cls, str) else cls
+    "hirzebruch_family": FamilyParams}
 
 
 def config_lattice(config: PointConfiguration) -> PicardLattice:
@@ -630,7 +670,7 @@ def check_witness_fields(example: str, n: int | None, given: Iterable[str]) -> i
     """DomainError for an unknown example, a missing, non-int or nonpositive
     n where the example reads n, or else the first given field it does not
     read.  Returns n, as an int by operator.index where the example reads it."""
-    fields = _WITNESS_FIELDS.get(example)
+    fields = _WITNESS_FIELDS.get(example) if isinstance(example, str) else None
     if fields is None:
         raise DomainError(f"unknown witness example {example!r}")
     if "n" in fields and n is None:

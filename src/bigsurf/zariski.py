@@ -1,14 +1,14 @@
 """The Zariski decomposition -K = P + N for a family of blown-up
-Hirzebruch surfaces.
+Hirzebruch surfaces, and its report types.
 
-The family: a degree-n Hirzebruch surface (n >= 2) with k named fibers,
-3 <= k <= n+1, carrying a_i blown-up points each (away from the negative
-section), subject to sum(1/a_i) < k - 2.  On these surfaces -K is big but
-not nef, and its positive and negative parts have exact rational
-coefficients that the decomposition routine recomputes and certifies
-against the lattice pairing.  The same coefficient c decides log
-canonicity of the contracted pair via 2 - c <= 1, equivalently
-sum(1/a_i) >= k - 2.
+The family, whose members `picard.FamilyParams` names: a degree-n
+Hirzebruch surface (n >= 2) with k named fibers, 3 <= k <= n+1, carrying
+a_i blown-up points each (away from the negative section), subject to
+sum(1/a_i) < k - 2.  On these surfaces -K is big but not nef, and its
+positive and negative parts have exact rational coefficients that the
+decomposition routine recomputes and certifies against the lattice
+pairing.  The same coefficient c decides log canonicity of the contracted
+pair via 2 - c <= 1, equivalently sum(1/a_i) >= k - 2.
 """
 
 from __future__ import annotations
@@ -17,55 +17,17 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import DomainError, InvariantError
+from .errors import InvariantError
 from .linalg import is_negative_definite
-from .picard import DivisorClass, Frozen, _count, _lowest, _new, _set, hirzebruch_model
+from .picard import DivisorClass, FamilyParams, _lowest, _new, _reciprocal_sum, hirzebruch_model
 
 __all__ = [
-    "FamilyParams",
     "ZariskiChecks",
     "ZariskiReport",
     "zariski_decompose",
 ]
-
-
-def _reciprocal_sum(a: Sequence[int]) -> tuple[int, int]:
-    """sum(1/a_j) as an int numerator over m = lcm(a), and m."""
-    m = math.lcm(*a)
-    return sum(m // ai for ai in a), m
-
-
-def _validate_shape(n: int, k: int, a: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
-    """n, k and a as ints (by operator.index), once they fit the family."""
-    n, k = _count("n", n), _count("k", k)
-    a = tuple(_count("a_j", ai) for ai in a)
-    if n < 2:
-        raise DomainError("n must satisfy n >= 2")
-    if not 3 <= k <= n + 1:
-        raise DomainError("k must satisfy 3 <= k <= n + 1")
-    if len(a) != k:
-        raise DomainError("a must list exactly k multiplicities")
-    if any(ai < 1 for ai in a):
-        raise DomainError("every a_j must satisfy a_j >= 1")
-    return n, k, a
-
-
-class FamilyParams(Frozen):
-    """Parameters (n, k, a_1..a_k) of one member of the family."""
-
-    _fields = __slots__ = ("n", "k", "a")
-    request = (("n", int), ("k", int), ("a", (int, None)))
-
-    def __init__(self, n: int, k: int, a: Sequence[int]):
-        n, k, a = _validate_shape(n, k, a)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "a", a)
-        s, m = _reciprocal_sum(a)
-        if s >= (k - 2) * m:
-            raise DomainError("a must satisfy sum(1/a_j) < k - 2")
 
 
 class ZariskiChecks(NamedTuple):

@@ -61,14 +61,14 @@ from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from bigsurf.bigness import BignessVerdict, CrossCheckReport, SweepReport
-from bigsurf.cli import _check_fields, _int_field, _int_list_field
+from bigsurf.cli import _check_fields, _field
 from bigsurf.enumeration import NegativeClassTable
 from bigsurf.errors import DomainError
-from bigsurf.picard import (DivisorClass, Generic, LineConic, PicardLattice, ThreeLines,
-                            WitnessReport, hirzebruch_model)
+from bigsurf.picard import (DivisorClass, FamilyParams, Generic, LineConic, PicardLattice,
+                            ThreeLines, WitnessReport, _reciprocal_sum, _validate_shape,
+                            hirzebruch_model)
 from bigsurf.roots import RootSystemReport, _t_type, type_string
-from bigsurf.zariski import (FamilyParams, ZariskiChecks, ZariskiReport, _reciprocal_sum,
-                             _validate_shape)
+from bigsurf.zariski import ZariskiChecks, ZariskiReport
 
 
 def dot(g: Sequence[Sequence[int | Fraction]], u: Iterable[int],
@@ -691,15 +691,15 @@ def reference_config_from_dict(data: Any) -> Generic | LineConic | ThreeLines | 
         raise DomainError("missing field: model")
     if model == "generic":
         _check_fields(data, "generic", ("r",))
-        return Generic(_int_field(data, "generic", "r"))
+        return Generic(_field(data, "generic", "r", int))
     if model == "line_conic":
         _check_fields(data, "line_conic", ("a", "b"), ("both",))
-        both = _int_field(data, "line_conic", "both") if "both" in data else 0
-        return LineConic(_int_field(data, "line_conic", "a"),
-                         _int_field(data, "line_conic", "b"), both)
+        both = _field(data, "line_conic", "both", int) if "both" in data else 0
+        return LineConic(_field(data, "line_conic", "a", int),
+                         _field(data, "line_conic", "b", int), both)
     if model == "three_lines":
         _check_fields(data, "three_lines", ("a",), ("intersections",))
-        a = _int_list_field(data, "three_lines", "a", 3)
+        a = _field(data, "three_lines", "a", (int, 3))
         flags = data.get("intersections", [False, False, False])
         if (not isinstance(flags, list) or len(flags) != 3
                 or any(not isinstance(f, bool) for f in flags)):
@@ -709,9 +709,9 @@ def reference_config_from_dict(data: Any) -> Generic | LineConic | ThreeLines | 
                           p12=flags[0], p13=flags[1], p23=flags[2])
     if model == "hirzebruch_family":
         _check_fields(data, "hirzebruch_family", ("n", "k", "a"))
-        return FamilyParams(_int_field(data, "hirzebruch_family", "n"),
-                            _int_field(data, "hirzebruch_family", "k"),
-                            tuple(_int_list_field(data, "hirzebruch_family", "a", None)))
+        return FamilyParams(_field(data, "hirzebruch_family", "n", int),
+                            _field(data, "hirzebruch_family", "k", int),
+                            tuple(_field(data, "hirzebruch_family", "a", (int, None))))
     raise DomainError(
         f"unknown model: {model!r} (expected one of {', '.join(_MODELS)})")
 

@@ -17,12 +17,12 @@ import numpy as np
 from bigsurf.bigness import (agreement_sweep, classify_anticanonical,
                              cross_check, orthogonal_complement)
 from bigsurf.enumeration import negative_classes
-from bigsurf.picard import (DivisorClass, Generic, LineConic, ThreeLines,
+from bigsurf.picard import (DivisorClass, FamilyParams, Generic, LineConic, ThreeLines,
                             anticanonical_components, blowup_p2, config_lattice,
                             verify_witness)
 from bigsurf.roots import (classify, expected_root_count, extract_roots,
                            predicted_type, root_lattice_of_config, type_string)
-from bigsurf.zariski import FamilyParams, zariski_decompose
+from bigsurf.zariski import zariski_decompose
 from oracles import (arithmetic_genus, blowup_hirzebruch, box_short_vectors, inertia,
                      log_canonical_test, raw, solve_rational, widened_box_negative_classes)
 

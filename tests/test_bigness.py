@@ -24,7 +24,6 @@ from bigsurf.picard import (
     anticanonical_components,
     blowup_p2,
     config_lattice,
-    model_class,
 )
 from bigsurf.roots import root_lattice_of_config
 from oracles import (
@@ -241,7 +240,7 @@ def test_sweep_calls_cross_check_through_the_module_global():
 
 def test_sweep_runs_the_configurations_of_the_per_model_generators():
     # the models' groups, labels included, and the order cross_check sees
-    groups = [*model_class("line_conic").groups(3, 3), *model_class("three_lines").groups(2)]
+    groups = [*LineConic.groups(3, 3), *ThreeLines.groups(2)]
     assert groups == list(reference_sweep_groups(3, 3, 2))
     with mock.patch.object(bigness, "cross_check", wraps=bigness.cross_check) as check:
         agreement_sweep(3, 3, 2)

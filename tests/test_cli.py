@@ -301,6 +301,29 @@ def test_enumerate_out_of_range(capsys):
     assert "0 <= r <= 8" in err
 
 
+HIRZEBRUCH_FAMILY = '{"model":"hirzebruch_family","n":2,"k":3,"a":[2,3,7]}'
+POINTS_ONLY = "expects a point configuration, not hirzebruch_family parameters"
+GENERIC_ONLY = 'enumerate expects a generic configuration ({"model":"generic","r":...})'
+
+
+@pytest.mark.parametrize("command, request_text, message", [
+    ("classify", HIRZEBRUCH_FAMILY, f"classify {POINTS_ONLY}"),
+    ("check", HIRZEBRUCH_FAMILY, f"check {POINTS_ONLY}"),
+    ("roots", HIRZEBRUCH_FAMILY, f"roots {POINTS_ONLY}"),
+    ("enumerate", HIRZEBRUCH_FAMILY, f"enumerate {POINTS_ONLY}"),
+    ("zariski", '{"model":"generic","r":6}', "zariski expects hirzebruch_family parameters"),
+    ("zariski", LINE_CONIC_25, "zariski expects hirzebruch_family parameters"),
+    ("zariski", '{"model":"three_lines","a":[3,3,2]}',
+     "zariski expects hirzebruch_family parameters"),
+    ("enumerate", LINE_CONIC_25, GENERIC_ONLY),
+    ("enumerate", '{"model":"three_lines","a":[3,3,2]}', GENERIC_ONLY),
+], ids=["classify.hirzebruch_family", "check.hirzebruch_family", "roots.hirzebruch_family",
+        "enumerate.hirzebruch_family", "zariski.generic", "zariski.line_conic",
+        "zariski.three_lines", "enumerate.line_conic", "enumerate.three_lines"])
+def test_a_command_refuses_a_model_it_does_not_take(capsys, command, request_text, message):
+    assert run_cli(capsys, command, "--json", request_text) == (1, "", f"error: {message}\n")
+
+
 def test_witness_holds(capsys):
     code, out, _ = run_cli(capsys, "witness", "--json",
                            '{"example":"hirzebruch_b","n":2}')

@@ -28,9 +28,9 @@ from bigsurf.bigness import classify_anticanonical, cross_check
 from bigsurf.cli import _type_label as type_label, _witness_args as witness_args
 from bigsurf.enumeration import negative_classes
 from bigsurf.errors import NotNegativeDefiniteError
-from bigsurf.picard import Generic, LineConic, ThreeLines, verify_witness
+from bigsurf.picard import FamilyParams, Generic, LineConic, ThreeLines, verify_witness
 from bigsurf.roots import classify, extract_roots, root_lattice_of_config
-from bigsurf.zariski import FamilyParams, zariski_decompose
+from bigsurf.zariski import zariski_decompose
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.txt"

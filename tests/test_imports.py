@@ -23,9 +23,10 @@ LINE_CONIC_25 = '{"model":"line_conic","a":2,"b":5,"both":0}'
 FRACTIONS = {"fractions", "decimal"}
 
 
-def loaded_by(statement: str, *argv: str) -> set[str]:
+def loaded_by(statement: str, *argv: str, status: int = 0) -> set[str]:
     """The modules a fresh interpreter loads for statement and, when argv
-    is given, for cli.main(argv) with stdout captured; the run must exit 0."""
+    is given, for cli.main(argv) with stdout captured; the run must exit
+    with status."""
     probe = ("import io, sys\n"
              "before = set(sys.modules)\n"
              f"{statement}\n"
@@ -35,7 +36,7 @@ def loaded_by(statement: str, *argv: str) -> set[str]:
              "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return set(proc.stdout.split())
 
 
@@ -43,22 +44,26 @@ def test_import_bigsurf_loads_no_submodule():
     assert not {m for m in loaded_by("import bigsurf") if m.startswith("bigsurf.")}
 
 
-@pytest.mark.parametrize("statement, argv, absent", [
-    ("import bigsurf.cli as cli", (), COMPUTATION | {"dataclasses"} | FRACTIONS),
-    ("from bigsurf import cli", ("--help",), COMPUTATION | {"dataclasses"} | FRACTIONS),
-    ("from bigsurf import cli", ("witness", "--json", '{"example":"conic_c","n":5}'),
+@pytest.mark.parametrize("statement, argv, status, absent", [
+    ("import bigsurf.cli as cli", (), 0, COMPUTATION | {"dataclasses"} | FRACTIONS),
+    ("from bigsurf import cli", ("--help",), 0, COMPUTATION | {"dataclasses"} | FRACTIONS),
+    ("from bigsurf import cli", ("witness", "--json", '{"example":"conic_c","n":5}'), 0,
      {"dataclasses"} | FRACTIONS),
-    ("from bigsurf import cli", ("enumerate", "--json", '{"model":"generic","r":6}'),
+    ("from bigsurf import cli", ("enumerate", "--json", '{"model":"generic","r":6}'), 0,
      {"dataclasses"}),
-    ("from bigsurf import cli", ("zariski", "--json", ZARISKI),
+    ("from bigsurf import cli", ("zariski", "--json", ZARISKI), 0,
      {"bigsurf.bigness", "bigsurf.roots"}),
-    ("from bigsurf import cli", ("classify", "--json", LINE_CONIC_25),
+    ("from bigsurf import cli", ("classify", "--json", LINE_CONIC_25), 0,
      {"bigsurf.zariski", "bigsurf.enumeration"}),
-    ("from bigsurf import cli", ("roots", "--json", LINE_CONIC_25),
+    ("from bigsurf import cli", ("roots", "--json", LINE_CONIC_25), 0,
      {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS),
-], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots"])
-def test_each_subcommand_loads_only_what_it_runs(statement, argv, absent):
-    loaded = loaded_by(statement, *argv)
+    # refused as it is parsed: the family's parameters load no module
+    ("from bigsurf import cli", ("classify", "--json", ZARISKI), 1,
+     {"bigsurf.zariski", "dataclasses"} | FRACTIONS),
+], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots",
+        "classify_refused"])
+def test_each_subcommand_loads_only_what_it_runs(statement, argv, status, absent):
+    loaded = loaded_by(statement, *argv, status=status)
     assert "bigsurf.cli" in loaded
     assert not loaded & absent
 

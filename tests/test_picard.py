@@ -12,6 +12,7 @@ from bigsurf.errors import DomainError
 from bigsurf.linalg import gram_restrict
 from bigsurf.picard import (
     DivisorClass,
+    FamilyParams,
     Generic,
     LineConic,
     PicardLattice,
@@ -24,7 +25,6 @@ from bigsurf.picard import (
     incidence_class,
     verify_witness,
 )
-from bigsurf.zariski import FamilyParams
 from oracles import (FractionClass, arithmetic_genus, basis_class, blowup_hirzebruch,
                      blowup_p2_labels, coeffs, rational_class,
                      castravet_witness_labels, config_labels, conic_witness_labels,
@@ -668,9 +668,11 @@ def test_castravet_witness():
     assert coeffs(report.effective_part) == (5,) + (-2,) * 10
 
 
-def test_unknown_witness_rejected():
-    with pytest.raises(DomainError):
-        verify_witness("pentagon")
+@pytest.mark.parametrize("example", ["pentagon", ["x"], {"n": 1}, None, 3])
+def test_unknown_witness_rejected(example):
+    # an example is looked up only when it is a str, so an unhashable one is refused too
+    with pytest.raises(DomainError, match=f"^unknown witness example {re.escape(repr(example))}$"):
+        verify_witness(example)
 
 
 @pytest.mark.parametrize("example, kwargs, field", [
@@ -882,6 +884,18 @@ def test_a_lattice_is_its_form():
     assert lattice != blowup_hirzebruch(1, [(12, False)])
 
 
+def test_every_model_is_one_class_and_the_point_models_share_one_base():
+    assert list(picard.MODELS) == ["generic", "line_conic", "three_lines", "hirzebruch_family"]
+    assert all(isinstance(cls, type) and issubclass(cls, picard.Frozen)
+               for cls in picard.MODELS.values())
+    assert [cls for cls in picard.MODELS.values()
+            if issubclass(cls, picard.PointConfiguration)] == [Generic, LineConic, ThreeLines]
+    assert picard.MODELS["hirzebruch_family"] is FamilyParams
+    # the base carries the defaults, and no field key, since it has no fields
+    assert Generic(4).shared == () and LineConic(1, 2).effective is True
+    assert "_key" not in vars(picard.PointConfiguration)
+
+
 K3 = DivisorClass([-3, 1, 1])
 
 
@@ -897,6 +911,8 @@ K3 = DivisorClass([-3, 1, 1])
     (((-1, 1), (1, 0)), 1, DivisorClass([-3]),
      "head must be a square block of at most rank classes"),
     (((1,),), 0, DivisorClass([]), "head must be a square block of at most rank classes"),
+    (((1, 2), (3, 4)), 3, K3, "head must be symmetric"),
+    (((-1, 1), (0, 0)), 3, K3, "head must be symmetric"),
 ])
 def test_picard_lattice_validates_at_construction(head, rank, canonical, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from bigsurf.bigness import classify_anticanonical, cross_check, agreement_sweep
 from bigsurf.enumeration import negative_classes
-from bigsurf.picard import Generic, LineConic, ThreeLines, verify_witness
+from bigsurf.picard import FamilyParams, Generic, LineConic, ThreeLines, verify_witness
 from bigsurf.roots import classify, extract_roots, root_lattice_of_config
 from bigsurf import serialize as ser
 from bigsurf.cli import _type_label as type_label
-from bigsurf.zariski import FamilyParams, zariski_decompose
+from bigsurf.zariski import zariski_decompose
 import oracles
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bigsurf.errors import DomainError
-from bigsurf.zariski import FamilyParams, _reciprocal_sum, zariski_decompose
+from bigsurf.picard import FamilyParams, _reciprocal_sum
+from bigsurf.zariski import zariski_decompose
 from oracles import (LogCanonicalResult, basis_class, blowup_hirzebruch, coeffs, fiber_strict,
                      hirzebruch_labels, inertia, is_canonical, log_canonical_test,
                      sigma_strict)
