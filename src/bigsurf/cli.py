@@ -25,15 +25,17 @@ Nor does it load `fractions` (which loads `decimal` and `numbers`): each
 module imports `Fraction` in the code that builds one, so `--help`,
 `witness` and `roots` never load it, and classify, check, zariski,
 enumerate and sweep load it on first use.
+
+`_plain_args` reads a well-formed request without loading `argparse`,
+`gettext` or `locale`; argparse reads any other argv (`_build_parser`).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 from . import _lazy_names, serialize as ser
@@ -292,17 +294,19 @@ def _emit(payload: dict[str, Any] | str, fmt: str, out: str | None) -> None:
             raise DomainError(f"cannot write stdout: {getattr(exc, 'strerror', 'closed')}") from exc
     else:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write {_printable(out)}: {exc.strerror}") from exc
 
 
-def _read_input(args: argparse.Namespace) -> str:
+def _read_input(args: Any) -> str:
     if args.json is not None:
         return args.json
     path = _printable(args.input)
     try:
-        return Path(args.input).read_text(encoding="utf-8")
+        with open(args.input, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -310,44 +314,72 @@ def _read_input(args: argparse.Namespace) -> str:
                           f"UTF-8 ({exc.reason})") from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file: Any = None) -> None:
-        # as a report: argparse's own write swallows an unwritable stdout's OSError
-        _emit(self.format_help(), "text", None)
+# Each command's own options, with their keywords of argparse's add_argument:
+# the sweep's three bounds, and every other command's two sources of the request
+_BOUNDS = {flag: dict(type=int, default=default, metavar="N",
+                      help=f"bound on {what} (default: {default})")
+           for flag, default, what in (("--max-a", 12, "points per line"),
+                                       ("--max-b", 12, "points per conic"),
+                                       ("--max-ai", 10, "points per line, three-line models"))}
+_SOURCES = {"--input": dict(metavar="FILE", help="read the JSON request from FILE"),
+            "--json": dict(metavar="TEXT", help="inline JSON request")}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _options(name: str) -> dict[str, dict[str, Any]]:
+    """Command name's options in help order, as `add_argument` takes them."""
+    return {**(_BOUNDS if name == "sweep" else _SOURCES),
+            "--format": dict(choices=_COMMANDS[name][1], default="json",
+                             help="output format (default: json)"),
+            "--out": dict(metavar="FILE", help="write the report to FILE instead of stdout")}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse makes of argv when it is a command and then distinct full
+    option names, each with one value not starting with `-`, one of them
+    --input or --json (sweep: neither); None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, given = _options(argv[0]), dict(zip(argv[1::2], argv[2::2]))
+    if (2 * len(given) + 1 != len(argv) or not given.keys() <= options.keys()
+            or any(value.startswith("-") for value in given.values())
+            or given.get("--format", "json") not in options["--format"]["choices"]
+            or argv[0] != "sweep" and len(given.keys() & _SOURCES.keys()) != 1):
+        return None
+    args = {flag: spec.get("default") for flag, spec in options.items()}
+    try:  # a bound reads as argparse's type=int reads it
+        args |= {flag: options[flag].get("type", str)(value) for flag, value in given.items()}
+    except ValueError:  # argparse's "invalid int value"
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): value for flag, value in args.items()})
+
+
+def _build_parser() -> Any:
+    import argparse  # with the gettext and locale it loads: only when _plain_args declines
+
+    class _Parser(argparse.ArgumentParser):
+        def print_help(self, file: Any = None) -> None:
+            # as a report: argparse's own write swallows an unwritable stdout's OSError
+            _emit(self.format_help(), "text", None)
+
     parser = _Parser(
         prog="bigsurf",
         description="Exact bigness tests, root systems and Zariski "
                     "decompositions for rational surfaces.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, formats, _) in _COMMANDS.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        if name == "sweep":
-            command.add_argument("--max-a", type=int, default=12, metavar="N",
-                                 help="bound on points per line (default: 12)")
-            command.add_argument("--max-b", type=int, default=12, metavar="N",
-                                 help="bound on points per conic (default: 12)")
-            command.add_argument("--max-ai", type=int, default=10, metavar="N",
-                                 help="bound on points per line, three-line "
-                                      "models (default: 10)")
-        else:
-            source = command.add_mutually_exclusive_group(required=True)
-            source.add_argument("--input", metavar="FILE",
-                                help="read the JSON request from FILE")
-            source.add_argument("--json", metavar="TEXT",
-                                help="inline JSON request")
-        command.add_argument("--format", choices=formats, default="json",
-                             help="output format (default: json)")
-        command.add_argument("--out", metavar="FILE",
-                             help="write the report to FILE instead of stdout")
+        source = (command if name == "sweep"
+                  else command.add_mutually_exclusive_group(required=True))
+        for flag, spec in _options(name).items():
+            (source if flag in _SOURCES else command).add_argument(flag, **spec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _plain_args(argv) or _build_parser().parse_args(argv)
         request = ((args.max_a, args.max_b, args.max_ai) if args.command == "sweep"
                    else _load_json(_read_input(args)))
         payload, failure = _COMMANDS[args.command][2](request, args.format)

@@ -569,6 +569,16 @@ def test_unprintable_out_path_is_quoted_in_one_error_line(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--input", ""], "cannot read : No such file or directory"),
+    (["classify", "--json", LINE_CONIC_25, "--out", ""],
+     "cannot write : No such file or directory"),
+])
+def test_empty_path_is_no_such_file(capsys, argv, message):
+    """An empty --input or --out names no file, not the current directory."""
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "roots", "--json", '{"model":"generic","r":7}')
     _, second, _ = run_cli(capsys, "roots", "--json", '{"model":"generic","r":7}')
@@ -842,3 +852,42 @@ def test_table_parser_matches_the_per_model_parser(request):
     if request is BAD_A_AND_BOTH:
         assert got == "field line_conic.a must be an integer"
         assert expected == "field line_conic.both must be an integer"
+
+
+# Values of each full option name, a sweep bound in every form int() reads
+# and two it refuses, and the tokens only argparse reads: abbreviated names,
+# --opt=value, help, "--" and values that start with "-"
+BOUNDS = ["5", "+5", " 4", "3_0", "\u0663", "x", ""]
+OPTION_VALUES = {"--input": ["f.json", ""], "--json": ["{}", "sweep"], "--out": ["r.json"],
+                 "--format": ["json", "text", "dot", "yaml"],
+                 "--max-a": BOUNDS, "--max-b": BOUNDS, "--max-ai": BOUNDS}
+ODD_TOKENS = ["--js", "--inp", "--form", "--o", "--max", "--max-a=3", "--json={}",
+              "--format=text", "-h", "--help", "--", "-", "-3", "-x", "--json"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and up to 6 tokens: distinct names of its options or any
+    option names, each with a value of its kind, and in half the draws a
+    token replaced by, or put before, an odd token."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    own = (["--max-a", "--max-b", "--max-ai"] if command == "sweep"
+           else [draw(st.sampled_from(["--input", "--json"]))])
+    names = draw(st.permutations([*own, "--format", "--out"]).map(lambda names: names[:3])
+                 | st.lists(st.sampled_from(list(OPTION_VALUES)), max_size=3))
+    tokens = [t for name in names for t in (name, draw(st.sampled_from(OPTION_VALUES[name])))]
+    for at, odd, replace in draw(st.just([]) | st.lists(st.tuples(
+            st.integers(0, 6), st.sampled_from(ODD_TOKENS), st.booleans()), min_size=1, max_size=2)):
+        tokens[at:at + replace] = [odd]
+    return [command, *tokens[:6]]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cli_argv())
+@example(["sweep", "--max-a", "+5", "--max-b", " 4", "--max-ai", "\u0663"])
+@example(["roots", "--format", "dot", "--input", "f.json", "--out", ""])
+def test_plain_reader_agrees_with_argparse(argv):
+    """Whenever _plain_args reads argv, argparse reads it to the same namespace."""
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._build_parser().parse_args(argv))

@@ -1,9 +1,10 @@
 """The import graph and the lazy package namespace.
 
 `import bigsurf` loads no submodule and `import bigsurf.cli` no computation
-module and no `fractions`; each exported name, and each computation name of
-the CLI, loads its module on first use, and `fractions` loads where a
-Fraction is built.  Module sets are read in fresh interpreters.
+module, no `fractions` and no `argparse`; each exported name, and each
+computation name of the CLI, loads its module on first use, `fractions`
+loads where a Fraction is built, and `argparse` only for argv the CLI's
+plain reader declines.  Module sets are read in fresh interpreters.
 """
 
 import importlib
@@ -21,6 +22,8 @@ LINE_CONIC_25 = '{"model":"line_conic","a":2,"b":5,"both":0}'
 # Fraction's module and the `decimal` it loads; a request that builds no
 # Fraction loads neither
 FRACTIONS = {"fractions", "decimal"}
+# argparse and what it loads; only --help and argv that _plain_args declines load them
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def loaded_by(statement: str, *argv: str, status: int = 0) -> set[str]:
@@ -44,28 +47,36 @@ def test_import_bigsurf_loads_no_submodule():
     assert not {m for m in loaded_by("import bigsurf") if m.startswith("bigsurf.")}
 
 
-@pytest.mark.parametrize("statement, argv, status, absent", [
-    ("import bigsurf.cli as cli", (), 0, COMPUTATION | {"dataclasses"} | FRACTIONS),
-    ("from bigsurf import cli", ("--help",), 0, COMPUTATION | {"dataclasses"} | FRACTIONS),
+@pytest.mark.parametrize("statement, argv, status, absent, present", [
+    ("import bigsurf.cli as cli", (), 0, COMPUTATION | {"dataclasses"} | FRACTIONS | ARGPARSE,
+     set()),
+    ("from bigsurf import cli", ("--help",), 0, COMPUTATION | {"dataclasses"} | FRACTIONS,
+     ARGPARSE),
     ("from bigsurf import cli", ("witness", "--json", '{"example":"conic_c","n":5}'), 0,
-     {"dataclasses"} | FRACTIONS),
+     {"dataclasses"} | FRACTIONS | ARGPARSE, set()),
     ("from bigsurf import cli", ("enumerate", "--json", '{"model":"generic","r":6}'), 0,
-     {"dataclasses"}),
+     {"dataclasses"} | ARGPARSE, set()),
     ("from bigsurf import cli", ("zariski", "--json", ZARISKI), 0,
-     {"bigsurf.bigness", "bigsurf.roots"}),
+     {"bigsurf.bigness", "bigsurf.roots"} | ARGPARSE, set()),
     ("from bigsurf import cli", ("classify", "--json", LINE_CONIC_25), 0,
-     {"bigsurf.zariski", "bigsurf.enumeration"}),
+     {"bigsurf.zariski", "bigsurf.enumeration"} | ARGPARSE, set()),
     ("from bigsurf import cli", ("roots", "--json", LINE_CONIC_25), 0,
-     {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS),
+     {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS | ARGPARSE, set()),
+    ("from bigsurf import cli", ("sweep", "--max-a", "1", "--max-b", "1", "--max-ai", "1"), 0,
+     {"bigsurf.zariski", "bigsurf.roots"} | ARGPARSE, set()),
     # refused as it is parsed: the family's parameters load no module
     ("from bigsurf import cli", ("classify", "--json", ZARISKI), 1,
-     {"bigsurf.zariski", "dataclasses"} | FRACTIONS),
-], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots",
-        "classify_refused"])
-def test_each_subcommand_loads_only_what_it_runs(statement, argv, status, absent):
+     {"bigsurf.zariski", "dataclasses"} | FRACTIONS | ARGPARSE, set()),
+    # an abbreviated option is argparse's to read
+    ("from bigsurf import cli", ("classify", "--js", LINE_CONIC_25), 0,
+     {"bigsurf.zariski", "bigsurf.enumeration"}, ARGPARSE),
+], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots", "sweep",
+        "classify_refused", "classify_abbreviated"])
+def test_each_subcommand_loads_only_what_it_runs(statement, argv, status, absent, present):
     loaded = loaded_by(statement, *argv, status=status)
     assert "bigsurf.cli" in loaded
     assert not loaded & absent
+    assert loaded >= present
 
 
 def test_every_export_is_the_object_of_its_defining_module():
