@@ -17,7 +17,6 @@ Two independent routes to the same answer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InvariantError
@@ -30,9 +29,11 @@ from .picard import (
     ThreeLines,
     _components,
     _count,
+    _set,
     config_lattice,
     incidence_class,
 )
+from .report import Report
 
 if TYPE_CHECKING:  # _closed_form imports it, so a roots request never loads it
     from fractions import Fraction
@@ -63,8 +64,7 @@ def is_big_supported(lattice: PicardLattice, classes: list[DivisorClass]) -> boo
     return is_negative_definite(gram)
 
 
-@dataclass(frozen=True)
-class BignessVerdict:
+class BignessVerdict(Report):
     """Closed-form answer for one configuration.
 
     inequality_lhs, v and v_squared are absent when a degenerate point
@@ -73,12 +73,16 @@ class BignessVerdict:
     certifies an effective anticanonical member (None: undecided).
     """
 
-    big: bool
-    case: str
-    inequality_lhs: Fraction | None
-    v: DivisorClass | None
-    v_squared: Fraction | None
-    effective: bool | None
+    _fields = __slots__ = ("big", "case", "inequality_lhs", "v", "v_squared", "effective")
+
+    def __init__(self, big: bool, case: str, inequality_lhs: Fraction | None,
+                 v: DivisorClass | None, v_squared: Fraction | None, effective: bool | None):
+        _set(self, "big", big)
+        _set(self, "case", case)
+        _set(self, "inequality_lhs", inequality_lhs)
+        _set(self, "v", v)
+        _set(self, "v_squared", v_squared)
+        _set(self, "effective", effective)
 
 
 def _closed_form(config: PointConfiguration, lattice: PicardLattice) -> BignessVerdict:
@@ -145,12 +149,16 @@ def cross_check(config: PointConfiguration) -> CrossCheckReport:
     return CrossCheckReport(verdict, lattice_big, agrees, v_orthogonal, sign_consistent)
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    line_conic_count: int
-    three_lines_count: int
-    disagreements: tuple[str, ...]
-    flag_violations: tuple[str, ...]
+class SweepReport(Report):
+    _fields = __slots__ = ("line_conic_count", "three_lines_count", "disagreements",
+                           "flag_violations")
+
+    def __init__(self, line_conic_count: int, three_lines_count: int,
+                 disagreements: tuple[str, ...], flag_violations: tuple[str, ...]):
+        _set(self, "line_conic_count", line_conic_count)
+        _set(self, "three_lines_count", three_lines_count)
+        _set(self, "disagreements", disagreements)
+        _set(self, "flag_violations", flag_violations)
 
     @property
     def clean(self) -> bool:

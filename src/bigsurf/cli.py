@@ -19,9 +19,11 @@ ends by `os._exit(status)`, with no teardown.
 
 Importing this module loads only `errors`, `picard` and `serialize` from
 the package: each subcommand imports the computation modules it runs
-when it runs.  `--help` and `witness` load none of them, `enumerate`
-only `linalg` and `enumeration`, and none of the three `dataclasses`.
-Nor does it load `fractions` (which loads `decimal` and `numbers`): each
+when it runs.  `--help` and `witness` load none of them and `enumerate`
+only `linalg` and `enumeration`.  No request loads `dataclasses` (or the
+`inspect` it loads): the reports are `report.Report` values, which build
+their dataclass fields only when `dataclasses` asks for them.  Nor does
+the import load `fractions` (which loads `decimal` and `numbers`): each
 module imports `Fraction` in the code that builds one, so `--help`,
 `witness` and `roots` never load it, and classify, check, zariski,
 enumerate and sweep load it on first use.

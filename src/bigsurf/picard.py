@@ -70,7 +70,8 @@ class Frozen:
     class only), hash, repr and pickling go by the field values, as for a
     frozen dataclass, and assigning or deleting an attribute raises
     AttributeError.  A subclass with no fields is a base that carries
-    shared defaults, such as `PointConfiguration`.
+    shared defaults, such as `PointConfiguration`; instantiating it raises
+    TypeError.
     """
 
     __slots__ = ()
@@ -80,6 +81,10 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         if cls._fields:
             cls._key = operator.attrgetter(*cls._fields)  # the field values, read in C
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # every class with fields has its own __init__, so only a base gets here
+        raise TypeError(f"{self.__class__.__name__} has no fields: it is a base, not a value")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -15,22 +15,21 @@ from __future__ import annotations
 
 import bisect
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
 from .bigness import orthogonal_complement
 from .errors import DomainError, InvariantError
 from .linalg import _INT, _symmetric_int_rows, short_vectors
-from .picard import PointConfiguration, _components, config_lattice
+from .picard import PointConfiguration, _components, _set, config_lattice
+from .report import Report
 
 Vec = tuple[int, ...]
 Gram = Sequence[Sequence[int]]
 Component = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class RootSystemReport:
+class RootSystemReport(Report):
     """Roots of a lattice with their classification.
 
     graph lists the Coxeter edges between simple roots as (i, j, bond)
@@ -38,11 +37,16 @@ class RootSystemReport:
     the bond is always 1, kept so that the report's layout stays the same.
     """
 
-    roots: tuple[Vec, ...]
-    simple_roots: tuple[Vec, ...]
-    cartan: tuple[tuple[int, ...], ...]
-    components: tuple[Component, ...]
-    graph: tuple[tuple[int, int, int], ...]
+    _fields = __slots__ = ("roots", "simple_roots", "cartan", "components", "graph")
+
+    def __init__(self, roots: tuple[Vec, ...], simple_roots: tuple[Vec, ...],
+                 cartan: tuple[tuple[int, ...], ...], components: tuple[Component, ...],
+                 graph: tuple[tuple[int, int, int], ...]):
+        _set(self, "roots", roots)
+        _set(self, "simple_roots", simple_roots)
+        _set(self, "cartan", cartan)
+        _set(self, "components", components)
+        _set(self, "graph", graph)
 
     @property
     def rank(self) -> int:

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantError
 from .linalg import is_negative_definite
-from .picard import DivisorClass, FamilyParams, _lowest, _new, _reciprocal_sum, hirzebruch_model
+from .picard import (DivisorClass, FamilyParams, _lowest, _new, _reciprocal_sum, _set,
+                     hirzebruch_model)
+from .report import Report
 
 __all__ = [
     "ZariskiChecks",
@@ -45,15 +46,20 @@ class ZariskiChecks(NamedTuple):
         return all(self)
 
 
-@dataclass(frozen=True)
-class ZariskiReport:
-    params: FamilyParams
-    positive_part: DivisorClass
-    negative_part: DivisorClass
-    p_squared: Fraction
-    checks: ZariskiChecks
-    lc_coefficient: Fraction
-    log_canonical: bool
+class ZariskiReport(Report):
+    _fields = __slots__ = ("params", "positive_part", "negative_part", "p_squared", "checks",
+                           "lc_coefficient", "log_canonical")
+
+    def __init__(self, params: FamilyParams, positive_part: DivisorClass,
+                 negative_part: DivisorClass, p_squared: Fraction, checks: ZariskiChecks,
+                 lc_coefficient: Fraction, log_canonical: bool):
+        _set(self, "params", params)
+        _set(self, "positive_part", positive_part)
+        _set(self, "negative_part", negative_part)
+        _set(self, "p_squared", p_squared)
+        _set(self, "checks", checks)
+        _set(self, "lc_coefficient", lc_coefficient)
+        _set(self, "log_canonical", log_canonical)
 
 
 def zariski_decompose(params: FamilyParams) -> ZariskiReport:

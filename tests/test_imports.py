@@ -4,10 +4,12 @@
 module, no `fractions` and no `argparse`; each exported name, and each
 computation name of the CLI, loads its module on first use, `fractions`
 loads where a Fraction is built, and `argparse` only for argv the CLI's
-plain reader declines.  Module sets are read in fresh interpreters.
+plain reader declines.  No request loads `dataclasses`.  Module sets are
+read in fresh interpreters.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 
@@ -24,6 +26,9 @@ LINE_CONIC_25 = '{"model":"line_conic","a":2,"b":5,"both":0}'
 FRACTIONS = {"fractions", "decimal"}
 # argparse and what it loads; only --help and argv that _plain_args declines load them
 ARGPARSE = {"argparse", "gettext", "locale"}
+# dataclasses and the inspect it loads; the reports answer the dataclass
+# protocol without them, so no request loads either
+DATACLASSES = {"dataclasses", "inspect"}
 
 
 def loaded_by(statement: str, *argv: str, status: int = 0) -> set[str]:
@@ -48,35 +53,55 @@ def test_import_bigsurf_loads_no_submodule():
 
 
 @pytest.mark.parametrize("statement, argv, status, absent, present", [
-    ("import bigsurf.cli as cli", (), 0, COMPUTATION | {"dataclasses"} | FRACTIONS | ARGPARSE,
-     set()),
-    ("from bigsurf import cli", ("--help",), 0, COMPUTATION | {"dataclasses"} | FRACTIONS,
-     ARGPARSE),
+    ("import bigsurf.cli as cli", (), 0, COMPUTATION | FRACTIONS | ARGPARSE, set()),
+    ("from bigsurf import cli", ("--help",), 0, COMPUTATION | FRACTIONS, ARGPARSE),
     ("from bigsurf import cli", ("witness", "--json", '{"example":"conic_c","n":5}'), 0,
-     {"dataclasses"} | FRACTIONS | ARGPARSE, set()),
+     FRACTIONS | ARGPARSE, set()),
     ("from bigsurf import cli", ("enumerate", "--json", '{"model":"generic","r":6}'), 0,
-     {"dataclasses"} | ARGPARSE, set()),
+     ARGPARSE, set()),
     ("from bigsurf import cli", ("zariski", "--json", ZARISKI), 0,
-     {"bigsurf.bigness", "bigsurf.roots"} | ARGPARSE, set()),
+     {"bigsurf.bigness", "bigsurf.roots"} | ARGPARSE, {"bigsurf.report"}),
     ("from bigsurf import cli", ("classify", "--json", LINE_CONIC_25), 0,
-     {"bigsurf.zariski", "bigsurf.enumeration"} | ARGPARSE, set()),
+     {"bigsurf.zariski", "bigsurf.enumeration"} | ARGPARSE, {"bigsurf.report"}),
+    ("from bigsurf import cli", ("check", "--json", LINE_CONIC_25), 0,
+     {"bigsurf.zariski", "bigsurf.enumeration"} | ARGPARSE, {"bigsurf.report"}),
     ("from bigsurf import cli", ("roots", "--json", LINE_CONIC_25), 0,
-     {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS | ARGPARSE, set()),
+     {"bigsurf.zariski", "bigsurf.enumeration"} | FRACTIONS | ARGPARSE, {"bigsurf.report"}),
     ("from bigsurf import cli", ("sweep", "--max-a", "1", "--max-b", "1", "--max-ai", "1"), 0,
-     {"bigsurf.zariski", "bigsurf.roots"} | ARGPARSE, set()),
+     {"bigsurf.zariski", "bigsurf.roots"} | ARGPARSE, {"bigsurf.report"}),
     # refused as it is parsed: the family's parameters load no module
     ("from bigsurf import cli", ("classify", "--json", ZARISKI), 1,
-     {"bigsurf.zariski", "dataclasses"} | FRACTIONS | ARGPARSE, set()),
+     {"bigsurf.zariski", "bigsurf.report"} | FRACTIONS | ARGPARSE, set()),
     # an abbreviated option is argparse's to read
     ("from bigsurf import cli", ("classify", "--js", LINE_CONIC_25), 0,
      {"bigsurf.zariski", "bigsurf.enumeration"}, ARGPARSE),
-], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "roots", "sweep",
-        "classify_refused", "classify_abbreviated"])
+], ids=["import", "help", "witness", "enumerate", "zariski", "classify", "check", "roots",
+        "sweep", "classify_refused", "classify_abbreviated"])
 def test_each_subcommand_loads_only_what_it_runs(statement, argv, status, absent, present):
     loaded = loaded_by(statement, *argv, status=status)
     assert "bigsurf.cli" in loaded
-    assert not loaded & absent
+    assert not loaded & (absent | DATACLASSES)
     assert loaded >= present
+
+
+def importtime(*argv: str) -> tuple[set[str], str]:
+    """The modules that python -X importtime lists for argv, and stdout."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+    return set(rows[1:]), proc.stdout  # rows[0] is the header
+
+
+def test_a_check_request_through_python_m_loads_no_dataclasses():
+    """The path the cli benchmark times: __main__, cli.run() and os._exit."""
+    bare, _ = importtime("-c", "pass")
+    listed, stdout = importtime("-m", "bigsurf", "check", "--json", LINE_CONIC_25)
+    loaded = listed - bare
+    assert json.loads(stdout)["agrees"] is True
+    assert loaded >= {"bigsurf.cli", "bigsurf.linalg", "bigsurf.report"}
+    assert not loaded & (DATACLASSES | ARGPARSE)
 
 
 def test_every_export_is_the_object_of_its_defining_module():

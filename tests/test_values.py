@@ -1,10 +1,12 @@
-"""Value semantics of the record and value types.
+"""Value semantics of the record, value and report types.
 
 Records (`typing.NamedTuple`) carry results; value types (slotted classes
-on `picard.Frozen`) carry validated inputs and behaviour.  Both keep the
-constructors, attribute names, equality, hash, repr and pickling that the
-frozen dataclasses they replace had; a value type also compares unequal
-to a plain tuple of its fields.
+on `picard.Frozen`) carry validated inputs and behaviour, and the four
+reports are value types on `report.Report`.  All keep the constructors,
+attribute names, equality, hash, repr and pickling that the frozen
+dataclasses they replace had; a value type also compares unequal to a
+plain tuple of its fields, and a report still answers the dataclass
+protocol as its frozen dataclass did.
 """
 
 import dataclasses
@@ -17,13 +19,19 @@ from fractions import Fraction
 import pytest
 
 import bigsurf
-from bigsurf import (CrossCheckReport, DivisorClass, DomainError, FamilyParams, Generic,
-                     LineConic, NegativeClassTable, PicardLattice, ThreeLines,
-                     WitnessReport, ZariskiChecks, blowup_p2, classify_anticanonical)
+from bigsurf import (BignessVerdict, CrossCheckReport, DivisorClass, DomainError,
+                     FamilyParams, Generic, LineConic, NegativeClassTable, PicardLattice,
+                     RootSystemReport, SweepReport, ThreeLines, WitnessReport, ZariskiChecks,
+                     ZariskiReport, blowup_p2, classify_anticanonical)
+from bigsurf.picard import Frozen, PointConfiguration
+from bigsurf.report import Report
 from oracles import LogCanonicalResult, blowup_hirzebruch, dense_gram
 
 D = DivisorClass([-3, 1])
 VERDICT = classify_anticanonical(LineConic(2, 5))
+FAMILY = FamilyParams(2, 3, [2, 3, 7])
+CHECKS = ZariskiChecks(*(True,) * 6)
+A1 = (((1, -1),), ((1, -1),), ((-2,),), (("A", 1),), ())
 
 # type, positional arguments, arguments of an unequal instance, the fields
 # the arguments give (in constructor order), and the parameter defaults
@@ -50,9 +58,25 @@ SPECS = [
                     "n_support_negative_definite", "sum_is_minus_canonical"], True), {}),
     (LogCanonicalResult, (True, Fraction(0)), (True, None),
      {"log_canonical": True, "coefficient": Fraction(0)}, {}),
+    (BignessVerdict, (True, "ii", Fraction(13, 10), D, Fraction(-30), True),
+     (True, "ii", Fraction(13, 10), D, Fraction(-30), None),
+     {"big": True, "case": "ii", "inequality_lhs": Fraction(13, 10), "v": D,
+      "v_squared": Fraction(-30), "effective": True}, {}),
+    (SweepReport, (3, 8, (), ()), (3, 8, ("x",), ()),
+     {"line_conic_count": 3, "three_lines_count": 8, "disagreements": (),
+      "flag_violations": ()}, {}),
+    (RootSystemReport, A1, A1[:3] + ((("A", 2),), ()),
+     dict(zip(["roots", "simple_roots", "cartan", "components", "graph"], A1)), {}),
+    (ZariskiReport, (FAMILY, D, -D, Fraction(42, 43), CHECKS, Fraction(44, 43), False),
+     (FAMILY, D, -D, Fraction(42, 43), CHECKS, Fraction(44, 43), True),
+     {"params": FAMILY, "positive_part": D, "negative_part": -D, "p_squared": Fraction(42, 43),
+      "checks": CHECKS, "lc_coefficient": Fraction(44, 43), "log_canonical": False}, {}),
 ]
 IDS = [spec[0].__name__ for spec in SPECS]
-VALUE_TYPES = {DivisorClass, PicardLattice, Generic, LineConic, ThreeLines, FamilyParams}
+REPORT_TYPES = {BignessVerdict, SweepReport, RootSystemReport, ZariskiReport}
+VALUE_TYPES = {DivisorClass, PicardLattice, Generic, LineConic, ThreeLines,
+               FamilyParams} | REPORT_TYPES
+REPORT_SPECS = [spec for spec in SPECS if spec[0] in REPORT_TYPES]
 
 
 @pytest.mark.parametrize("cls, args, other, fields, defaults", SPECS, ids=IDS)
@@ -99,10 +123,31 @@ def test_value_type_is_not_equal_to_a_tuple(cls, args, other, fields, defaults):
     assert not isinstance(obj, tuple)
 
 
+@pytest.mark.parametrize("cls, args, other, fields, defaults",
+                         [spec for spec in SPECS if spec[0] in VALUE_TYPES],
+                         ids=[spec[0].__name__ for spec in SPECS if spec[0] in VALUE_TYPES])
+def test_value_type_equals_only_its_own_class(cls, args, other, fields, defaults):
+    # as a frozen dataclass's: a subclass or a dataclass with the same field
+    # values is a different value
+    obj = cls(*args)
+    subclass = type(cls.__name__, (cls,), {"__slots__": ()})
+    twin = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
+    for different in (subclass(*args), twin(*fields.values())):
+        assert obj != different and different != obj
+        assert not obj == different
+
+
 @pytest.mark.parametrize("cls, args, other, fields, defaults", SPECS, ids=IDS)
 def test_repr_lists_the_fields(cls, args, other, fields, defaults):
     expected = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(cls(*args)) == f"{cls.__name__}({expected})"
+
+
+def test_report_repr_text_is_unchanged():
+    assert repr(VERDICT) == (
+        "BignessVerdict(big=True, case='ii', inequality_lhs=Fraction(13, 10), "
+        "v=DivisorClass(nums=(10, -5, -5, -4, -4, -4, -4, -4), den=1), "
+        "v_squared=Fraction(-30, 1), effective=True)")
 
 
 @pytest.mark.parametrize("cls, args, other, fields, defaults", SPECS, ids=IDS)
@@ -174,18 +219,61 @@ def test_unknown_keyword_raises_type_error():
             cls(*args, unknown=1)
 
 
+@pytest.mark.parametrize("cls, args, other, fields, defaults", SPECS, ids=IDS)
+def test_repeated_field_raises_type_error(cls, args, other, fields, defaults):
+    with pytest.raises(TypeError):
+        cls(*args, **{next(iter(fields)): args[0]})
+
+
+@pytest.mark.parametrize("base", [Frozen, PointConfiguration, Report])
+def test_a_fieldless_base_cannot_be_instantiated(base):
+    for args in ((), (1,)):
+        with pytest.raises(TypeError, match=f"^{base.__name__} has no fields: it is a base"):
+            base(*args)
+
+
+@pytest.mark.parametrize("cls, args, other, fields, defaults", REPORT_SPECS,
+                         ids=[spec[0].__name__ for spec in REPORT_SPECS])
+def test_report_answers_the_dataclass_protocol_as_its_frozen_dataclass(
+        cls, args, other, fields, defaults):
+    """replace, fields, asdict and is_dataclass give on a report what they
+    give on the frozen dataclass with the same fields."""
+    twin_cls = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
+    obj, twin = cls(*args), twin_cls(*args)
+    assert repr(obj) == repr(twin) and hash(obj) == hash(twin)
+    assert dataclasses.is_dataclass(obj) and dataclasses.is_dataclass(cls)
+    assert [f.name for f in dataclasses.fields(obj)] == list(fields)
+    assert [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert dataclasses.asdict(obj) == dataclasses.asdict(twin) == fields
+    assert dataclasses.astuple(obj) == dataclasses.astuple(twin) == args
+    changes = dict(zip(fields, other))
+    rebuilt = dataclasses.replace(obj, **changes)
+    assert type(rebuilt) is cls and rebuilt == cls(*other)
+    assert repr(rebuilt) == repr(dataclasses.replace(twin, **changes))
+    same = dataclasses.replace(obj)
+    assert same == obj and same is not obj
+    for value in (obj, twin):
+        with pytest.raises(TypeError):
+            dataclasses.replace(value, unknown=1)
+
+
 def test_only_the_report_types_remain_dataclasses():
-    """Thirteen types are records or value types; these four stay frozen
-    dataclasses because the benchmark's own tests rebuild them with
-    `dataclasses.replace`, and the benchmark code stays the same on both
-    sides of a measured change."""
+    """Exactly the four reports answer the dataclass protocol, so that
+    `dataclasses.replace` still rebuilds them where the benchmark's tests
+    do.  They are `Report` values, not dataclasses: their fields are built
+    on first read, and the fieldless bases answer nothing."""
     found = set()
     for info in pkgutil.iter_modules(bigsurf.__path__):
         module = importlib.import_module(f"bigsurf.{info.name}")
-        found.update(name for name, value in vars(module).items()
+        found.update(value for value in vars(module).values()
                      if isinstance(value, type) and dataclasses.is_dataclass(value)
                      and value.__module__ == module.__name__)
-    assert found == {"BignessVerdict", "SweepReport", "RootSystemReport", "ZariskiReport"}
+    assert found == REPORT_TYPES
+    assert all(issubclass(cls, Report) and "__dataclass_params__" not in vars(cls)
+               for cls in found)
+    for base in (Frozen, PointConfiguration, Report):
+        assert not dataclasses.is_dataclass(base)
+        assert not hasattr(base, "__dataclass_fields__")
 
 
 def test_traced_methods_stay_on_their_classes():
