@@ -8,9 +8,11 @@ enumeration of negative classes on del Pezzo lattices.
 
 ``import bigsurf`` loads no submodule: each exported name imports its
 module on first use (PEP 562) and is then bound here like any other.
+`_EXPORTS` is the one name -> module table; `cli` resolves its
+computation names through it too.  A module loads through the import
+statement's machinery, so ``python -X importtime`` lists it.
 """
 
-from importlib import import_module
 from typing import Any, Callable
 
 
@@ -22,7 +24,8 @@ def _lazy_names(namespace: dict[str, Any],
         if name not in table:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         module, _, attr = table[name].partition(".")
-        value = namespace[name] = getattr(import_module(f"{__name__}.{module}"), attr)
+        value = namespace[name] = getattr(
+            __import__(f"{__name__}.{module}", fromlist=(attr,)), attr)
         return value
     return __getattr__
 

@@ -38,27 +38,21 @@ import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
-from . import _lazy_names, serialize as ser
+from . import _EXPORTS, _lazy_names, serialize as ser
 from .errors import DomainError, InvariantError, NotNegativeDefiniteError
-from .picard import (MODELS, FamilyParams, Generic, PointConfiguration,
+from .picard import (_WITNESS_FIELDS, MODELS, FamilyParams, Generic, PointConfiguration,
                      check_witness_fields, verify_witness)
 
 __all__ = ["config_from_dict", "main", "run"]
 
-# The computation names, each imported on first use so that a subcommand
-# loads only the modules it runs.  Handlers call them through this module,
-# where a test or a tracer may rebind them.
+# The computation names resolve through the package's name table (classify
+# also as classify_roots), each loading its module on first use, so that a
+# subcommand loads only the modules it runs.  Handlers call them through
+# this module, where a test or a tracer may rebind them.
 _this = sys.modules[__name__]
-__getattr__ = _lazy_names(globals(), dict(
-    agreement_sweep="bigness.agreement_sweep", cross_check="bigness.cross_check",
-    classify_anticanonical="bigness.classify_anticanonical",
-    negative_classes="enumeration.negative_classes", classify_roots="roots.classify",
-    coxeter_dot="roots.coxeter_dot", extract_roots="roots.extract_roots",
-    predicted_type="roots.predicted_type", type_string="roots.type_string",
-    root_lattice_of_config="roots.root_lattice_of_config",
-    zariski_decompose="zariski.zariski_decompose"))
+__getattr__ = _lazy_names(globals(), {**_EXPORTS, "classify_roots": _EXPORTS["classify"]})
 
 
 def _printable(text: str) -> str:
@@ -67,8 +61,7 @@ def _printable(text: str) -> str:
 
 
 def _check_fields(data: dict[str, Any], where: str,
-                  required: tuple[str, ...],
-                  optional: tuple[str, ...] = ()) -> None:
+                  required: Collection[str], optional: Collection[str] = ()) -> None:
     for key in required:
         if key not in data:
             raise DomainError(f"missing field: {where}.{key}")
@@ -136,8 +129,7 @@ def _load_json(text: str) -> Any:
 def _witness_args(data: Any) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise DomainError("witness request must be a JSON object")
-    _check_fields(data, "witness", ("example",),
-                  ("n", "fibers", "extra_on_sigma"))
+    _check_fields(data, "witness", ("example",), set().union(*_WITNESS_FIELDS.values()))
     example = data["example"]
     if not isinstance(example, str):
         raise DomainError("field witness.example must be a string")

@@ -256,8 +256,9 @@ class PicardLattice(Frozen):
         pair through the head block, once per two distinct head parts,
         classes with equal head parts start from copies of one row, a tail
         index carried once adds -c^2 to its class's diagonal entry, and one
-        carried more often adds -c_u c_v to every two carriers' entry."""
-        head = self.head
+        carried more often adds -c_u c_v to every two carriers' entry.  A term
+        index outside range(rank) raises ValueError."""
+        head, rank = self.head, self.rank
         h = len(head)
         heads: list[tuple[Rational, ...]] = []
         once: dict[int, tuple[int, Rational]] = {}
@@ -265,6 +266,8 @@ class PicardLattice(Frozen):
         for u, terms in enumerate(classes):
             x = [0] * h
             for i, c in terms:
+                if not 0 <= i < rank:
+                    raise ValueError("term index outside the lattice's basis")
                 if i < h:
                     x[i] += c
                 elif i in once:

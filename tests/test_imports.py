@@ -2,14 +2,17 @@
 
 `import bigsurf` loads no submodule and `import bigsurf.cli` no computation
 module, no `fractions` and no `argparse`; each exported name, and each
-computation name of the CLI, loads its module on first use, `fractions`
+computation name of the CLI (one table), loads its module on first use
+through the import statement, so `-X importtime` lists it, `fractions`
 loads where a Fraction is built, and `argparse` only for argv the CLI's
 plain reader declines.  No request loads `dataclasses`.  Module sets are
 read in fresh interpreters.
 """
 
 import importlib
+import inspect
 import json
+import re
 import subprocess
 import sys
 
@@ -100,7 +103,10 @@ def test_a_check_request_through_python_m_loads_no_dataclasses():
     listed, stdout = importtime("-m", "bigsurf", "check", "--json", LINE_CONIC_25)
     loaded = listed - bare
     assert json.loads(stdout)["agrees"] is True
-    assert loaded >= {"bigsurf.cli", "bigsurf.linalg", "bigsurf.report"}
+    # the computation modules too: a lazy name loads through the import
+    # statement's machinery, which -X importtime times
+    assert loaded >= {"bigsurf.cli", "bigsurf.linalg", "bigsurf.report",
+                      "bigsurf.bigness", "bigsurf.roots"}
     assert not loaded & (DATACLASSES | ARGPARSE)
 
 
@@ -110,6 +116,13 @@ def test_every_export_is_the_object_of_its_defining_module():
         value = getattr(bigsurf, name)
         assert vars(importlib.import_module(value.__module__))[name] is value
         assert vars(bigsurf)[name] is value  # bound on first access
+
+
+def test_each_computation_name_of_the_cli_is_the_package_object():
+    called = set(re.findall(r"_this\.(\w+)", inspect.getsource(cli)))
+    assert {"cross_check", "classify_roots", "extract_roots", "zariski_decompose"} <= called
+    for name in called:
+        assert getattr(cli, name) is getattr(bigsurf, {"classify_roots": "classify"}.get(name, name))
 
 
 def test_star_import_binds_exactly_all():

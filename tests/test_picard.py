@@ -359,6 +359,16 @@ def test_gram_of_hirzebruch_strict_transforms():
     assert lat.gram_of([]) == []
 
 
+@pytest.mark.parametrize("classes", [
+    [[(0, 1)], [(-1, 1)]], [[(7, 1)]], [[(3, 1)]], [[(1, 1), (-4, 2)]]],
+    ids=["minus_one", "seven", "rank", "minus_rank_minus_one"])
+def test_gram_of_rejects_a_term_index_outside_the_basis(classes):
+    # blowup_p2(2) has rank 3: index -1 would read as the line class, the
+    # head's last, and an index from the rank on would still add -c^2
+    with pytest.raises(ValueError, match="term index"):
+        blowup_p2(2).gram_of(classes)
+
+
 class _Index:
     def __init__(self, value):
         self.value = value
